@@ -25,6 +25,10 @@ class ZeroShift(AvwError, ValueError):
     """The injectivity map is only defined for a nonzero degree shift."""
 
 
+class InvalidBound(AvwError, ValueError):
+    """A depth, charge or basis-size bound is negative or not an integer."""
+
+
 class ResourceBound(AvwError, RuntimeError):
     """A configured basis-size or exponent cap was exceeded."""
 

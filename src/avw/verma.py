@@ -1,4 +1,4 @@
-"""Truncated highest-weight modules built by PBW straightening.
+"""Truncated highest-weight modules and their PBW action.
 
 A highest-weight vector v is fixed by three exact rational eigenvalues
 (d0, h0, C) -> (lam_d, mu, c); it is annihilated by e_0 and by everything in
@@ -17,6 +17,17 @@ the *exact* weight space of the untruncated module, so results computed
 inside the kept cells are exact statements about the infinite module;
 actions whose image would leave the kept cells raise OutOfWindow instead of
 silently truncating.
+
+A generator acts on a canonical monomial by a one-generator recursion on its
+leftmost factor y = mono[0], with m' the rest:
+
+    g . (y . m') = y . (g . m') + [g, y] . m'
+
+A lowering g that sorts at or before y is simply prepended, raising
+generators kill the empty monomial, and d_0, h_0, C act on every monomial by
+its eigenvalue.  Each result is memoized on (g, mono).  The memo is
+insert-only and every entry is a pure function of its key, so concurrent
+readers agree.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import C, Gen, bracket_gens, d, e, f, h
-from .errors import OutOfWindow, ResourceBound
+from .errors import InvalidBound, OutOfWindow, ResourceBound
 from .linalg import Vec, frac, nullspace
 
 Mono = Tuple[Gen, ...]
@@ -51,13 +62,18 @@ def _cls(g: Gen) -> int:
     return _RAISE  # positive degree, or e_0
 
 
-def _reducible(x: Gen, y: Gen) -> bool:
-    cx, cy = _cls(x), _cls(y)
-    if cx != cy:
-        return cx > cy
-    # only lowering factors need internal sorting; Cartans commute and
-    # raising factors evaporate at the right end regardless of order
-    return cx == _LOWER and x.sort_key() > y.sort_key()
+def _max_basis_from_env() -> int:
+    raw = os.environ.get(MAX_BASIS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_BASIS
+    try:
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError(cap)
+    except ValueError:
+        raise InvalidBound(
+            f"{MAX_BASIS_ENV} must be a nonnegative integer, got {raw!r}") from None
+    return cap
 
 
 def depth_of(mono: Mono) -> int:
@@ -103,50 +119,67 @@ def charge_shift(g: Gen) -> int:
     return 0
 
 
-def pbw_straighten(word: Sequence[Gen], hw: HighestWeight) -> Dict[Mono, Fraction]:
+def _act(g: Gen, mono: Mono, hw: HighestWeight,
+         memo: Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]]) -> Dict[Mono, Fraction]:
+    """g . (mono . v) for a canonical monomial, memoized on (g, mono).
+
+    Uses g . (y . m') = y . (g . m') + [g, y] . m' with y the leftmost
+    factor; d_0, h_0 and C act on canonical monomials by their weight.
+    """
+    key = (g, mono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    cg = _cls(g)
+    if g.family == "C":
+        out = {mono: hw.c} if hw.c else {}
+    elif cg == _CARTAN:
+        eig = (hw.lam_d - depth_of(mono) if g.family == "d"
+               else hw.mu - 2 * charge_of(mono))
+        out = {mono: eig} if eig else {}
+    elif not mono:
+        out = {(g,): Fraction(1)} if cg == _LOWER else {}
+    elif cg == _LOWER and g.sort_key() <= mono[0].sort_key():
+        out = {(g,) + mono: Fraction(1)}
+    else:
+        y, rest = mono[0], mono[1:]
+        acc: Dict[Mono, Fraction] = {}
+        for m2, c2 in _act(g, rest, hw, memo).items():
+            for m3, c3 in _act(y, m2, hw, memo).items():
+                acc[m3] = acc.get(m3, 0) + c2 * c3
+        for b, bc in bracket_gens(g, y):
+            for m3, c3 in _act(b, rest, hw, memo).items():
+                acc[m3] = acc.get(m3, 0) + bc * c3
+        out = {m: v for m, v in acc.items() if v}
+    memo[key] = out
+    return out
+
+
+def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
+                   memo: Optional[Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]]] = None
+                   ) -> Dict[Mono, Fraction]:
     """Rewrite (word) . v into canonical monomials applied to v.
 
-    Repeatedly swaps the rightmost out-of-order adjacent pair, inserting the
-    bracket correction, until every surviving word is an ordered product of
-    lowering factors.  Raising factors annihilate v at the right end; d_0,
-    h_0, C evaluate to their eigenvalues there.
+    Folds the word right to left through the one-generator action; the
+    longest ordered run of lowering factors at the right end is already
+    canonical and is taken as it stands.  Raising factors annihilate v at
+    the right end; d_0, h_0, C evaluate to their eigenvalues there.
     """
-    out: Dict[Mono, Fraction] = {}
-    stack: List[Tuple[Mono, Fraction]] = [(tuple(word), Fraction(1))]
-    while stack:
-        w, coeff = stack.pop()
-        if any(g.family == "C" for g in w):
-            n_c = sum(1 for g in w if g.family == "C")
-            coeff *= hw.c ** n_c
-            if not coeff:
-                continue
-            w = tuple(g for g in w if g.family != "C")
-        if not w:
-            out[()] = out.get((), Fraction(0)) + coeff
-            continue
-        z = w[-1]
-        cz = _cls(z)
-        if cz == _RAISE:
-            continue  # z . v = 0
-        if cz == _CARTAN:
-            eig = hw.lam_d if z.family == "d" else hw.mu
-            if eig:
-                stack.append((w[:-1], coeff * eig))
-            continue
-        pos = None
-        for i in range(len(w) - 2, -1, -1):
-            if _reducible(w[i], w[i + 1]):
-                pos = i
-                break
-        if pos is None:
-            out[w] = out.get(w, Fraction(0)) + coeff
-            continue
-        x, y = w[pos], w[pos + 1]
-        pre, post = w[:pos], w[pos + 2:]
-        stack.append((pre + (y, x) + post, coeff))
-        for g, bc in bracket_gens(x, y):
-            stack.append((pre + (g,) + post, coeff * bc))
-    return {m: v for m, v in out.items() if v}
+    if memo is None:
+        memo = {}
+    word = tuple(word)
+    cut = len(word)
+    while cut and _cls(word[cut - 1]) == _LOWER and (
+            cut == len(word) or word[cut - 1].sort_key() <= word[cut].sort_key()):
+        cut -= 1
+    vec: Dict[Mono, Fraction] = {word[cut:]: Fraction(1)}
+    for g in reversed(word[:cut]):
+        acc: Dict[Mono, Fraction] = {}
+        for mono, coeff in vec.items():
+            for m2, c2 in _act(g, mono, hw, memo).items():
+                acc[m2] = acc.get(m2, 0) + coeff * c2
+        vec = {m: v for m, v in acc.items() if v}
+    return vec
 
 
 def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
@@ -202,18 +235,19 @@ class TruncatedModule:
     """Highest-weight module restricted to depth <= N, charge <= S.
 
     Construction is single-writer; after building, all queries are read-only
-    (the straightening cache is insert-only).
+    apart from the action memo, which is insert-only and keyed on (g, mono),
+    so concurrent readers agree with a sequential run.
     """
 
     def __init__(self, hw: HighestWeight, depth_bound: int, charge_bound: int,
                  max_factors: int = DEFAULT_MAX_FACTORS,
                  max_basis: Optional[int] = None):
         if depth_bound < 0:
-            raise ValueError("depth bound must be >= 0")
+            raise InvalidBound("depth bound must be >= 0")
         if charge_bound < 0:
-            raise ValueError("charge bound must be >= 0")
+            raise InvalidBound("charge bound must be >= 0")
         if max_basis is None:
-            max_basis = int(os.environ.get(MAX_BASIS_ENV, DEFAULT_MAX_BASIS))
+            max_basis = _max_basis_from_env()
         self.hw = hw
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound
@@ -233,7 +267,6 @@ class TruncatedModule:
                 self.index[(n, s)] = {m: i for i, m in enumerate(monos)}
         self.basis_size = total
         self._apply_cache: Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]] = {}
-        self._matrix_cache: Dict[Tuple[Gen, Tuple[int, int]], List[List[Fraction]]] = {}
 
     def weight_space_dim(self, n: int, s: int) -> int:
         """Dimension of the (depth, charge) cell; OutOfWindow outside the
@@ -251,7 +284,7 @@ class TruncatedModule:
         key = (g, mono)
         cached = self._apply_cache.get(key)
         if cached is None:
-            cached = pbw_straighten((g,) + mono, self.hw)
+            cached = pbw_straighten((g,) + mono, self.hw, self._apply_cache)
             self._apply_cache[key] = cached
         return cached
 
@@ -280,10 +313,6 @@ class TruncatedModule:
         target (negative depth, or charge below -depth) yields a 0 x dim
         matrix after checking the images really vanish.
         """
-        key = (g, cell)
-        cached = self._matrix_cache.get(key)
-        if cached is not None:
-            return cached
         n, s = cell
         source = self.cells.get(cell, ())
         n2 = n - g.degree
@@ -294,18 +323,16 @@ class TruncatedModule:
                 if img:
                     raise AssertionError(
                         f"nonzero image in a weight-empty cell ({n2}, {s2})")
-            mat: List[List[Fraction]] = []
-        else:
-            if n2 > self.depth_bound or s2 > self.charge_bound:
-                raise OutOfWindow(
-                    f"matrix of {g} from cell {cell} targets ({n2}, {s2}) "
-                    f"outside the truncation")
-            target_index = self.index[(n2, s2)]
-            mat = [[Fraction(0)] * len(source) for _ in target_index]
-            for j, mono in enumerate(source):
-                for m2, c2 in self.apply_gen(g, mono).items():
-                    mat[target_index[m2]][j] = c2
-        self._matrix_cache[key] = mat
+            return []
+        if n2 > self.depth_bound or s2 > self.charge_bound:
+            raise OutOfWindow(
+                f"matrix of {g} from cell {cell} targets ({n2}, {s2}) "
+                f"outside the truncation")
+        target_index = self.index[(n2, s2)]
+        mat = [[Fraction(0)] * len(source) for _ in target_index]
+        for j, mono in enumerate(source):
+            for m2, c2 in self.apply_gen(g, mono).items():
+                mat[target_index[m2]][j] = c2
         return mat
 
     def find_singular_vectors(self, max_depth: int) -> List[SingularVector]:

@@ -11,6 +11,11 @@ when the image is not representable inside the window (this happens only at
 the charge boundary of truncated highest-weight exports); analyses quantify
 over asserted columns only, so every reported fact is an exact statement
 about the underlying infinite module.
+
+Blocks exported from a truncated highest-weight module are lazy: each column
+is computed the first time it is read and kept from then on, so an analysis
+that reads a few blocks pays only for those.  The length of a block is known
+without building anything.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class WindowedModule:
     def __init__(self, window: Tuple[int, int], families: frozenset,
                  central: Fraction,
                  basis: Dict[int, Tuple[BasisLabel, ...]],
-                 blocks: Dict[Tuple[str, int, int], List[Column]],
+                 blocks: Dict[Tuple[str, int, int], Sequence[Column]],
                  description: str = ""):
         self.window = window
         self.families = families
@@ -67,7 +72,7 @@ class WindowedModule:
     def has_block(self, family: str, m: int, k: int) -> bool:
         return (family, m, k) in self.blocks
 
-    def block(self, family: str, m: int, k: int) -> List[Column]:
+    def block(self, family: str, m: int, k: int) -> Sequence[Column]:
         try:
             return self.blocks[(family, m, k)]
         except KeyError:
@@ -165,6 +170,38 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
                           description=spec_text(spec))
 
 
+_UNBUILT = object()
+
+
+class _VermaColumns(Sequence):
+    """One block of a highest-weight export.  Column j is the image of source
+    monomial j over the target basis, or None when it leaves the kept
+    charges; it is built on first read and then kept."""
+
+    def __init__(self, module: TruncatedModule, g: Gen, source: Tuple,
+                 target: Dict):
+        self._module, self._g, self._source, self._target = module, g, source, target
+        self._cols: List[object] = [_UNBUILT] * len(source)
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, j: int) -> Column:
+        col = self._cols[j]
+        if col is _UNBUILT:
+            col = self._cols[j] = self._build(self._source[j])
+        return col
+
+    def _build(self, mono) -> Column:
+        col = [Fraction(0)] * len(self._target)
+        for m2, c2 in self._module.apply_gen(self._g, mono).items():
+            idx = self._target.get(m2)
+            if idx is None:
+                return None  # image leaves the kept charges
+            col[idx] = c2
+        return col
+
+
 def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
                charge_cap: Optional[int] = None) -> WindowedModule:
     """Export a truncated highest-weight module as a windowed module.
@@ -173,7 +210,8 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
     above the highest weight, so degenerate injectivity questions at the top
     are answerable).  Per offset the basis keeps charges up to ``charge_cap``
     (default S-1); an f-action column whose image would exceed the kept
-    charges is stored as unasserted rather than silently truncated.
+    charges is stored as unasserted rather than silently truncated.  Each
+    column is computed from the module's action the first time it is read.
     """
     if charge_cap is None:
         charge_cap = module.charge_bound - 1
@@ -200,26 +238,15 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
         basis[k] = tuple(labs)
         placement[k] = place
     families = frozenset("defh")
-    blocks: Dict[Tuple[str, int, int], List[Column]] = {}
+    src_monos = {k: tuple(place) for k, place in placement.items()}
+    blocks: Dict[Tuple[str, int, int], Sequence[Column]] = {}
     for fam in sorted(families):
         for m in range(-max_degree, max_degree + 1):
             for k in range(-n_max, pad_top + 1):
                 if not (-n_max <= k + m <= pad_top):
                     continue
-                source = basis[k]
-                src_monos = list(placement[k].keys())
-                cols: List[Column] = []
-                for mono in src_monos:
-                    img = module.apply_gen(Gen(fam, m), mono)
-                    col: Column = [Fraction(0)] * len(basis[k + m])
-                    for m2, c2 in img.items():
-                        idx = placement[k + m].get(m2)
-                        if idx is None:
-                            col = None  # image leaves the kept charges
-                            break
-                        col[idx] = c2
-                    cols.append(col)
-                blocks[(fam, m, k)] = cols
+                blocks[(fam, m, k)] = _VermaColumns(
+                    module, Gen(fam, m), src_monos[k], placement[k + m])
     hw = module.hw
     return WindowedModule(window, families, hw.c, basis, blocks,
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"

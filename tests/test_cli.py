@@ -184,6 +184,20 @@ def test_bad_spec_exits_2(capsys):
     assert "denominator" in capsys.readouterr().err
 
 
+def test_negative_depth_exits_2(capsys):
+    assert run(["verma", "--lamd", "1/2", "--mu", "1", "--c", "0",
+                "--depth", "-1"]) == 2
+    assert capsys.readouterr().err == "error: depth bound must be >= 0\n"
+
+
+@pytest.mark.parametrize("raw", ["many", "-3"])
+def test_bad_max_basis_env_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("AVW_MAX_BASIS", raw)
+    assert run(["singular", "--lamd", "1/2", "--mu", "1", "--c", "0",
+                "--depth", "2"]) == 2
+    assert "AVW_MAX_BASIS" in capsys.readouterr().err
+
+
 def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
-from avw.errors import OutOfWindow, ResourceBound
+from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec
-from avw.verma import (HighestWeight, build_verma, charge_of, charge_shift,
-                       depth_of, dims_rows, mono_str, pbw_straighten,
-                       singular_vectors_json, verma_act, write_dims_csv)
+from avw.verma import (DEFAULT_MAX_FACTORS, HighestWeight, TruncatedModule,
+                       build_verma, charge_of, charge_shift, depth_of, dims_rows,
+                       mono_str, pbw_straighten, singular_vectors_json, verma_act,
+                       write_dims_csv)
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -312,6 +313,21 @@ def test_max_basis_env_override(monkeypatch):
     build_verma(GENERIC, 2)
 
 
+@pytest.mark.parametrize("raw", ["lots", "1.5", "", "-1"])
+def test_max_basis_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("AVW_MAX_BASIS", raw)
+    with pytest.raises(InvalidBound, match="AVW_MAX_BASIS"):
+        build_verma(GENERIC, 2)
+
+
+def test_negative_bounds_are_typed_errors():
+    with pytest.raises(InvalidBound, match="depth bound must be >= 0"):
+        TruncatedModule(GENERIC, -1, 2)
+    with pytest.raises(InvalidBound, match="charge bound must be >= 0"):
+        build_verma(GENERIC, 2, -1)
+    assert issubclass(InvalidBound, AvwError) and issubclass(InvalidBound, ValueError)
+
+
 def test_concurrent_queries_match_sequential():
     # built modules are read-only; the straightening cache is insert-only,
     # so concurrent readers must agree with a sequential run
@@ -349,3 +365,107 @@ def test_singular_vectors_json_schema():
     payload = singular_vectors_json(m.find_singular_vectors(0))
     assert {"depth", "charge", "coefficients", "basis"} <= set(payload[0])
     assert all(isinstance(c, str) for c in payload[0]["coefficients"])
+
+
+# -- oracle: the word-rewriting straightener the memoized action replaced ----
+
+def _rewrite_cls(g):
+    if g.degree < 0 or (g.degree == 0 and g.family == "f"):
+        return 0  # lowering
+    if g.degree == 0 and g.family in ("d", "h"):
+        return 1  # Cartan
+    return 2  # raising
+
+
+def _rewrite_reducible(x, y):
+    cx, cy = _rewrite_cls(x), _rewrite_cls(y)
+    if cx != cy:
+        return cx > cy
+    return cx == 0 and x.sort_key() > y.sort_key()
+
+
+def reference_straighten(word, hw):
+    """Swap the rightmost out-of-order adjacent pair, inserting the bracket
+    correction, until every surviving word is canonical."""
+    out = {}
+    stack = [(tuple(word), F(1))]
+    while stack:
+        w, coeff = stack.pop()
+        if any(g.family == "C" for g in w):
+            coeff *= hw.c ** sum(1 for g in w if g.family == "C")
+            if not coeff:
+                continue
+            w = tuple(g for g in w if g.family != "C")
+        if not w:
+            out[()] = out.get((), F(0)) + coeff
+            continue
+        z = w[-1]
+        cz = _rewrite_cls(z)
+        if cz == 2:
+            continue
+        if cz == 1:
+            eig = hw.lam_d if z.family == "d" else hw.mu
+            if eig:
+                stack.append((w[:-1], coeff * eig))
+            continue
+        pos = None
+        for i in range(len(w) - 2, -1, -1):
+            if _rewrite_reducible(w[i], w[i + 1]):
+                pos = i
+                break
+        if pos is None:
+            out[w] = out.get(w, F(0)) + coeff
+            continue
+        x, y = w[pos], w[pos + 1]
+        pre, post = w[:pos], w[pos + 2:]
+        stack.append((pre + (y, x) + post, coeff))
+        for g, bc in bracket_gens(x, y):
+            stack.append((pre + (g,) + post, coeff * bc))
+    return {m: v for m, v in out.items() if v}
+
+
+ORACLE_WEIGHTS = [HighestWeight.of(F(1, 2), 2, 0), HighestWeight.of(0, 0, 1),
+                  HighestWeight.of(F(1, 3), 1, 3),
+                  HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7))]
+ORACLE_GENS = [Gen(fam, k) for fam in "defh" for k in range(-3, 4)] + [C]
+
+
+def _hw_id(hw):
+    return f"{hw.lam_d},{hw.mu},{hw.c}"
+
+
+@pytest.mark.parametrize("hw", ORACLE_WEIGHTS, ids=_hw_id)
+def test_action_matches_word_rewriting_oracle(hw):
+    m = build_verma(hw, 4)
+    monos = [mono for cell in m.cells.values() for mono in cell]
+    rng = random.Random(2024)
+    for g in ORACLE_GENS:
+        for mono in rng.sample(monos, 12):
+            expect = reference_straighten((g,) + mono, hw)
+            assert m.apply_gen(g, mono) == expect, (g, mono)
+            assert pbw_straighten((g,) + mono, hw) == expect, (g, mono)
+
+
+@pytest.mark.parametrize("hw", ORACLE_WEIGHTS, ids=_hw_id)
+def test_straighten_matches_oracle_on_random_words(hw):
+    rng = random.Random(7)
+    for _ in range(150):
+        word = tuple(rng.choice(ORACLE_GENS) for _ in range(rng.randint(1, 4)))
+        assert pbw_straighten(word, hw) == reference_straighten(word, hw), word
+
+
+def test_action_at_the_factor_cap_matches_oracle():
+    # the memoized action recurses once per factor; monomials at the factor
+    # cap must stay well inside the interpreter's recursion limit
+    k = DEFAULT_MAX_FACTORS
+    monos = [(f(0),) * k, (e(-1),) * k, (e(-1),) * (k - 1) + (f(0),),
+             (e(-1),) * (k // 2) + (f(0),) * (k // 2),
+             (d(-1),) + (f(0),) * (k - 1), (h(-1),) + (f(0),) * (k - 1)]
+    hw = ORACLE_WEIGHTS[3]
+    m = build_verma(hw, 1)
+    for mono in monos:
+        assert len(mono) == k
+        for g in ORACLE_GENS:
+            expect = reference_straighten((g,) + mono, hw)
+            assert m.apply_gen(g, mono) == expect, (g, mono)
+            assert pbw_straighten((g,) + mono, hw) == expect, (g, mono)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          spec_text)
 from avw.errors import (GeneratorOutsideAlgebra, OutOfWindow, WindowTooNarrow,
@@ -343,3 +344,79 @@ def test_partial_f_columns_in_verma_export():
     assert any(c is None for c in cols)
     with pytest.raises(OutOfWindow):
         wm.full_matrix("f", 0, 0)
+
+
+def _count_apply_gen(module):
+    """Record every apply_gen call the export makes on this module."""
+    calls = []
+    apply_gen = module.apply_gen
+
+    def counted(g, mono):
+        calls.append((g, mono))
+        return apply_gen(g, mono)
+
+    module.apply_gen = counted
+    return calls
+
+
+def _eager_blocks(module, wm, cap):
+    """Every block of a from_verma export, built column by column up front
+    from the module's action, with charges up to cap kept per offset."""
+    monos = {k: [mono for s in range(k, cap + 1) for mono in module.cells[(-k, s)]]
+             if k <= 0 else [] for k in wm.offsets()}
+    blocks = {}
+    for fam, m, k in wm.blocks:
+        target = {mono: r for r, mono in enumerate(monos[k + m])}
+        cols = []
+        for mono in monos[k]:
+            img = module.apply_gen(Gen(fam, m), mono)
+            if any(m2 not in target for m2 in img):
+                cols.append(None)
+                continue
+            col = [F(0)] * len(target)
+            for m2, c2 in img.items():
+                col[target[m2]] = c2
+            cols.append(col)
+        blocks[(fam, m, k)] = cols
+    return blocks
+
+
+def test_from_verma_builds_columns_on_first_read():
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 3)
+    calls = _count_apply_gen(m)
+    wm = from_verma(m)
+    assert sum(len(cols) for cols in wm.blocks.values()) > 0
+    assert calls == []
+    block = wm.block("f", 1, -2)
+    col = block[3]
+    assert len(calls) == 1
+    assert block[3] is col
+    assert len(calls) == 1
+
+
+def test_injectivity_builds_only_the_blocks_it_stacks():
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 3)
+    calls = _count_apply_gen(m)
+    wm = from_verma(m)
+    stacked_shift_injectivity(wm, k=0, i=1)
+    read = [("d", 1, 0), ("d", 2, 0), ("e", 1, 0), ("f", 1, 0), ("h", 1, 0)]
+    assert len(calls) == sum(len(wm.block(*key)) for key in read)
+    assert {g for g, _ in calls} == {Gen(fam, deg) for fam, deg, _ in read}
+    assert {mono for _, mono in calls} == set(
+        mono for s in range(0, m.charge_bound) for mono in m.cells[(0, s)])
+
+
+def test_lazy_export_equals_eager_build():
+    m = build_verma(HighestWeight.of(F(1, 3), F(1), F(3)), 2)
+    wm = from_verma(m)
+    eager = _eager_blocks(m, wm, cap=m.charge_bound - 1)
+    assert any(c is None for cols in eager.values() for c in cols)
+    assert set(eager) == set(wm.blocks)
+    for key, cols in eager.items():
+        assert len(wm.blocks[key]) == len(cols)
+        assert [wm.blocks[key][j] for j in range(len(cols))] == cols, key
+    eager_wm = WindowedModule(wm.window, wm.families, wm.central, wm.basis, eager)
+    lazy_scrambled = scramble_window(from_verma(m), seed=11)
+    eager_scrambled = scramble_window(eager_wm, seed=11)
+    assert lazy_scrambled.basis == eager_scrambled.basis
+    assert lazy_scrambled.blocks == eager_scrambled.blocks
