@@ -32,7 +32,7 @@ from math import floor
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .algebra import FULL, HVIR, T2, VIR, AlgebraSpec, Gen, bracket_gens
-from .errors import GeneratorOutsideAlgebra, NegativeHighestWeight
+from .errors import GeneratorOutsideAlgebra, NegativeHighestWeight, NotAModule
 from .linalg import Vec
 
 
@@ -268,7 +268,7 @@ def is_simple(spec: ModuleSpec) -> SimplicityVerdict:
     simplicity; a loop module over a nontrivial sl2 irrep is always simple.
     """
     if isinstance(spec, T2Corrupt):
-        raise ValueError("T2Corrupt is not a module; simplicity is undefined")
+        raise NotAModule("T2Corrupt is not a module; simplicity is undefined")
     spec = canonicalize(spec)
     if isinstance(spec, IntA):
         return SimplicityVerdict(False, "the span of v_0 is a quotient; the complement is a proper submodule")

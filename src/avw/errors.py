@@ -29,6 +29,14 @@ class InvalidBound(AvwError, ValueError):
     """A depth, charge or basis-size bound is negative or not an integer."""
 
 
+class NotAModule(AvwError, ValueError):
+    """A spec violates the module axiom, so module-level questions are undefined."""
+
+
+class InternalError(AvwError, RuntimeError):
+    """An internal invariant failed: a defect in the workbench, not in the input."""
+
+
 class ResourceBound(AvwError, RuntimeError):
     """A configured basis-size or exponent cap was exceeded."""
 

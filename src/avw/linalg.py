@@ -1,16 +1,16 @@
 """Exact rational linear algebra: fraction-free elimination, ranks, nullspaces.
 
-All matrices are lists of rows with ``fractions.Fraction`` entries.  Kernel and
-rank computations clear denominators row by row and then run Bareiss
-fraction-free elimination over the integers, so no floating point appears
-anywhere and intermediate growth stays polynomial.
+All matrices are lists of rows with ``fractions.Fraction`` entries.  Ranks and
+kernels go through ``row_echelon_ff``, a sparse fraction-free elimination over
+primitive integer rows, so no floating point appears anywhere.  ``nullspace``
+returns the canonical kernel basis, which does not depend on the echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Sequence, Tuple
 
 
 def frac(x, y=None) -> Fraction:
@@ -22,52 +22,53 @@ def frac(x, y=None) -> Fraction:
     return Fraction(x)
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    # Row scaling does not change the row space or the kernel.
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult * d // gcd(mult, d)
-        out.append([int(x * mult) for x in row])
-    return out
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 def row_echelon_ff(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int]]:
-    """Bareiss fraction-free row echelon form.
+    """Fraction-free row echelon form by sparse row insertion.
 
-    Returns the nonzero echelon rows (integer entries) and the pivot column
-    indices, in order.
+    Zero rows are dropped.  Each other row becomes a primitive integer row
+    ``{col: int}`` and is reduced against the pivot row ``p`` of its leading
+    column ``c`` (``r <- (a/g) r - (b/g) p`` with ``a = p[c]``, ``b = r[c]``,
+    ``g = gcd(a, b)``, then divided by its content) until it is zero or owns
+    a new pivot.  Reading stops once every column has a pivot.  Returns the
+    dense integer echelon rows and their pivot columns, in increasing order;
+    the pivot columns are those of the reduced row echelon form.
     """
-    a = _integer_rows(rows)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: List[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nrows):
-            head = a[i][c]
-            # update every row below, even when head == 0: the uniform scaling
-            # by a[r][c]/prev is what keeps later divisions exact
-            for j in range(c, ncols):
-                a[i][j] = (a[i][j] * a[r][c] - head * a[r][j]) // prev
-        prev = a[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    ncols = len(rows[0]) if rows else 0
+    pivot_rows: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        if len(pivot_rows) == ncols:
             break
-    return a[:r], pivots
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if not nonzero:
+            continue
+        mult = lcm(*(x.denominator for _, x in nonzero))
+        r = _primitive({j: x.numerator * (mult // x.denominator) for j, x in nonzero})
+        while r:
+            c = min(r)
+            p = pivot_rows.get(c)
+            if p is None:
+                pivot_rows[c] = r
+                break
+            a, b = p[c], r[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            r = {j: a * x for j, x in r.items() if j != c}
+            for j, x in p.items():
+                if j != c:
+                    v = r.get(j, 0) - b * x
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+            if r:
+                r = _primitive(r)
+    pivots = sorted(pivot_rows)
+    return [[pivot_rows[c].get(j, 0) for j in range(ncols)] for c in pivots], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -23,14 +23,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Gen, bracket_gens
 from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       acting_algebra, act_basis, label_str, spec_text, weight_of)
-from .errors import (GeneratorOutsideAlgebra, OutOfWindow, WindowTooNarrow,
-                     ZeroShift)
+from .errors import (GeneratorOutsideAlgebra, InternalError, NotAModule, OutOfWindow,
+                     WindowTooNarrow, ZeroShift)
 from .linalg import Vec, nullspace
 from .verma import TruncatedModule, mono_str
 
@@ -136,7 +136,7 @@ def _window_families(spec: ModuleSpec) -> frozenset:
 def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     """Materialize a catalog module's actions as exact matrices."""
     if isinstance(spec, T2Corrupt):
-        raise ValueError("T2Corrupt violates the module axiom; it has no "
+        raise NotAModule("T2Corrupt violates the module axiom; it has no "
                          "consistent window")
     p, q = window
     if q < p:
@@ -504,43 +504,32 @@ def _poly_gcd(p, q):
 
 
 def _rational_roots(p: List[Fraction]) -> List[Fraction]:
-    """All rational roots of a nonzero polynomial with rational coefficients."""
+    """Sorted distinct rational roots of a nonzero polynomial of degree <= 2.
+
+    ``catalog_match`` only asks for gcds of quadratic and linear constraints,
+    so the roots come in closed form (linear root or square discriminant).
+    """
     if not p:
         raise ValueError("zero polynomial")
-    mult = 1
-    for a in p:
-        mult = mult * a.denominator // gcd(mult, a.denominator)
-    ip = [int(a * mult) for a in p]
+    if len(p) > 3:
+        raise InternalError(f"rational roots requested for degree {len(p) - 1} > 2")
+    mult = lcm(*(a.denominator for a in p))
+    ip = [a.numerator * (mult // a.denominator) for a in p]
     roots: List[Fraction] = []
-    # factor out powers of the variable
     low = 0
     while ip[low] == 0:
         low += 1
     if low:
         roots.append(Fraction(0))
         ip = ip[low:]
-    if len(ip) <= 1:
-        return sorted(set(roots))
-    a0, an = abs(ip[0]), abs(ip[-1])
-
-    def divisors(n: int):
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.append(i)
-                out.append(n // i)
-            i += 1
-        return out
-
-    for num in divisors(a0):
-        for den in divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                val = Fraction(0)
-                for c in reversed(ip):
-                    val = val * cand + c
-                if val == 0:
-                    roots.append(cand)
+    if len(ip) == 2:
+        roots.append(Fraction(-ip[0], ip[1]))
+    elif len(ip) == 3:
+        c0, c1, c2 = ip
+        disc = c1 * c1 - 4 * c2 * c0
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots.extend((Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)))
     return sorted(set(roots))
 
 

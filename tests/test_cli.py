@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -188,6 +189,32 @@ def test_negative_depth_exits_2(capsys):
     assert run(["verma", "--lamd", "1/2", "--mu", "1", "--c", "0",
                 "--depth", "-1"]) == 2
     assert capsys.readouterr().err == "error: depth bound must be >= 0\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["witness", "--module=T2corrupt:a=0,b=0,c=1"],
+     "T2Corrupt violates the module axiom; it has no consistent window"),
+    (["simple", "--module=T2corrupt:a=0,b=0,c=1"],
+     "T2Corrupt is not a module; simplicity is undefined"),
+])
+def test_corrupt_module_rejection_exits_2(capsys, args, message):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_match_with_huge_rational_b_is_fast(capsys):
+    # the gcd constraint's constant term has ~40 digits: trial division over
+    # its divisors never finished, the closed-form root is immediate
+    start = time.perf_counter()
+    assert run(["match", "--module",
+                "loop:lambda=0,a=1/2,b=123456789012345678901/98765432109876543",
+                "--scramble-seed", "3"]) == 0
+    assert time.perf_counter() - start < 5
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spec"] == "loop:lambda=0,a=1/2,b=11223344455667788991/8978675646352413"
+    assert F(payload["spec"].rsplit("=", 1)[1]) == F(123456789012345678901, 98765432109876543)
 
 
 @pytest.mark.parametrize("raw", ["many", "-3"])

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,220 @@ def test_vec_arithmetic():
     assert v.scaled(frac(1, 2))["y"] == 1
     assert Vec.basis("x") + Vec.basis("x", -1) == Vec.zero()
     assert v.map_keys(str.upper).terms == {"X": 1, "Y": 2}
+
+
+# --- dense Bareiss reference ------------------------------------------------
+# The dense fraction-free elimination that ``row_echelon_ff`` used before the
+# sparse insertion rewrite, kept verbatim as an oracle: pivots and kernel
+# bases must agree Fraction for Fraction.
+
+def _bareiss_integer_rows(rows):
+    out = []
+    for row in rows:
+        mult = 1
+        for x in row:
+            d = x.denominator
+            mult = mult * d // gcd(mult, d)
+        out.append([int(x * mult) for x in row])
+    return out
+
+
+def bareiss_row_echelon(rows):
+    a = _bareiss_integer_rows(rows)
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, nrows):
+            head = a[i][c]
+            for j in range(c, ncols):
+                a[i][j] = (a[i][j] * a[r][c] - head * a[r][j]) // prev
+        prev = a[r][c]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a[:r], pivots
+
+
+def bareiss_nullspace(rows):
+    n = len(rows[0])
+    ech, pivots = bareiss_row_echelon(rows)
+    free_cols = [c for c in range(n) if c not in set(pivots)]
+    basis = []
+    for f in free_cols:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            s = Fraction(0)
+            for j in range(c + 1, n):
+                if v[j]:
+                    s += Fraction(ech[r][j]) * v[j]
+            v[c] = -s / ech[r][c]
+        basis.append(v)
+    return basis
+
+
+def assert_matches_bareiss(rows):
+    ech, pivots = row_echelon_ff(rows)
+    _, ref_pivots = bareiss_row_echelon(rows)
+    assert pivots == ref_pivots
+    ncols = len(rows[0])
+    for row, c in zip(ech, pivots):
+        assert len(row) == ncols and all(isinstance(x, int) for x in row)
+        assert row[c] != 0 and not any(row[:c])
+    ours, ref = nullspace(rows), bareiss_nullspace(rows)
+    assert ours == ref
+    assert all(type(x) is Fraction for v in ours for x in v)
+    assert rank(rows) == len(ref_pivots)
+    return ours
+
+
+def _sparse_matrix(rng, nrows, ncols, zero_row_frac, density, den=5):
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < zero_row_frac:
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, den))
+                         if rng.random() < density else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_sparse_insertion_matches_bareiss_on_tall_sparse_matrices():
+    rng = random.Random(624039)
+    for nrows, ncols, density in ((624, 39, 0.12), (300, 24, 0.06), (160, 39, 0.03)):
+        rows = _sparse_matrix(rng, nrows, ncols, 0.76, density)
+        assert sum(1 for r in rows if not any(r)) > 0.7 * nrows
+        assert_matches_bareiss(rows)
+
+
+def test_sparse_insertion_matches_bareiss_on_rank_deficient_tall_matrices():
+    # few independent rows: most columns stay free and the kernel is large
+    rng = random.Random(31)
+    for trial in range(6):
+        ncols = 39
+        base = _sparse_matrix(rng, 12, ncols, 0.0, 0.15)
+        rows = []
+        for _ in range(200):
+            if rng.random() < 0.75:
+                rows.append([Fraction(0)] * ncols)
+            else:
+                i, j = rng.randrange(12), rng.randrange(12)
+                s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+                rows.append([s * x + t * y for x, y in zip(base[i], base[j])])
+        kernel = assert_matches_bareiss(rows)
+        assert len(kernel) >= ncols - 12
+
+
+def test_sparse_insertion_matches_bareiss_on_duplicate_and_dependent_rows():
+    rng = random.Random(5)
+    for trial in range(40):
+        ncols = rng.randint(2, 9)
+        rows = _sparse_matrix(rng, rng.randint(2, 6), ncols, 0.1, 0.5)
+        rows.append(list(rows[0]))
+        rows.insert(1, [Fraction(-3, 7) * x for x in rows[-1]])
+        rows.append([x + 2 * y for x, y in zip(rows[0], rows[-2])])
+        rng.shuffle(rows)
+        assert_matches_bareiss(rows)
+
+
+def test_sparse_insertion_matches_bareiss_with_eleven_digit_denominators():
+    rng = random.Random(11)
+    for trial in range(25):
+        ncols = rng.randint(2, 8)
+        rows = [[Fraction(rng.randint(-10**11, 10**11), rng.randint(10**10, 10**11 - 1))
+                 if rng.random() < 0.5 else Fraction(0) for _ in range(ncols)]
+                for _ in range(rng.randint(1, ncols + 2))]
+        if len(rows) >= 2:
+            rows.append([x * Fraction(98765432101, 12345678901) - y
+                         for x, y in zip(rows[0], rows[1])])
+        assert_matches_bareiss(rows)
+
+
+def test_sparse_insertion_stops_reading_at_full_column_rank():
+    rng = random.Random(3)
+    for ncols in (1, 5, 13):
+        rows = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        rows += _sparse_matrix(rng, 3 * ncols, ncols, 0.5, 0.4)
+        assert assert_matches_bareiss(rows) == []
+
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("row read after full column rank")
+
+    rows = [[frac(2), frac(1, 3)], [frac(0), frac(-5, 2)], Unread([frac(1), frac(1)])]
+    ech, pivots = row_echelon_ff(rows)
+    assert pivots == [0, 1] and len(ech) == 2
+
+
+def test_sparse_insertion_on_all_zero_matrices():
+    for nrows, ncols in ((1, 1), (5, 3), (40, 7)):
+        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+        assert row_echelon_ff(rows) == ([], [])
+        assert rank(rows) == 0
+        assert assert_matches_bareiss(rows) == [
+            [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+
+
+def test_sparse_insertion_matches_bareiss_on_dense_rank_deficient_40x40():
+    rng = random.Random(40)
+    left = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(31)]
+            for _ in range(40)]
+    right = [[Fraction(rng.randint(-5, 5)) for _ in range(40)] for _ in range(31)]
+    rows = mat_mul(left, right)
+    kernel = assert_matches_bareiss(rows)
+    assert len(kernel) == 9
+    assert all(not any(x for x in mat_vec(rows, v)) for v in kernel)
+
+
+def test_nullspace_and_rank_use_the_module_global_echelon(monkeypatch):
+    import avw.linalg
+    calls = []
+    real = avw.linalg.row_echelon_ff
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(avw.linalg, "row_echelon_ff", spy)
+    rows = [[frac(1), frac(2)], [frac(2), frac(4)]]
+    assert len(nullspace(rows)) == 1
+    assert rank(rows) == 1
+    assert calls == [2, 2]
+
+
+def test_nullspace_matches_sympy_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+    shape = st.tuples(st.integers(1, 9), st.integers(1, 7))
+    matrices = shape.flatmap(lambda s: st.lists(
+        st.lists(entry, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices)
+    def check(rows):
+        m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                          for r in rows])
+        theirs = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+        assert nullspace(rows) == theirs
+        assert rank(rows) == m.rank()
+
+    check()

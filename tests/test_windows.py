@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          spec_text)
-from avw.errors import (GeneratorOutsideAlgebra, OutOfWindow, WindowTooNarrow,
-                        ZeroShift)
+from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, NotAModule,
+                        OutOfWindow, WindowTooNarrow, ZeroShift)
 from avw.verma import HighestWeight, build_verma
-from avw.windows import (WindowedModule, bracket_consistency_defects,
+from avw.windows import (WindowedModule, _rational_roots, bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
                          from_catalog, from_verma, injectivity_json, match_json,
                          scramble_window, submodule_witness, support,
@@ -42,6 +44,12 @@ def test_from_catalog_t2_e_matrices_zero():
 def test_from_catalog_rejects_corrupt():
     with pytest.raises(ValueError):
         from_catalog(T2Corrupt(F(0), F(0), F(1)), (-1, 1))
+
+
+def test_corrupt_rejection_is_typed():
+    with pytest.raises(NotAModule, match="no consistent window"):
+        from_catalog(T2Corrupt(F(0), F(0), F(1)), (-1, 1))
+    assert issubclass(NotAModule, AvwError) and issubclass(NotAModule, ValueError)
 
 
 def test_windows_respect_weight_shift_and_diagonals():
@@ -420,3 +428,51 @@ def test_lazy_export_equals_eager_build():
     eager_scrambled = scramble_window(eager_wm, seed=11)
     assert lazy_scrambled.basis == eager_scrambled.basis
     assert lazy_scrambled.blocks == eager_scrambled.blocks
+
+
+def _trial_division_roots(p):
+    """Rational-root-theorem search over all divisor pairs; small inputs only."""
+    mult = 1
+    for a in p:
+        mult = mult * a.denominator // gcd(mult, a.denominator)
+    ip = [int(a * mult) for a in p]
+    roots = []
+    while ip[0] == 0:
+        roots.append(F(0))
+        ip = ip[1:]
+    divs = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    if len(ip) > 1:
+        for num in divs(abs(ip[0])):
+            for den in divs(abs(ip[-1])):
+                for cand in (F(num, den), F(-num, den)):
+                    if sum(c * cand ** i for i, c in enumerate(ip)) == 0:
+                        roots.append(cand)
+    return sorted(set(roots))
+
+
+def test_rational_roots_closed_form_matches_trial_division():
+    rng = random.Random(2)
+    polys = [[F(0), F(1)], [F(0), F(0), F(3)], [F(-1, 4), F(0), F(1)], [F(2), F(0), F(1)],
+             [F(1), F(-2), F(1)], [F(0), F(-5, 6), F(1)], [F(7, 3)]]
+    for _ in range(300):
+        roots = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 2))]
+        poly = [F(rng.randint(1, 5), rng.randint(1, 4))]
+        for r in roots:
+            poly = [F(0)] + poly
+            for i in range(len(poly) - 1):
+                poly[i] -= r * poly[i + 1]
+        polys.append(poly)
+        polys.append([F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(3)])
+    for poly in polys:
+        while poly and poly[-1] == 0:
+            poly.pop()
+        if not poly:
+            continue
+        assert _rational_roots(list(poly)) == _trial_division_roots(poly)
+
+
+def test_rational_roots_rejects_degree_above_two():
+    with pytest.raises(InternalError):
+        _rational_roots([F(1), F(0), F(0), F(1)])
+    with pytest.raises(ValueError):
+        _rational_roots([])
