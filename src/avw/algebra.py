@@ -11,13 +11,16 @@ element C, and bracket
     [e_i, e_j] = [f_i, f_j] = 0       [C, -] = 0
 
 Everything is exact over the rationals.  Elements are immutable and all
-operations are pure functions, so concurrent use needs no locking.
+operations are pure functions, so concurrent use needs no locking.  The
+module holds no cache: ``jacobi_defect`` takes an optional ``memo`` dict
+that the caller creates for one sweep (``avw jacobi`` makes one per run),
+keeps ``bracket_gens`` results by generator pair, and drops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import AvwError
 from .linalg import Vec
@@ -107,21 +110,36 @@ def bracket_gens(x: Gen, y: Gen) -> Vec:
     return bracket_gens(y, x).scaled(-1)
 
 
+def _bracket_items(memo: dict, x: Gen, y: Gen) -> tuple:
+    """The terms of [x, y] through ``memo``, as ``Vec.int_items``."""
+    items = memo.get((x, y))
+    if items is None:
+        items = memo[x, y] = bracket_gens(x, y).int_items()
+    return items
+
+
 def bracket(x: Union[Gen, Vec], y: Union[Gen, Vec]) -> Vec:
     """Bilinear extension of the defining relations to whole elements."""
-    xe, ye = as_element(x), as_element(y)
-    out = Vec.zero()
-    for gx, cx in xe:
-        for gy, cy in ye:
-            out = out + bracket_gens(gx, gy).scaled(cx * cy)
-    return out
+    out: dict = {}
+    for gx, cx in as_element(x):
+        for gy, cy in as_element(y):
+            s = cx * cy
+            for g, c in bracket_gens(gx, gy):
+                out[g] = out.get(g, 0) + s * c
+    return Vec(out)
 
 
-def jacobi_defect(x: Gen, y: Gen, z: Gen) -> Vec:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero exactly when Jacobi holds."""
-    return (bracket(x, bracket_gens(y, z))
-            + bracket(y, bracket_gens(z, x))
-            + bracket(z, bracket_gens(x, y)))
+def jacobi_defect(x: Gen, y: Gen, z: Gen, memo: Optional[dict] = None) -> Vec:
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]], summed into one coefficient dict;
+    zero exactly when Jacobi holds.  ``memo`` is as in the module docstring."""
+    if memo is None:
+        memo = {}
+    out: dict = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for g, cg in _bracket_items(memo, b, c):
+            for k, ck in _bracket_items(memo, a, g):
+                out[k] = out.get(k, 0) + cg * ck
+    return Vec(out)
 
 
 class AlgebraSpec(NamedTuple):

@@ -32,7 +32,7 @@ from math import floor
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .algebra import FULL, HVIR, T2, VIR, AlgebraSpec, Gen, bracket_gens
-from .errors import GeneratorOutsideAlgebra, NegativeHighestWeight, NotAModule
+from .errors import GeneratorOutsideAlgebra, InternalError, NegativeHighestWeight, NotAModule
 from .linalg import Vec
 
 
@@ -148,11 +148,12 @@ def _sl2_image(spec: LoopMod, family: str, k: int) -> Tuple[Optional[int], Fract
         return (k + 1, Fraction(1)) if k + 1 <= lam else (None, Fraction(0))
     if family == "e":
         return (k - 1, Fraction(sl2_irrep(lam).e_mat[k - 1][k])) if k >= 1 else (None, Fraction(0))
-    raise ValueError(family)
+    raise InternalError(f"{family}_m is not an sl2 generator")
 
 
 def act_basis(spec: ModuleSpec, g: Gen, label) -> Vec:
-    """Action of one generator on one basis vector; C acts as 0."""
+    """Action of one generator on one basis vector; C acts as 0.  Pure, so
+    a sweep over one spec may memoize it by (g, label), as module_defect does."""
     if not acting_algebra(spec).contains(g):
         raise GeneratorOutsideAlgebra(
             f"{g} does not act on {spec_text(spec)} "
@@ -197,20 +198,44 @@ def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:
     return out
 
 
-def act_element(spec: ModuleSpec, x: Vec, v: Vec) -> Vec:
-    """Action of a whole algebra element (used for bracket images)."""
-    out = Vec.zero()
-    for g, coeff in x:
-        out = out + act(spec, g, v).scaled(coeff)
-    return out
+def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
+                  memo: Optional[dict] = None) -> Vec:
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)), summed into
+    one coefficient dict; 0 iff the module axiom holds on this triple.
 
+    ``memo`` is an optional dict that the caller creates for one spec and
+    one sweep (``avw module-check`` makes one per run).  It keeps [x, y] by
+    ``(x, y)`` and ``act_basis`` images by ``(g, label)``, as
+    ``Vec.int_items``; a label is never a ``Gen``, so the keys cannot meet.
+    """
+    if memo is None:
+        memo = {}
 
-def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec) -> Vec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)); 0 iff the
-    module axiom holds on this triple."""
-    return (act_element(spec, bracket_gens(x, y), v)
-            - act(spec, x, act(spec, y, v))
-            + act(spec, y, act(spec, x, v)))
+    def image(g: Gen, label) -> tuple:
+        items = memo.get((g, label))
+        if items is None:
+            items = memo[g, label] = act_basis(spec, g, label).int_items()
+        return items
+
+    br = memo.get((x, y))
+    if br is None:
+        br = memo[x, y] = bracket_gens(x, y).int_items()
+    vt = v.int_items()
+    out: dict = {}
+
+    def add(items: tuple, s) -> None:
+        for label, c in items:
+            out[label] = out.get(label, 0) + s * c
+
+    for g, cg in br:
+        for label, c in vt:
+            add(image(g, label), cg * c)
+    for label, c in vt:
+        for mid, cm in image(y, label):
+            add(image(x, mid), -c * cm)
+        for mid, cm in image(x, label):
+            add(image(y, mid), c * cm)
+    return Vec(out)
 
 
 def weight_of(spec: ModuleSpec, label) -> Tuple[Fraction, Fraction]:

@@ -172,10 +172,11 @@ def _cmd_jacobi(config: RunConfig) -> int:
             if not in_subalgebra(br, alg):
                 closure += 1
     jac = 0
+    memo: dict = {}  # generator brackets of this run; dropped on return
     for x in gens:
         for y in gens:
             for z in gens:
-                dft = jacobi_defect(x, y, z)
+                dft = jacobi_defect(x, y, z, memo)
                 if not dft.is_zero():
                     jac += 1
                     if len(defects) < 10:
@@ -212,10 +213,11 @@ def _cmd_module_check(config: RunConfig) -> int:
     labels = _module_labels(spec, *config.label_range)
     n_defects = 0
     samples: List[dict] = []
+    memo: dict = {}  # brackets and act_basis images of this run; dropped on return
     for x in gens:
         for y in gens:
             for lab in labels:
-                dft = cat.module_defect(spec, x, y, Vec.basis(lab))
+                dft = cat.module_defect(spec, x, y, Vec.basis(lab), memo)
                 if not dft.is_zero():
                     n_defects += 1
                     if len(samples) < 10:

@@ -176,6 +176,15 @@ class Vec:
     def __len__(self):
         return len(self.terms)
 
+    def int_items(self) -> tuple:
+        """The (key, coefficient) pairs as a tuple, integral coefficients as ``int``.
+
+        Exact like the Fractions they replace, smaller than a dict, and
+        products of ints are far cheaper: memoized sweeps keep their
+        structure constants in this form and turn their sums back into a Vec.
+        """
+        return tuple((k, v.numerator if v.denominator == 1 else v) for k, v in self.terms.items())
+
     def __getitem__(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))
 

@@ -1,11 +1,29 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from avw.algebra import (ALGEBRAS, C, FULL, HVIR, SL2, SL2LOOP, T2, VIR,
-                         bracket, bracket_gens, d, degree, e, element_str, f,
-                         h, in_subalgebra, jacobi_defect)
+                         as_element, bracket, bracket_gens, d, degree, e,
+                         element_str, f, h, in_subalgebra, jacobi_defect)
 from avw.linalg import Vec
+
+
+# Oracles: the Vec-based bracket and Jacobi sum that build one Vec per term,
+# kept as they were before the memoized, dict-summing versions.
+
+def oracle_bracket(x, y):
+    out = Vec.zero()
+    for gx, cx in as_element(x):
+        for gy, cy in as_element(y):
+            out = out + bracket_gens(gx, gy).scaled(cx * cy)
+    return out
+
+
+def oracle_jacobi_defect(x, y, z):
+    return (oracle_bracket(x, bracket_gens(y, z))
+            + oracle_bracket(y, bracket_gens(z, x))
+            + oracle_bracket(z, bracket_gens(x, y)))
 
 
 def test_bracket_examples():
@@ -102,3 +120,44 @@ def test_algebra_membership_tables():
     assert HVIR.contains(h(-2)) and not HVIR.contains(e(0))
     assert T2.contains(e(5)) and not T2.contains(f(0))
     assert SL2LOOP.contains(d(0)) and not SL2LOOP.contains(d(2))
+
+
+def test_jacobi_defect_matches_oracle_exhaustive():
+    # degrees -4..4 reach the fractional Virasoro central terms (j^3-j)/12,
+    # e.g. [d_2, d_-2] = -4 d_0 - 1/2 C; one memo serves the whole sweep
+    gens = _basis(-4, 4)
+    memo = {}
+    with_center = 0
+    for x in gens:
+        for y in gens:
+            for z in gens:
+                got = jacobi_defect(x, y, z, memo)
+                assert got == oracle_jacobi_defect(x, y, z), (x, y, z)
+                assert all(type(c) is Fraction for _, c in got)
+    for (x, y), items in memo.items():
+        with_center += C in dict(items)
+        assert dict(items) == bracket_gens(x, y).terms, (x, y)
+    assert with_center > 0
+    assert dict(memo[d(2), d(-2)])[C] == Fraction(-1, 2)
+
+
+def test_jacobi_defect_without_memo_matches_oracle():
+    gens = _basis(-2, 2)
+    for x in gens:
+        for y in gens:
+            for z in gens:
+                assert jacobi_defect(x, y, z) == oracle_jacobi_defect(x, y, z)
+
+
+def test_bracket_matches_oracle_on_elements():
+    rng = random.Random(7)
+    gens = _basis(-3, 3)
+    for _ in range(200):
+        x = Vec({rng.choice(gens): Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 for _ in range(rng.randint(0, 3))})
+        y = Vec({rng.choice(gens): Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                 for _ in range(rng.randint(0, 3))})
+        assert bracket(x, y) == oracle_bracket(x, y)
+    for x in gens:
+        for y in gens:
+            assert bracket(x, y) == oracle_bracket(x, y) == bracket_gens(x, y)

@@ -2,12 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from avw.algebra import C, d, e, f, h
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
-                         act, act_basis, acting_algebra, canonicalize,
-                         is_simple, label_str, module_defect, sl2_irrep,
-                         spec_text, structure_report, weight_of)
-from avw.errors import GeneratorOutsideAlgebra, NegativeHighestWeight
+                         _sl2_image, act, act_basis, acting_algebra,
+                         canonicalize, is_simple, label_str, module_defect,
+                         sl2_irrep, spec_text, structure_report, weight_of)
+from avw.errors import (GeneratorOutsideAlgebra, InternalError,
+                        NegativeHighestWeight)
 from avw.linalg import Vec, mat_mul, mat_sub
 
 ALL_TEST_SPECS = [
@@ -210,3 +214,108 @@ def test_spec_text():
     assert spec_text(IntA(F(3))) == "A2:a=3"
     assert spec_text(LoopMod(1, F(1, 2), F(1, 3))) == "loop:lambda=1,a=1/2,b=1/3"
     assert spec_text(T2Corrupt(F(0), F(0), F(1))) == "T2corrupt:a=0,b=0,c=1"
+
+
+def test_sl2_image_rejects_non_sl2_family():
+    # a d- or C-generator reaching the sl2 part is a bug in act_basis, not
+    # a usage error
+    with pytest.raises(InternalError) as err:
+        _sl2_image(LoopMod(1, F(0), F(0)), "d", 0)
+    assert not isinstance(err.value, ValueError)
+
+
+# Oracle: the Vec-based module_defect that builds one Vec per action, kept as
+# it was before the memoized, dict-summing version.
+
+def oracle_act_element(spec, x, v):
+    out = Vec.zero()
+    for g, coeff in x:
+        out = out + act(spec, g, v).scaled(coeff)
+    return out
+
+
+def oracle_module_defect(spec, x, y, v):
+    return (oracle_act_element(spec, bracket_gens(x, y), v)
+            - act(spec, x, act(spec, y, v))
+            + act(spec, y, act(spec, x, v)))
+
+
+ORACLE_SPECS = [
+    (IntAB(F(1, 3), F(-2, 5)), 3),
+    (IntAB(F(2), F(1)), 3),
+    (IntA(F(-1, 3)), 3),
+    (IntB(F(4, 3)), 3),
+    (HVirABC(F(-1, 3), F(3, 5), F(2, 7)), 3),
+    (T2Mod(F(5, 3), F(1, 5), F(-4, 7)), 3),
+    (T2Corrupt(F(1, 3), F(2, 5), F(1, 7)), 3),
+    (T2Corrupt(F(0), F(0), F(1)), 3),
+    (LoopMod(0, F(1, 3), F(2, 5)), 3),
+    (LoopMod(1, F(-1, 3), F(3, 5)), 3),
+    (LoopMod(2, F(2, 3), F(-1, 5)), 2),
+]
+
+
+@pytest.mark.parametrize("spec, deg", ORACLE_SPECS, ids=[spec_text(s) for s, _ in ORACLE_SPECS])
+def test_module_defect_matches_oracle(spec, deg):
+    gens = list(acting_algebra(spec).generators(-deg, deg))
+    labels = _labels(spec, -3, 3)
+    memo = {}
+    nonzero = 0
+    for x in gens:
+        for y in gens:
+            for lab in labels:
+                v = Vec.basis(lab)
+                got = module_defect(spec, x, y, v, memo)
+                assert got == oracle_module_defect(spec, x, y, v), (x, y, lab)
+                assert all(type(c) is F for _, c in got)
+                nonzero += bool(got)
+    # linear combinations of basis vectors, with and without the memo
+    for x, y in zip(gens, reversed(gens)):
+        v = Vec({labels[0]: F(2, 3), labels[-1]: -3, labels[len(labels) // 2]: F(1, 7)})
+        want = oracle_module_defect(spec, x, y, v)
+        assert module_defect(spec, x, y, v, memo) == want, (x, y)
+        assert module_defect(spec, x, y, v) == want, (x, y)
+    assert (nonzero > 0) == isinstance(spec, T2Corrupt)
+
+
+def test_module_defect_memo_keys():
+    # the memo holds [x, y] by generator pair and act_basis images by
+    # (generator, label); labels never collide with generators
+    spec = LoopMod(1, F(1, 2), F(1, 3))
+    memo = {}
+    module_defect(spec, e(1), f(-1), Vec.basis((0, 2)), memo)
+    assert dict(memo[e(1), f(-1)]) == bracket_gens(e(1), f(-1)).terms
+    assert dict(memo[f(-1), (0, 2)]) == act_basis(spec, f(-1), (0, 2)).terms
+    assert all(isinstance(key[0], Gen) for key in memo)
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _catalog_spec(draw):
+    kind = draw(st.sampled_from(["A", "A2", "B", "H", "T2", "loop"]))
+    a, b, c = draw(_rational), draw(_rational), draw(_rational)
+    if kind == "A":
+        return IntAB(a, b)
+    if kind == "A2":
+        return IntA(a)
+    if kind == "B":
+        return IntB(a)
+    if kind == "H":
+        return HVirABC(a, b, c)
+    if kind == "T2":
+        return T2Mod(a, b, c)
+    return LoopMod(draw(st.integers(0, 2)), a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_module_axiom_property(data):
+    spec = data.draw(_catalog_spec())
+    gens = list(acting_algebra(spec).generators(-5, 5))
+    x = data.draw(st.sampled_from(gens))
+    y = data.draw(st.sampled_from(gens))
+    i = data.draw(st.integers(-6, 6))
+    lab = (data.draw(st.integers(0, spec.lam)), i) if isinstance(spec, LoopMod) else i
+    assert module_defect(spec, x, y, Vec.basis(lab)).is_zero()

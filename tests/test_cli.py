@@ -4,10 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import avw.algebra
+import avw.catalog
+from avw.algebra import C
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
 from avw.cli import (ALL_OPS, OPS_BY_COMMAND, RunConfig, _COMMANDS,
                      build_parser, config_from_args, execute, main, parse_spec)
 from avw.errors import MissingParameter, SpecParseError, UnknownKind
+from avw.linalg import Vec
 
 
 def test_parse_spec_examples():
@@ -79,6 +83,67 @@ def test_module_check_corrupt_exits_1(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["defects"] > 0
     assert payload["defect_samples"]
+
+
+def test_jacobi_reads_live_defining_relations(monkeypatch, capsys):
+    # negative control for the memoized sweep: drop the Virasoro central
+    # term of [d_i, d_-i] for i > 0 only.  (Dropped in both orders, the
+    # bracket would be the Witt algebra's, and Jacobi would still hold.)
+    real = avw.algebra.bracket_gens
+
+    def broken(x, y):
+        out = real(x, y)
+        if x.family == y.family == "d" and x.degree > 0 and x.degree + y.degree == 0:
+            return Vec({g: c for g, c in out if g != C})
+        return out
+
+    monkeypatch.setattr(avw.algebra, "bracket_gens", broken)
+    assert run(["jacobi", "--range=-3..3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["jacobi_defects"] > 0
+    # the pair checks read avw.cli.bracket_gens, which is untouched
+    assert payload["antisymmetry_defects"] == 0
+
+
+def _calls_per_run(monkeypatch, owner, name, args, keep=lambda call: True):
+    """The recorded calls of owner.name in each of two runs of args."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    runs = []
+    for _ in range(2):
+        run(args)
+        runs.append([call for call in calls if keep(call)])
+        calls.clear()
+    return runs
+
+
+def _assert_memo_scoped_to_one_run(runs):
+    first, second = runs
+    # the second run recomputes everything: no entry survived the first
+    assert len(second) == len(first) > 0
+    # and within one run the memo computes each argument tuple about once
+    # (bracket_gens also calls itself for the reversed pair)
+    assert len(first) <= 2 * len(set(first))
+
+
+def test_jacobi_memo_lives_for_one_execute(monkeypatch, capsys):
+    # the pair checks also reach avw.algebra.bracket_gens, but only on the
+    # window's generators; a pair with a degree outside -2..2 comes from
+    # the memo of jacobi_defect
+    runs = _calls_per_run(monkeypatch, avw.algebra, "bracket_gens", ["jacobi", "--range=-2..2"],
+                          keep=lambda pair: max(abs(g.degree) for g in pair) > 2)
+    capsys.readouterr()
+    _assert_memo_scoped_to_one_run(runs)
+
+
+@pytest.mark.parametrize("spec", ["loop:lambda=1,a=1/3,b=2/5", "T2corrupt:a=1/3,b=2/5,c=1/7"])
+@pytest.mark.parametrize("name", ["act_basis", "bracket_gens"])
+def test_module_check_memo_lives_for_one_execute(spec, name, monkeypatch, capsys):
+    args = ["module-check", f"--module={spec}", "--deg-range=-2..2", "--label-range=-2..2"]
+    runs = _calls_per_run(monkeypatch, avw.catalog, name, args)
+    capsys.readouterr()
+    _assert_memo_scoped_to_one_run(runs)
 
 
 def test_catalog_command(capsys):
