@@ -25,9 +25,11 @@ leftmost factor y = mono[0], with m' the rest:
 
 A lowering g that sorts at or before y is simply prepended, raising
 generators kill the empty monomial, and d_0, h_0, C act on every monomial by
-its eigenvalue.  Each result is memoized on (g, mono).  The memo is
-insert-only and every entry is a pure function of its key, so concurrent
-readers agree.
+its eigenvalue.  Each result is memoized on (g, mono).  The same memo also
+holds the brackets [g, y] the recursion needs, keyed on the generator pair
+(as ``algebra._bracket_items`` keeps them), so every module computes each
+bracket once and no cache outlives the module.  The memo is insert-only and
+every entry is a pure function of its key, so concurrent readers agree.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import C, Gen, bracket_gens, d, e, f, h
+from .algebra import C, Gen, _bracket_items, d, e, f, h
+# unused here, but perfbench/tracer.py counts bracket_gens calls by wrapping
+# the name in every module that imports it
+from .algebra import bracket_gens  # noqa: F401
 from .errors import InvalidBound, OutOfWindow, ResourceBound
 from .linalg import Vec, frac, nullspace
 
@@ -119,12 +124,12 @@ def charge_shift(g: Gen) -> int:
     return 0
 
 
-def _act(g: Gen, mono: Mono, hw: HighestWeight,
-         memo: Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]]) -> Dict[Mono, Fraction]:
+def _act(g: Gen, mono: Mono, hw: HighestWeight, memo: dict) -> Dict[Mono, Fraction]:
     """g . (mono . v) for a canonical monomial, memoized on (g, mono).
 
     Uses g . (y . m') = y . (g . m') + [g, y] . m' with y the leftmost
     factor; d_0, h_0 and C act on canonical monomials by their weight.
+    The returned dict is the memo entry itself: callers must not mutate it.
     """
     key = (g, mono)
     out = memo.get(key)
@@ -147,7 +152,7 @@ def _act(g: Gen, mono: Mono, hw: HighestWeight,
         for m2, c2 in _act(g, rest, hw, memo).items():
             for m3, c3 in _act(y, m2, hw, memo).items():
                 acc[m3] = acc.get(m3, 0) + c2 * c3
-        for b, bc in bracket_gens(g, y):
+        for b, bc in _bracket_items(memo, g, y):
             for m3, c3 in _act(b, rest, hw, memo).items():
                 acc[m3] = acc.get(m3, 0) + bc * c3
         out = {m: v for m, v in acc.items() if v}
@@ -156,14 +161,15 @@ def _act(g: Gen, mono: Mono, hw: HighestWeight,
 
 
 def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
-                   memo: Optional[Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]]] = None
-                   ) -> Dict[Mono, Fraction]:
+                   memo: Optional[dict] = None) -> Dict[Mono, Fraction]:
     """Rewrite (word) . v into canonical monomials applied to v.
 
     Folds the word right to left through the one-generator action; the
     longest ordered run of lowering factors at the right end is already
     canonical and is taken as it stands.  Raising factors annihilate v at
-    the right end; d_0, h_0, C evaluate to their eigenvalues there.
+    the right end; d_0, h_0, C evaluate to their eigenvalues there.  When at
+    most one factor precedes that run, the result is the memo entry of
+    ``_act`` itself, stored under (word[0], word[1:]); do not mutate it.
     """
     if memo is None:
         memo = {}
@@ -172,6 +178,8 @@ def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
     while cut and _cls(word[cut - 1]) == _LOWER and (
             cut == len(word) or word[cut - 1].sort_key() <= word[cut].sort_key()):
         cut -= 1
+    if cut <= 1 and word:
+        return _act(word[0], word[1:], hw, memo)
     vec: Dict[Mono, Fraction] = {word[cut:]: Fraction(1)}
     for g in reversed(word[:cut]):
         acc: Dict[Mono, Fraction] = {}
@@ -185,11 +193,10 @@ def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
 def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
     """All canonical monomials with the given depth and charge."""
     found: List[Mono] = []
+    f0 = f(0)
 
-    def rec(k: int, depth_left: int, factors: List[Gen], imbalance: int):
-        if k == 0:
-            if depth_left:
-                return
+    def rec(k: int, depth_left: int, factors: Mono, imbalance: int):
+        if not depth_left:  # only f_0 powers are left to place
             a0 = s - imbalance
             if a0 < 0:
                 return
@@ -197,24 +204,30 @@ def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
                 raise ResourceBound(
                     f"monomial exceeds the factor cap {max_factors}; "
                     f"raise max_factors to build this cell")
-            found.append(tuple(factors) + (f(0),) * a0)
+            found.append(factors + (f0,) * a0)
             return
-        cap = depth_left // k
-        for total in range(cap + 1):
+        if not k:
+            return
+        # canonical within-degree order: d, h, f, e; degrees ascend left to
+        # right, so the -k block follows everything already collected
+        dk, hk, fk, ek = d(-k), h(-k), f(-k), e(-k)
+        for total in range(depth_left // k + 1):
             rest = depth_left - k * total
             for nd in range(total + 1):
+                head = factors + (dk,) * nd
                 for nh in range(total - nd + 1):
-                    for nf in range(total - nd - nh + 1):
-                        ne = total - nd - nh - nf
-                        # canonical within-degree order: d, h, f, e;
-                        # degrees ascend left to right, so the -k block
-                        # follows everything already collected
-                        block = ([d(-k)] * nd + [h(-k)] * nh
-                                 + [f(-k)] * nf + [e(-k)] * ne)
-                        rec(k - 1, rest, factors + block, imbalance + nf - ne)
+                    head_h = head + (hk,) * nh
+                    left = total - nd - nh
+                    for nf in range(left + 1):
+                        ne = left - nf
+                        rec(k - 1, rest, head_h + (fk,) * nf + (ek,) * ne,
+                            imbalance + nf - ne)
 
-    rec(n, n, [], 0)
-    found.sort(key=lambda m: tuple(g.sort_key() for g in m))
+    rec(n, n, (), 0)
+    # sort by the factors' sort keys, looked up once per generator
+    keys = {g: g.sort_key() for k in range(n + 1)
+            for g in (d(-k), h(-k), f(-k), e(-k))}
+    found.sort(key=lambda m: tuple(map(keys.__getitem__, m)))
     return found
 
 
@@ -266,7 +279,8 @@ class TruncatedModule:
                 self.cells[(n, s)] = tuple(monos)
                 self.index[(n, s)] = {m: i for i, m in enumerate(monos)}
         self.basis_size = total
-        self._apply_cache: Dict[Tuple[Gen, Mono], Dict[Mono, Fraction]] = {}
+        # (g, mono) -> image, and (g, y) -> bracket terms; see _act
+        self._apply_cache: dict = {}
 
     def weight_space_dim(self, n: int, s: int) -> int:
         """Dimension of the (depth, charge) cell; OutOfWindow outside the
@@ -281,11 +295,12 @@ class TruncatedModule:
         return self.hw.lam_d - n, self.hw.mu - 2 * s
 
     def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Fraction]:
-        key = (g, mono)
-        cached = self._apply_cache.get(key)
+        """Image of a canonical monomial: the memo entry itself, which the
+        caller must not mutate.  A miss goes through ``pbw_straighten``,
+        which stores the entry."""
+        cached = self._apply_cache.get((g, mono))
         if cached is None:
             cached = pbw_straighten((g,) + mono, self.hw, self._apply_cache)
-            self._apply_cache[key] = cached
         return cached
 
     def act(self, g: Gen, v: Vec) -> Vec:

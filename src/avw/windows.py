@@ -6,11 +6,14 @@ labels, and exact matrices for the generator actions between offsets.
 
 Matrices are stored column-major: the block for (family, degree m, offset k)
 is a list of columns, one per basis vector of offset k, each column holding
-the image coordinates over the basis of offset k+m.  A column may be ``None``
-when the image is not representable inside the window (this happens only at
-the charge boundary of truncated highest-weight exports); analyses quantify
-over asserted columns only, so every reported fact is an exact statement
-about the underlying infinite module.
+the image coordinates over the basis of offset k+m.  Entries are exact:
+structural zeros are the ``int`` 0 and every nonzero entry is a
+``Fraction``, so zero tests on a column run at C level.  Analyses fetch each
+column once and transpose columns into rows with ``zip(*columns)``.  A
+column may be ``None`` when the image is not representable inside the window
+(this happens only at the charge boundary of truncated highest-weight
+exports); analyses quantify over asserted columns only, so every reported
+fact is an exact statement about the underlying infinite module.
 
 Blocks exported from a truncated highest-weight module are lazy: each column
 is computed the first time it is read and kept from then on, so an analysis
@@ -82,28 +85,27 @@ class WindowedModule:
 
     def full_matrix(self, family: str, m: int, k: int) -> List[List[Fraction]]:
         """Row-major matrix of the block; fails if any column is unasserted."""
-        cols = self.block(family, m, k)
-        if any(c is None for c in cols):
+        cols = list(self.block(family, m, k))
+        if None in cols:
             raise OutOfWindow(
                 f"{family}-action of degree {m} from offset {k} is only "
                 f"partially represented in the window")
-        nrows = self.dim(k + m)
-        return [[cols[j][r] for j in range(len(cols))] for r in range(nrows)]
+        if not cols:
+            return [[] for _ in range(self.dim(k + m))]
+        return [list(row) for row in zip(*cols)]
 
     def asserted_columns(self, ops: Sequence[Tuple[str, int]], k: int) -> List[int]:
         """Column indices of offset k on which every listed op is asserted."""
-        out = []
-        for j in range(self.dim(k)):
-            if all(self.block(fam, m, k)[j] is not None for fam, m in ops):
-                out.append(j)
-        return out
+        blocks = [self.block(fam, m, k) for fam, m in ops]
+        return [j for j in range(self.dim(k))
+                if all(block[j] is not None for block in blocks)]
 
     def apply_columns(self, family: str, m: int, k: int,
                       coords: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Image coordinates of a vector at offset k, or None if the vector
         touches an unasserted column."""
         cols = self.block(family, m, k)
-        out = [Fraction(0)] * self.dim(k + m)
+        out = [0] * self.dim(k + m)
         for j, cj in enumerate(coords):
             if not cj:
                 continue
@@ -161,7 +163,7 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
                 cols: List[Column] = []
                 for lab in raw_labels[k]:
                     img = _window_action(spec, Gen(fam, m), lab)
-                    col = [Fraction(0)] * len(raw_labels[k + m])
+                    col: List = [0] * len(raw_labels[k + m])
                     for lab2, coeff in img:
                         col[index[k + m][lab2]] = coeff
                     cols.append(col)
@@ -193,7 +195,7 @@ class _VermaColumns(Sequence):
         return col
 
     def _build(self, mono) -> Column:
-        col = [Fraction(0)] * len(self._target)
+        col: List = [0] * len(self._target)
         for m2, c2 in self._module.apply_gen(self._g, mono).items():
             idx = self._target.get(m2)
             if idx is None:
@@ -280,8 +282,9 @@ def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:
             if col is None:
                 new_cols.append(None)
                 continue
-            new_cols.append([th_src[old_j] * col[perm_tgt[r]] / th_tgt[perm_tgt[r]]
-                             for r in range(len(perm_tgt))])
+            scale = th_src[old_j]
+            new_cols.append([scale * col[r] / th_tgt[r] if col[r] else 0
+                             for r in perm_tgt])
         new_blocks[(fam, m, k)] = new_cols
     return WindowedModule(wm.window, wm.families, wm.central, new_basis,
                           new_blocks, description=wm.description + f" (scrambled seed={seed})")
@@ -368,9 +371,7 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
         stacked: List[List[Fraction]] = []
         for fam, m in kill:
             block = wm.block(fam, m, k)
-            nrows = wm.dim(k + m)
-            for r in range(nrows):
-                stacked.append([block[j][r] for j in cols_ok])
+            stacked.extend(map(list, zip(*[block[j] for j in cols_ok])))
         for v in nullspace(stacked, ncols=len(cols_ok)):
             full = [Fraction(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
@@ -434,8 +435,9 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
             stacked: List[List[Fraction]] = []
             for fam, m in ops:
                 block = wm.block(fam, m, k)
-                for r in range(wm.dim(k + m)):
-                    stacked.append([block[j][r] for j in cols])
+                # rows as lists, like full_matrix: kept as zip's tuples they
+                # raised the peak memory of an hw_scan job by about 0.4 MB
+                stacked.extend(map(list, zip(*[block[j] for j in cols])))
             for v in nullspace(stacked, ncols=len(cols)):
                 full = [Fraction(0)] * n
                 for idx, j in enumerate(cols):
@@ -716,7 +718,12 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
 def bracket_consistency_defects(wm: WindowedModule,
                                 degree_limit: Optional[int] = None) -> List[dict]:
     """Check matrix([x,y]) = [matrix(x), matrix(y)] on all fully-contained
-    compositions; returns one record per failing (x, y, offset)."""
+    compositions; returns one record per failing (x, y, offset, column).
+
+    Column j of a block is the image of the j-th basis vector, so the
+    inner maps and the bracket terms are read off the blocks directly and
+    only the outer maps are applied.
+    """
     p, q = wm.window
     fams = sorted(wm.families)
     degs = sorted({m for (_, m, _) in wm.blocks})
@@ -741,24 +748,25 @@ def bracket_consistency_defects(wm: WindowedModule,
                                 usable = False
                         if not usable:
                             continue
-                        dim = wm.dim(k)
-                        for j in range(dim):
-                            unit = [Fraction(0)] * dim
-                            unit[j] = Fraction(1)
-                            a1 = wm.apply_columns(f2, m2, k, unit)
-                            b1 = wm.apply_columns(f1, m1, k + m2, a1) if a1 is not None else None
-                            a2 = wm.apply_columns(f1, m1, k, unit)
-                            b2 = wm.apply_columns(f2, m2, k + m1, a2) if a2 is not None else None
+                        inner2, inner1 = wm.block(f2, m2, k), wm.block(f1, m1, k)
+                        terms = [(coeff, None if g.family == "C"
+                                  else wm.block(g.family, m1 + m2, k)) for g, coeff in br]
+                        for j in range(wm.dim(k)):
+                            a1, a2 = inner2[j], inner1[j]
+                            if a1 is None or a2 is None:
+                                continue
+                            b1 = wm.apply_columns(f1, m1, k + m2, a1)
+                            b2 = wm.apply_columns(f2, m2, k + m1, a2)
                             if b1 is None or b2 is None:
                                 continue
-                            lhs = [Fraction(0)] * wm.dim(k + m1 + m2)
+                            lhs: List = [0] * wm.dim(k + m1 + m2)
                             ok = True
-                            for g, coeff in br:
-                                if g.family == "C":
+                            for coeff, block in terms:
+                                if block is None:  # the central element C
                                     if m1 + m2 == 0:
                                         lhs[j] += coeff * wm.central
                                     continue
-                                img = wm.apply_columns(g.family, m1 + m2, k, unit)
+                                img = block[j]
                                 if img is None:
                                     ok = False
                                     break
@@ -767,8 +775,7 @@ def bracket_consistency_defects(wm: WindowedModule,
                                         lhs[r] += coeff * x
                             if not ok:
                                 continue
-                            diff = [lhs[r] - (b1[r] - b2[r]) for r in range(len(lhs))]
-                            if any(diff):
+                            if any(lhs[r] - (b1[r] - b2[r]) for r in range(len(lhs))):
                                 defects.append({
                                     "x": f"{f1}_{m1}", "y": f"{f2}_{m2}",
                                     "offset": k, "column": j,

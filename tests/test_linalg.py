@@ -326,3 +326,31 @@ def test_nullspace_matches_sympy_property():
         assert rank(rows) == m.rank()
 
     check()
+
+
+def test_nullspace_same_on_int_and_fraction_zeros_property():
+    # window columns hold structural zeros as the int 0; stacked into rows
+    # (lists or the tuples of zip) they must give what Fraction zeros give
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    nonzero = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    shape = st.tuples(st.integers(1, 12), st.integers(1, 7))
+    matrices = shape.flatmap(lambda s: st.lists(
+        st.lists(entry, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices)
+    def check(rows):
+        as_fractions = [[Fraction(x) for x in row] for row in rows]
+        expect = nullspace(as_fractions)
+        assert all(type(x) is Fraction for v in expect for x in v)
+        for variant in (rows, [tuple(row) for row in rows]):
+            got = nullspace(variant)
+            assert got == expect
+            assert all(type(x) is Fraction for v in got for x in v)
+            assert row_echelon_ff(variant) == row_echelon_ff(as_fractions)
+            assert rank(variant) == rank(as_fractions)
+
+    check()

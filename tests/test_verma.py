@@ -7,9 +7,9 @@ from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec
 from avw.verma import (DEFAULT_MAX_FACTORS, HighestWeight, TruncatedModule,
-                       build_verma, charge_of, charge_shift, depth_of, dims_rows,
-                       mono_str, pbw_straighten, singular_vectors_json, verma_act,
-                       write_dims_csv)
+                       _enumerate_cell, build_verma, charge_of, charge_shift,
+                       depth_of, dims_rows, mono_str, pbw_straighten,
+                       singular_vectors_json, verma_act, write_dims_csv)
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -469,3 +469,158 @@ def test_action_at_the_factor_cap_matches_oracle():
             expect = reference_straighten((g,) + mono, hw)
             assert m.apply_gen(g, mono) == expect, (g, mono)
             assert pbw_straighten((g,) + mono, hw) == expect, (g, mono)
+
+
+# -- oracle: the list-based cell enumeration that the tuple-based one replaced --
+
+def reference_enumerate_cell(n, s, max_factors):
+    found = []
+
+    def rec(k, depth_left, factors, imbalance):
+        if k == 0:
+            if depth_left:
+                return
+            a0 = s - imbalance
+            if a0 < 0:
+                return
+            if len(factors) + a0 > max_factors:
+                raise ResourceBound(
+                    f"monomial exceeds the factor cap {max_factors}; "
+                    f"raise max_factors to build this cell")
+            found.append(tuple(factors) + (f(0),) * a0)
+            return
+        cap = depth_left // k
+        for total in range(cap + 1):
+            rest = depth_left - k * total
+            for nd in range(total + 1):
+                for nh in range(total - nd + 1):
+                    for nf in range(total - nd - nh + 1):
+                        ne = total - nd - nh - nf
+                        block = ([d(-k)] * nd + [h(-k)] * nh
+                                 + [f(-k)] * nf + [e(-k)] * ne)
+                        rec(k - 1, rest, factors + block, imbalance + nf - ne)
+
+    rec(n, n, [], 0)
+    found.sort(key=lambda m: tuple(g.sort_key() for g in m))
+    return found
+
+
+def _enumerates_like_oracle(n, s, cap):
+    """Both give the same monomials in the same order, or both raise the same
+    ResourceBound; returns whether they raised."""
+    try:
+        expect = reference_enumerate_cell(n, s, cap)
+    except ResourceBound as exc:
+        with pytest.raises(ResourceBound) as got:
+            _enumerate_cell(n, s, cap)
+        assert str(got.value) == str(exc)
+        return True
+    assert _enumerate_cell(n, s, cap) == expect, (n, s, cap)
+    return False
+
+
+def test_enumerate_cell_matches_oracle_to_depth_7():
+    # every cell of a depth-7 truncation at the default charge bound N + 4;
+    # the top charges of depth 7 pass the default factor cap
+    raised = [_enumerates_like_oracle(n, s, DEFAULT_MAX_FACTORS)
+              for n in range(8) for s in range(-n, 12)]
+    assert 0 < sum(raised) < len(raised) // 10
+
+
+def test_enumerate_cell_factor_cap_matches_oracle():
+    raised = [_enumerates_like_oracle(n, s, cap)
+              for n in range(5) for s in range(-n, 9) for cap in range(12)]
+    assert 100 < sum(raised) < len(raised) - 100
+
+
+# -- the action memo: pbw_straighten on a miss only, entries shared, brackets
+#    kept per module -----------------------------------------------------------
+
+def _memo_jobs(m, depth):
+    gens = [Gen(fam, k) for fam in "defh" for k in (-2, -1, 0, 1, 2)] + [C]
+    monos = [mono for (n, s), cell in sorted(m.cells.items()) if n <= depth for mono in cell]
+    jobs = [(g, mono) for g in gens for mono in monos]
+    random.Random(5).shuffle(jobs)
+    return jobs + jobs[: len(jobs) // 2]
+
+
+def test_apply_gen_calls_pbw_straighten_exactly_on_a_miss(monkeypatch):
+    import avw.verma
+    real = avw.verma.pbw_straighten
+    calls = []
+
+    def spy(word, hw, memo=None):
+        calls.append(tuple(word))
+        return real(word, hw, memo)
+
+    monkeypatch.setattr(avw.verma, "pbw_straighten", spy)
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 3)
+    hits = 0
+    for g, mono in _memo_jobs(m, 2):
+        hit = (g, mono) in m._apply_cache
+        before = len(calls)
+        out = m.apply_gen(g, mono)
+        assert calls[before:] == ([] if hit else [(g,) + mono]), (g, mono)
+        # the memo entry itself is returned, and stays the same object
+        assert out is m._apply_cache[(g, mono)]
+        assert m.apply_gen(g, mono) is out
+        hits += hit
+    assert len(calls) == len(set(calls)) > 100
+    assert hits > 100
+
+
+def test_pbw_straighten_returns_the_memo_entry_for_one_generator():
+    hw = ORACLE_WEIGHTS[0]
+    memo = {}
+    for word in [(e(1), f(-1), f(0)), (f(-2), f(-1)), (d(0), h(-1)), (h(2),)]:
+        out = pbw_straighten(word, hw, memo)
+        assert out is memo[(word[0], word[1:])]
+        assert out == reference_straighten(word, hw)
+
+
+def test_each_module_computes_its_own_brackets(monkeypatch):
+    import avw.algebra
+    real = avw.algebra.bracket_gens
+    calls, nested = [], [0]
+
+    def spy(x, y):  # records outer calls only: bracket_gens calls itself
+        if not nested[0]:
+            calls.append((x, y))
+        nested[0] += 1
+        try:
+            return real(x, y)
+        finally:
+            nested[0] -= 1
+
+    monkeypatch.setattr(avw.algebra, "bracket_gens", spy)
+    hw = HighestWeight.of(F(1, 3), F(1), F(3))
+    per_module = []
+    for _ in range(2):
+        m = build_verma(hw, 3)
+        before = len(calls)
+        for g, mono in _memo_jobs(m, 2):
+            m.apply_gen(g, mono)
+        mine = calls[before:]
+        per_module.append(sorted(mine))
+        assert len(mine) == len(set(mine)) > 10  # once per pair and module
+        assert all((x, y) in m._apply_cache for x, y in mine)
+    assert per_module[0] == per_module[1]
+
+
+def test_fresh_module_reads_live_defining_relations(monkeypatch):
+    # negative control: [h_1, h_-1] = 2C, so h_1 h_-1 v = 2c v unless the
+    # central term is broken, which a freshly built module must see
+    import avw.algebra
+    hw = HighestWeight.of(F(1, 2), F(1, 3), 7)
+    before = build_verma(hw, 1)
+    assert before.apply_gen(h(1), (h(-1),)) == {(): 14}
+    real = avw.algebra.bracket_gens
+
+    def broken(x, y):
+        if x.family == y.family == "h":
+            return Vec.zero()
+        return real(x, y)
+
+    monkeypatch.setattr(avw.algebra, "bracket_gens", broken)
+    assert build_verma(hw, 1).apply_gen(h(1), (h(-1),)) == {}
+    assert before.apply_gen(h(1), (h(-1),)) == {(): 14}

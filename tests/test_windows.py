@@ -9,8 +9,10 @@ from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          spec_text)
 from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, NotAModule,
                         OutOfWindow, WindowTooNarrow, ZeroShift)
+from avw.linalg import nullspace
 from avw.verma import HighestWeight, build_verma
-from avw.windows import (WindowedModule, _rational_roots, bracket_consistency_defects,
+from avw.windows import (KILL_HIGHEST, KILL_LOWEST, WindowedModule, _rational_roots,
+                         bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
                          from_catalog, from_verma, injectivity_json, match_json,
                          scramble_window, submodule_witness, support,
@@ -476,3 +478,317 @@ def test_rational_roots_rejects_degree_above_two():
         _rational_roots([F(1), F(0), F(0), F(1)])
     with pytest.raises(ValueError):
         _rational_roots([])
+
+
+# -- oracles: per-entry stacking and unit-vector bracket consistency, as they
+#    were before whole columns were stacked --------------------------------
+
+def reference_full_matrix(wm, family, m, k):
+    cols = wm.block(family, m, k)
+    if any(c is None for c in cols):
+        raise OutOfWindow("partially represented")
+    nrows = wm.dim(k + m)
+    return [[cols[j][r] for j in range(len(cols))] for r in range(nrows)]
+
+
+def reference_injectivity(wm, k, i):
+    stacked = []
+    stacked.extend(reference_full_matrix(wm, "d", i, k))
+    stacked.extend(reference_full_matrix(wm, "d", i + 1, k))
+    for fam in ("e", "f", "h"):
+        stacked.extend(reference_full_matrix(wm, fam, i, k))
+    kernel = nullspace(stacked, ncols=wm.dim(k))
+    return stacked, kernel
+
+
+def reference_extremal(wm, direction, record):
+    kill = KILL_HIGHEST if direction == "highest" else KILL_LOWEST
+    p, q = wm.window
+    offs = [k for k in wm.offsets() if all(p <= k + m <= q for _, m in kill)]
+    if not offs:
+        raise WindowTooNarrow("no offset with all kill-set images inside")
+    results = []
+    for k in offs:
+        if wm.dim(k) == 0:
+            continue
+        cols_ok = [j for j in range(wm.dim(k))
+                   if all(wm.block(fam, m, k)[j] is not None for fam, m in kill)]
+        if not cols_ok:
+            continue
+        stacked = []
+        for fam, m in kill:
+            block = wm.block(fam, m, k)
+            for r in range(wm.dim(k + m)):
+                stacked.append([block[j][r] for j in cols_ok])
+        record.append(stacked)
+        for v in nullspace(stacked, ncols=len(cols_ok)):
+            full = [F(0)] * wm.dim(k)
+            for idx, j in enumerate(cols_ok):
+                full[j] = v[idx]
+            results.append((k, tuple(full)))
+    return results
+
+
+def reference_witness(wm, record):
+    p, q = wm.window
+    results = []
+    for k in wm.offsets():
+        n = wm.dim(k)
+        if n == 0:
+            continue
+        ops = [(fam, m) for fam in sorted(wm.families) for m in range(p - k, q - k + 1)
+               if not (m == 0 and fam in ("d", "h")) and wm.has_block(fam, m, k)]
+        if not ops:
+            continue
+        by_h0 = {}
+        for j, lab in enumerate(wm.labels(k)):
+            by_h0.setdefault(lab.h0, []).append(j)
+        for h0 in sorted(by_h0):
+            cols = [j for j in by_h0[h0]
+                    if all(wm.block(fam, m, k)[j] is not None for fam, m in ops)]
+            if not cols:
+                continue
+            stacked = []
+            for fam, m in ops:
+                block = wm.block(fam, m, k)
+                for r in range(wm.dim(k + m)):
+                    stacked.append([block[j][r] for j in cols])
+            record.append(stacked)
+            for v in nullspace(stacked, ncols=len(cols)):
+                full = [F(0)] * n
+                for idx, j in enumerate(cols):
+                    full[j] = v[idx]
+                results.append((k, tuple(full)))
+    return results
+
+
+def _record_nullspace_inputs(monkeypatch):
+    import avw.windows
+    seen = []
+    real = avw.windows.nullspace
+
+    def spy(rows, ncols=None):
+        seen.append([list(row) for row in rows])
+        return real(rows, ncols=ncols)
+
+    monkeypatch.setattr(avw.windows, "nullspace", spy)
+    return seen
+
+
+STACKING_WEIGHTS = [HighestWeight.of(F(1, 2), 2, 0), HighestWeight.of(0, 0, 1),
+                    HighestWeight.of(F(1, 2), 1, 2), HighestWeight.of(F(1, 3), 0, 2),
+                    HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7))]
+
+
+def _stacking_windows():
+    for hw in STACKING_WEIGHTS:
+        wm = from_verma(build_verma(hw, 3, 4))
+        yield f"verma:{hw.lam_d},{hw.mu},{hw.c}", wm
+        yield f"verma:{hw.lam_d},{hw.mu},{hw.c}:scrambled", scramble_window(wm, 3)
+    for spec in (IntAB(F(0), F(0)), IntA(F(3)), LoopMod(0, F(0), F(0)),
+                 LoopMod(1, F(1, 2), F(1, 3)), LoopMod(2, F(0), F(1))):
+        wm = from_catalog(spec, (-3, 3))
+        yield spec_text(spec), wm
+        yield spec_text(spec) + ":scrambled", scramble_window(wm, 5)
+    # too narrow for the extremal kill sets
+    yield "narrow", from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-1, 1))
+
+
+@pytest.mark.parametrize("name, wm", list(_stacking_windows()), ids=lambda x: x if isinstance(x, str) else "")
+def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
+    seen = _record_nullspace_inputs(monkeypatch)
+    # every block, including blocks with no columns, no rows or None columns
+    shapes = set()
+    for fam, m, k in wm.blocks:
+        shapes.add((wm.dim(k) == 0, wm.dim(k + m) == 0,
+                    any(c is None for c in wm.block(fam, m, k))))
+        try:
+            expect = reference_full_matrix(wm, fam, m, k)
+        except OutOfWindow:
+            with pytest.raises(OutOfWindow):
+                wm.full_matrix(fam, m, k)
+            continue
+        assert wm.full_matrix(fam, m, k) == expect, (fam, m, k)
+    if name.startswith("verma"):
+        assert shapes >= {(True, False, False), (False, True, False), (False, False, True)}
+    # injectivity on every offset and shift the window holds
+    p, q = wm.window
+    for k in wm.offsets():
+        for i in range(p - k, q - k):
+            if i == 0:
+                continue
+            try:
+                stacked, kernel = reference_injectivity(wm, k, i)
+            except OutOfWindow:
+                with pytest.raises(OutOfWindow):
+                    stacked_shift_injectivity(wm, k, i)
+                continue
+            rep = stacked_shift_injectivity(wm, k, i)
+            assert rep.stacked == tuple(tuple(row) for row in stacked)
+            assert rep.kernel_basis == tuple(tuple(v) for v in kernel)
+    # witness and both extremal searches: same stacked matrices, same kernels
+    for search, reference in [
+            (submodule_witness, reference_witness),
+            (lambda w: find_extremal_vectors(w, "highest"),
+             lambda w, rec: reference_extremal(w, "highest", rec)),
+            (lambda w: find_extremal_vectors(w, "lowest"),
+             lambda w, rec: reference_extremal(w, "lowest", rec))]:
+        expect_stacks = []
+        try:
+            expect = reference(wm, expect_stacks)
+        except WindowTooNarrow:
+            with pytest.raises(WindowTooNarrow):
+                search(wm)
+            continue
+        seen.clear()
+        got = search(wm)
+        got = got.witnesses if hasattr(got, "witnesses") else got
+        assert seen == expect_stacks
+        assert [(x.offset, x.coefficients) for x in got] == expect
+
+
+def test_full_matrix_of_a_block_without_columns_keeps_its_rows():
+    wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 2), pad_top=2)
+    assert wm.dim(1) == 0 and wm.dim(0) > 1 and wm.dim(-1) > wm.dim(0)
+    assert wm.full_matrix("d", -1, 1) == [[]] * wm.dim(0)
+    assert wm.full_matrix("e", -2, 1) == [[]] * wm.dim(-1)
+    assert wm.full_matrix("d", 1, 0) == []
+    assert wm.full_matrix("d", 1, 1) == []
+
+
+def reference_apply_columns(wm, family, m, k, coords):
+    cols = wm.block(family, m, k)
+    out = [F(0)] * wm.dim(k + m)
+    for j, cj in enumerate(coords):
+        if not cj:
+            continue
+        col = cols[j]
+        if col is None:
+            return None
+        for r, x in enumerate(col):
+            if x:
+                out[r] += cj * x
+    return out
+
+
+def reference_bracket_consistency_defects(wm, degree_limit=None):
+    from avw.algebra import bracket_gens
+    p, q = wm.window
+    fams = sorted(wm.families)
+    degs = sorted({m for (_, m, _) in wm.blocks})
+    if degree_limit is not None:
+        degs = [m for m in degs if abs(m) <= degree_limit]
+    defects = []
+    for f1 in fams:
+        for m1 in degs:
+            for f2 in fams:
+                for m2 in degs:
+                    br = bracket_gens(Gen(f1, m1), Gen(f2, m2))
+                    for k in range(p, q + 1):
+                        if not (p <= k + m1 <= q and p <= k + m2 <= q
+                                and p <= k + m1 + m2 <= q):
+                            continue
+                        if not (wm.has_block(f2, m2, k) and wm.has_block(f1, m1, k + m2)
+                                and wm.has_block(f1, m1, k) and wm.has_block(f2, m2, k + m1)):
+                            continue
+                        if any(g.family != "C" and not wm.has_block(g.family, m1 + m2, k)
+                               for g, _ in br):
+                            continue
+                        dim = wm.dim(k)
+                        for j in range(dim):
+                            unit = [F(0)] * dim
+                            unit[j] = F(1)
+                            a1 = reference_apply_columns(wm, f2, m2, k, unit)
+                            b1 = (reference_apply_columns(wm, f1, m1, k + m2, a1)
+                                  if a1 is not None else None)
+                            a2 = reference_apply_columns(wm, f1, m1, k, unit)
+                            b2 = (reference_apply_columns(wm, f2, m2, k + m1, a2)
+                                  if a2 is not None else None)
+                            if b1 is None or b2 is None:
+                                continue
+                            lhs = [F(0)] * wm.dim(k + m1 + m2)
+                            ok = True
+                            for g, coeff in br:
+                                if g.family == "C":
+                                    if m1 + m2 == 0:
+                                        lhs[j] += coeff * wm.central
+                                    continue
+                                img = reference_apply_columns(wm, g.family, m1 + m2, k, unit)
+                                if img is None:
+                                    ok = False
+                                    break
+                                for r, x in enumerate(img):
+                                    if x:
+                                        lhs[r] += coeff * x
+                            if not ok:
+                                continue
+                            diff = [lhs[r] - (b1[r] - b2[r]) for r in range(len(lhs))]
+                            if any(diff):
+                                defects.append({"x": f"{f1}_{m1}", "y": f"{f2}_{m2}",
+                                                "offset": k, "column": j})
+    return defects
+
+
+CONSISTENCY_SPECS = [
+    IntAB(F(1, 2), F(1, 3)), IntAB(F(0), F(0)), IntA(F(3)), IntB(F(0)),
+    HVirABC(F(0), F(0), F(5)), HVirABC(F(1, 2), F(-1, 3), F(2)), T2Mod(F(0), F(0), F(1)),
+    T2Mod(F(1, 3), F(1, 2), F(-2)), LoopMod(0, F(0), F(0)), LoopMod(1, F(1, 2), F(1, 3)),
+    LoopMod(2, F(0), F(1)), LoopMod(2, F(1, 3), F(6, 5)),
+]
+
+
+@pytest.mark.parametrize("spec", CONSISTENCY_SPECS, ids=spec_text)
+def test_bracket_consistency_matches_unit_vector_oracle(spec):
+    wm = from_catalog(spec, (-2, 2))
+    for limit in (None, 1):
+        expect = reference_bracket_consistency_defects(wm, limit)
+        assert bracket_consistency_defects(wm, limit) == expect == []
+    scrambled = scramble_window(wm, 7)
+    assert bracket_consistency_defects(scrambled, 2) == \
+        reference_bracket_consistency_defects(scrambled, 2) == []
+
+
+def test_bracket_consistency_of_corrupted_windows_matches_oracle():
+    # a module whose matrices were altered by hand: the defect list is
+    # nonempty and both checkers name the same (x, y, offset, column)
+    for spec, key, j, r in [(LoopMod(1, F(1, 2), F(1, 3)), ("d", 1, 0), 1, 0),
+                            (LoopMod(2, F(1, 3), F(6, 5)), ("e", -1, 1), 0, 1),
+                            (IntAB(F(1, 2), F(1, 3)), ("d", 2, -1), 0, 0),
+                            (T2Mod(F(0), F(0), F(1)), ("h", 0, 0), 0, 0)]:
+        wm = from_catalog(spec, (-2, 2))
+        wm.blocks[key][j][r] += F(1, 7)
+        expect = reference_bracket_consistency_defects(wm)
+        assert expect, spec
+        assert bracket_consistency_defects(wm) == expect, spec
+    verma = from_verma(build_verma(HighestWeight.of(F(1, 2), F(1, 3), F(7, 5)), 2, 3),
+                       pad_top=2, max_degree=2)
+    eager = WindowedModule(verma.window, verma.families, verma.central, verma.basis,
+                           {key: list(cols) for key, cols in verma.blocks.items()})
+    assert any(c is None for cols in eager.blocks.values() for c in cols)
+    assert bracket_consistency_defects(eager, 2) == \
+        reference_bracket_consistency_defects(eager, 2) == []
+    col = next(c for c in eager.blocks[("f", 0, -1)] if c is not None and any(c))
+    col[next(r for r, x in enumerate(col) if x)] *= 2
+    expect = reference_bracket_consistency_defects(eager, 2)
+    assert expect and bracket_consistency_defects(eager, 2) == expect
+
+
+def _column_entries(wm):
+    for cols in wm.blocks.values():
+        for j in range(len(cols)):
+            if cols[j] is not None:
+                yield from cols[j]
+
+
+def test_exported_zeros_are_int_and_nonzero_entries_fraction():
+    windows = [from_verma(build_verma(hw, 2, 3)) for hw in STACKING_WEIGHTS]
+    windows += [from_catalog(spec, (-2, 2)) for spec in CONSISTENCY_SPECS]
+    windows += [scramble_window(wm, 9) for wm in windows[::3]]
+    zeros = 0
+    for wm in windows:
+        entries = list(_column_entries(wm))
+        assert any(entries), wm.description
+        for x in entries:
+            assert type(x) is (int if x == 0 else F), (wm.description, x)
+        zeros += entries.count(0)
+    assert zeros > 1000
