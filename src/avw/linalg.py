@@ -1,6 +1,7 @@
 """Exact rational linear algebra: fraction-free elimination, ranks, nullspaces.
 
-All matrices are lists of rows with ``fractions.Fraction`` entries.  Ranks and
+All matrices are lists of rows with exact entries (``int`` or
+``fractions.Fraction``; kernels come back as ``Fraction``).  Ranks and
 kernels go through ``row_echelon_ff``, a sparse fraction-free elimination over
 primitive integer rows, so no floating point appears anywhere.  ``nullspace``
 returns the canonical kernel basis, which does not depend on the echelon form.
@@ -111,25 +112,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> L
     return basis
 
 
-def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((r[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for r in rows]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    n = len(b)
-    m = len(b[0])
-    return [[sum((row[k] * b[k][j] for k in range(n) if row[k]), Fraction(0))
-             for j in range(m)] for row in a]
-
-
-def mat_sub(a, b) -> List[List[Fraction]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 class Vec:
     """Finite formal linear combination with exact rational coefficients.
 
@@ -221,9 +203,6 @@ class Vec:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def map_keys(self, fn) -> "Vec":
-        return Vec([(fn(k), v) for k, v in self.terms.items()])
 
     def sorted_items(self, key=None):
         return sorted(self.terms.items(), key=(lambda kv: key(kv[0])) if key else None)

@@ -30,6 +30,11 @@ holds the brackets [g, y] the recursion needs, keyed on the generator pair
 (as ``algebra._bracket_items`` keeps them), so every module computes each
 bracket once and no cache outlives the module.  The memo is insert-only and
 every entry is a pure function of its key, so concurrent readers agree.
+
+Memo coefficients are exact and never zero: an ``int`` when the value is
+integral and a ``Fraction`` with denominator > 1 otherwise (``_exact``), so
+most of the recursion runs on int arithmetic.  Readers that need
+``Fraction`` entries convert at their own boundary.
 """
 
 from __future__ import annotations
@@ -37,9 +42,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .algebra import C, Gen, _bracket_items, d, e, f, h
+from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
 # unused here, but perfbench/tracer.py counts bracket_gens calls by wrapping
 # the name in every module that imports it
 from .algebra import bracket_gens  # noqa: F401
@@ -56,15 +61,12 @@ MAX_BASIS_ENV = "AVW_MAX_BASIS"
 # with e_0 (degree-1 brackets reach e_2, f_2, h_2 but never d_2)
 RAISING_KILL_SET = (e(0), d(1), e(1), f(1), h(1), d(2))
 
-_LOWER, _CARTAN, _RAISE = 0, 1, 2
+Coeff = Union[int, Fraction]
 
 
-def _cls(g: Gen) -> int:
-    if g.degree < 0 or (g.degree == 0 and g.family == "f"):
-        return _LOWER
-    if g.degree == 0 and g.family in ("d", "h"):
-        return _CARTAN
-    return _RAISE  # positive degree, or e_0
+def _exact(x: Coeff) -> Coeff:
+    """The memo form of an exact value: an ``int`` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _max_basis_from_env() -> int:
@@ -124,7 +126,7 @@ def charge_shift(g: Gen) -> int:
     return 0
 
 
-def _act(g: Gen, mono: Mono, hw: HighestWeight, memo: dict) -> Dict[Mono, Fraction]:
+def _act(g: Gen, mono: Mono, hw: HighestWeight, memo: dict) -> Dict[Mono, Coeff]:
     """g . (mono . v) for a canonical monomial, memoized on (g, mono).
 
     Uses g . (y . m') = y . (g . m') + [g, y] . m' with y the leftmost
@@ -135,33 +137,35 @@ def _act(g: Gen, mono: Mono, hw: HighestWeight, memo: dict) -> Dict[Mono, Fracti
     out = memo.get(key)
     if out is not None:
         return out
-    cg = _cls(g)
-    if g.family == "C":
-        out = {mono: hw.c} if hw.c else {}
-    elif cg == _CARTAN:
-        eig = (hw.lam_d - depth_of(mono) if g.family == "d"
+    fam, deg = g
+    lowering = deg < 0 or (not deg and fam == "f")
+    if fam == "C":
+        out = {mono: _exact(hw.c)} if hw.c else {}
+    elif not deg and (fam == "d" or fam == "h"):
+        eig = (hw.lam_d - depth_of(mono) if fam == "d"
                else hw.mu - 2 * charge_of(mono))
-        out = {mono: eig} if eig else {}
+        out = {mono: _exact(eig)} if eig else {}
     elif not mono:
-        out = {(g,): Fraction(1)} if cg == _LOWER else {}
-    elif cg == _LOWER and g.sort_key() <= mono[0].sort_key():
-        out = {(g,) + mono: Fraction(1)}
+        out = {(g,): 1} if lowering else {}
+    elif lowering and (deg, FAMILY_ORDER[fam]) <= (
+            mono[0].degree, FAMILY_ORDER[mono[0].family]):
+        out = {(g,) + mono: 1}
     else:
         y, rest = mono[0], mono[1:]
-        acc: Dict[Mono, Fraction] = {}
+        acc: Dict[Mono, Coeff] = {}
         for m2, c2 in _act(g, rest, hw, memo).items():
             for m3, c3 in _act(y, m2, hw, memo).items():
                 acc[m3] = acc.get(m3, 0) + c2 * c3
         for b, bc in _bracket_items(memo, g, y):
             for m3, c3 in _act(b, rest, hw, memo).items():
                 acc[m3] = acc.get(m3, 0) + bc * c3
-        out = {m: v for m, v in acc.items() if v}
+        out = {m: _exact(v) for m, v in acc.items() if v}
     memo[key] = out
     return out
 
 
 def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
-                   memo: Optional[dict] = None) -> Dict[Mono, Fraction]:
+                   memo: Optional[dict] = None) -> Dict[Mono, Coeff]:
     """Rewrite (word) . v into canonical monomials applied to v.
 
     Folds the word right to left through the one-generator action; the
@@ -170,23 +174,27 @@ def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
     the right end; d_0, h_0, C evaluate to their eigenvalues there.  When at
     most one factor precedes that run, the result is the memo entry of
     ``_act`` itself, stored under (word[0], word[1:]); do not mutate it.
+    Coefficients take the memo form described in the module docstring.
     """
     if memo is None:
         memo = {}
     word = tuple(word)
-    cut = len(word)
-    while cut and _cls(word[cut - 1]) == _LOWER and (
-            cut == len(word) or word[cut - 1].sort_key() <= word[cut].sort_key()):
-        cut -= 1
+    cut, right = len(word), None  # right: sort key of the factor after the cut
+    while cut:
+        fam, deg = word[cut - 1]
+        here = (deg, FAMILY_ORDER[fam])
+        if not (deg < 0 or (not deg and fam == "f")) or (right and here > right):
+            break
+        cut, right = cut - 1, here
     if cut <= 1 and word:
         return _act(word[0], word[1:], hw, memo)
-    vec: Dict[Mono, Fraction] = {word[cut:]: Fraction(1)}
+    vec: Dict[Mono, Coeff] = {word[cut:]: 1}
     for g in reversed(word[:cut]):
-        acc: Dict[Mono, Fraction] = {}
+        acc: Dict[Mono, Coeff] = {}
         for mono, coeff in vec.items():
             for m2, c2 in _act(g, mono, hw, memo).items():
                 acc[m2] = acc.get(m2, 0) + coeff * c2
-        vec = {m: v for m, v in acc.items() if v}
+        vec = {m: _exact(v) for m, v in acc.items() if v}
     return vec
 
 
@@ -294,7 +302,7 @@ class TruncatedModule:
     def weight_of_cell(self, n: int, s: int) -> Tuple[Fraction, Fraction]:
         return self.hw.lam_d - n, self.hw.mu - 2 * s
 
-    def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Fraction]:
+    def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Coeff]:
         """Image of a canonical monomial: the memo entry itself, which the
         caller must not mutate.  A miss goes through ``pbw_straighten``,
         which stores the entry."""
@@ -321,12 +329,14 @@ class TruncatedModule:
                 acc[m2] = acc.get(m2, Fraction(0)) + coeff * c2
         return Vec(acc)
 
-    def cell_matrix(self, g: Gen, cell: Tuple[int, int]) -> List[List[Fraction]]:
+    def cell_matrix(self, g: Gen, cell: Tuple[int, int]) -> List[List[Coeff]]:
         """Matrix of g from the given cell to its shifted target cell.
 
         Rows are indexed by the target-cell basis; a mathematically empty
         target (negative depth, or charge below -depth) yields a 0 x dim
-        matrix after checking the images really vanish.
+        matrix after checking the images really vanish.  Entries are exact:
+        structural zeros are the ``int`` 0 and the others are the memo
+        coefficients as they stand (``int`` when integral, else ``Fraction``).
         """
         n, s = cell
         source = self.cells.get(cell, ())
@@ -344,7 +354,7 @@ class TruncatedModule:
                 f"matrix of {g} from cell {cell} targets ({n2}, {s2}) "
                 f"outside the truncation")
         target_index = self.index[(n2, s2)]
-        mat = [[Fraction(0)] * len(source) for _ in target_index]
+        mat = [[0] * len(source) for _ in target_index]
         for j, mono in enumerate(source):
             for m2, c2 in self.apply_gen(g, mono).items():
                 mat[target_index[m2]][j] = c2
@@ -367,7 +377,7 @@ class TruncatedModule:
                 basis = self.cells[(n, s)]
                 if not basis:
                     continue
-                stacked: List[List[Fraction]] = []
+                stacked: List[List[Coeff]] = []
                 for g in RAISING_KILL_SET:
                     stacked.extend(self.cell_matrix(g, (n, s)))
                 for coeffs in nullspace(stacked, ncols=len(basis)):

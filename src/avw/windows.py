@@ -200,7 +200,7 @@ class _VermaColumns(Sequence):
             idx = self._target.get(m2)
             if idx is None:
                 return None  # image leaves the kept charges
-            col[idx] = c2
+            col[idx] = c2 if type(c2) is Fraction else Fraction(c2)
         return col
 
 

@@ -12,7 +12,8 @@ from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          sl2_irrep, spec_text, structure_report, weight_of)
 from avw.errors import (GeneratorOutsideAlgebra, InternalError,
                         NegativeHighestWeight)
-from avw.linalg import Vec, mat_mul, mat_sub
+from avw.linalg import Vec
+from linalg_helpers import map_keys, mat_mul, mat_sub
 
 ALL_TEST_SPECS = [
     IntAB(F(1, 2), F(1, 3)),
@@ -180,7 +181,7 @@ def test_shift_isomorphism_relabeling():
     for m in range(-4, 5):
         for i in range(-4, 5):
             lhs = act(down, d(m), Vec.basis(i + 1))
-            rhs = act(up, d(m), Vec.basis(i)).map_keys(lambda j: j + 1)
+            rhs = map_keys(act(up, d(m), Vec.basis(i)), lambda j: j + 1)
             assert lhs == rhs, (m, i)
 
 

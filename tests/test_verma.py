@@ -5,11 +5,12 @@ import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
-from avw.linalg import Vec
-from avw.verma import (DEFAULT_MAX_FACTORS, HighestWeight, TruncatedModule,
-                       _enumerate_cell, build_verma, charge_of, charge_shift,
-                       depth_of, dims_rows, mono_str, pbw_straighten,
-                       singular_vectors_json, verma_act, write_dims_csv)
+from avw.linalg import Vec, nullspace
+from avw.verma import (DEFAULT_MAX_FACTORS, RAISING_KILL_SET, HighestWeight,
+                       TruncatedModule, _enumerate_cell, build_verma,
+                       charge_of, charge_shift, depth_of, dims_rows, mono_str,
+                       pbw_straighten, singular_vectors_json, verma_act,
+                       write_dims_csv)
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -624,3 +625,180 @@ def test_fresh_module_reads_live_defining_relations(monkeypatch):
     monkeypatch.setattr(avw.algebra, "bracket_gens", broken)
     assert build_verma(hw, 1).apply_gen(h(1), (h(-1),)) == {}
     assert before.apply_gen(h(1), (h(-1),)) == {(): 14}
+
+
+# -- oracle: the Fraction-valued memoized action that the int-normal form
+#    replaced; its brackets are bracket_gens' own Fraction terms -------------
+
+def fraction_act(g, mono, hw, memo):
+    key = (g, mono)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    cg = _rewrite_cls(g)
+    if g.family == "C":
+        out = {mono: hw.c} if hw.c else {}
+    elif cg == 1:
+        eig = (hw.lam_d - depth_of(mono) if g.family == "d"
+               else hw.mu - 2 * charge_of(mono))
+        out = {mono: eig} if eig else {}
+    elif not mono:
+        out = {(g,): F(1)} if cg == 0 else {}
+    elif cg == 0 and g.sort_key() <= mono[0].sort_key():
+        out = {(g,) + mono: F(1)}
+    else:
+        y, rest = mono[0], mono[1:]
+        acc = {}
+        for m2, c2 in fraction_act(g, rest, hw, memo).items():
+            for m3, c3 in fraction_act(y, m2, hw, memo).items():
+                acc[m3] = acc.get(m3, F(0)) + c2 * c3
+        brackets = memo.get((g, y))
+        if brackets is None:
+            brackets = memo[g, y] = tuple(bracket_gens(g, y))
+        for b, bc in brackets:
+            for m3, c3 in fraction_act(b, rest, hw, memo).items():
+                acc[m3] = acc.get(m3, F(0)) + bc * c3
+        out = {m: v for m, v in acc.items() if v}
+    memo[key] = out
+    return out
+
+
+def fraction_straighten(word, hw, memo=None):
+    if memo is None:
+        memo = {}
+    word = tuple(word)
+    cut = len(word)
+    while cut and _rewrite_cls(word[cut - 1]) == 0 and (
+            cut == len(word) or word[cut - 1].sort_key() <= word[cut].sort_key()):
+        cut -= 1
+    if cut <= 1 and word:
+        return fraction_act(word[0], word[1:], hw, memo)
+    vec = {word[cut:]: F(1)}
+    for g in reversed(word[:cut]):
+        acc = {}
+        for mono, coeff in vec.items():
+            for m2, c2 in fraction_act(g, mono, hw, memo).items():
+                acc[m2] = acc.get(m2, F(0)) + coeff * c2
+        vec = {m: v for m, v in acc.items() if v}
+    return vec
+
+
+def fraction_cell_matrix(m, g, cell, memo):
+    """cell_matrix over the Fraction oracle, Fraction(0)-filled; None when
+    the target cell is outside the truncation."""
+    n, s = cell
+    n2, s2 = n - g.degree, s + charge_shift(g)
+    if n2 < 0 or s2 < -n2:
+        return []
+    if n2 > m.depth_bound or s2 > m.charge_bound:
+        return None
+    source = m.cells[cell]
+    target = m.index[(n2, s2)]
+    mat = [[F(0)] * len(source) for _ in target]
+    for j, mono in enumerate(source):
+        for m2, c2 in fraction_straighten((g,) + mono, m.hw, memo).items():
+            mat[target[m2]][j] = c2
+    return mat
+
+
+INT_PATH_WEIGHTS = [HighestWeight.of(0, 2, 3), HighestWeight.of(-1, 1, 1),
+                    HighestWeight.of(F(1, 3), F(-2, 5), F(9, 7)),
+                    HighestWeight.of(F(-5, 3), F(7, 5), F(-3, 7))]
+INT_PATH_GENS = RAISING_KILL_SET + (d(0), h(0), C, f(0), e(-1), d(-1))
+
+
+def _is_memo_form(c):
+    if type(c) is int:
+        return c != 0
+    return type(c) is F and c.denominator > 1
+
+
+def _action_entries(memo):
+    """The (g, mono) -> image entries of a memo, without the bracket entries."""
+    return {k: v for k, v in memo.items() if type(v) is dict}
+
+
+@pytest.fixture(scope="module", params=INT_PATH_WEIGHTS, ids=_hw_id)
+def int_path_module(request):
+    """An N=5 module with apply_gen run on every cell for every generator of
+    INT_PATH_GENS, and the Fraction oracle's memo for the same words."""
+    hw = request.param
+    m = build_verma(hw, 5)
+    oracle = {}
+    for monos in m.cells.values():
+        for mono in monos:
+            for g in INT_PATH_GENS:
+                m.apply_gen(g, mono)
+                fraction_straighten((g,) + mono, hw, oracle)
+    return m, oracle
+
+
+def test_apply_gen_matches_fraction_oracle_key_for_key(int_path_module):
+    # every memo entry, the recursion's own included, not just the top keys
+    m, oracle = int_path_module
+    got, expect = _action_entries(m._apply_cache), _action_entries(oracle)
+    assert got.keys() == expect.keys()
+    assert len(got) > 10_000
+    for key, out in got.items():
+        assert out == expect[key], key
+
+
+def test_memo_coefficients_are_int_exactly_when_integral(int_path_module):
+    m, _ = int_path_module
+    coeffs = [c for out in _action_entries(m._apply_cache).values()
+              for c in out.values()]
+    bad = [c for c in coeffs if not _is_memo_form(c)]
+    assert not bad, bad[:5]
+    assert any(type(c) is int for c in coeffs)
+    if any(x.denominator > 1 for x in (m.hw.lam_d, m.hw.mu, m.hw.c)):
+        assert any(type(c) is F for c in coeffs)
+
+
+def test_cell_matrix_matches_fraction_oracle(int_path_module):
+    m, oracle = int_path_module
+    compared = 0
+    for cell in m.cells:
+        for g in RAISING_KILL_SET:
+            expect = fraction_cell_matrix(m, g, cell, oracle)
+            if expect is None:
+                with pytest.raises(OutOfWindow):
+                    m.cell_matrix(g, cell)
+                continue
+            got = m.cell_matrix(g, cell)
+            assert got == expect, (g, cell)
+            assert all(type(x) is int for row in got for x in row if not x), (g, cell)
+            compared += 1
+    assert compared > 200
+
+
+def test_singular_vectors_match_fraction_oracle(int_path_module):
+    m, oracle = int_path_module
+    got = m.find_singular_vectors(3)
+    expect = []
+    for n in range(4):
+        for s in range(-n, m.charge_bound):
+            stacked = []
+            for g in RAISING_KILL_SET:
+                stacked.extend(fraction_cell_matrix(m, g, (n, s), oracle))
+            for coeffs in nullspace(stacked, ncols=len(m.cells[(n, s)])):
+                expect.append((n, s, tuple(coeffs)))
+    assert [(sv.depth, sv.charge, sv.coefficients) for sv in got] == expect
+    assert all(type(c) is F for sv in got for c in sv.coefficients)
+
+
+# -- Kac-Kazhdan: the sl2-loop singular vectors at depth 6 -----------------------
+
+@pytest.mark.parametrize("hw", [HighestWeight.of(F(1, 2), 1, 4),
+                                HighestWeight.of(F(-2, 3), 3, 5)], ids=_hw_id)
+def test_kac_kazhdan_singular_vectors_at_depth_6(hw):
+    # at integral mu >= 0 and c - mu >= 0, f_0^{mu+1} v and e_-1^{c-mu+1} v
+    # are singular; N = 6 searches depth 4, one deeper than a depth-5 run
+    m = build_verma(hw, 6)
+    svs = m.find_singular_vectors(4)
+    mu, k = int(hw.mu), int(hw.c - hw.mu)
+    for mono in [(f(0),) * (mu + 1), (e(-1),) * (k + 1)]:
+        cell = (depth_of(mono), charge_of(mono))
+        found = [sv.vector() for sv in svs if (sv.depth, sv.charge) == cell]
+        assert Vec.basis(mono) in found, (mono, found)
+        for g in RAISING_KILL_SET:
+            assert m.act(g, Vec.basis(mono)).is_zero(), (mono, g)
