@@ -345,16 +345,15 @@ def _cartan_check(module: vm.TruncatedModule) -> dict:
     shallow cells; exercised by the verma command as a live self-check."""
     checked = 0
     failures = []
-    for (n, s), monos in sorted(module.cells.items()):
-        if n > min(module.depth_bound, 2):
-            continue
-        d0, h0 = module.weight_of_cell(n, s)
-        for mono in monos:
-            v = Vec.basis(mono)
-            if module.act(Gen("d", 0), v) != v.scaled(d0) \
-                    or module.act(Gen("h", 0), v) != v.scaled(h0):
-                failures.append({"cell": [n, s], "monomial": vm.mono_str(mono)})
-            checked += 1
+    for n in range(min(module.depth_bound, 2) + 1):
+        for s in range(-n, module.charge_bound + 1):
+            d0, h0 = module.weight_of_cell(n, s)
+            for mono in module.cells[(n, s)]:
+                v = Vec.basis(mono)
+                if module.act(Gen("d", 0), v) != v.scaled(d0) \
+                        or module.act(Gen("h", 0), v) != v.scaled(h0):
+                    failures.append({"cell": [n, s], "monomial": vm.mono_str(mono)})
+                checked += 1
     return {"checked": checked, "failures": failures}
 
 
@@ -478,33 +477,6 @@ _COMMANDS = {
     "match": _cmd_match,
     "support": _cmd_support,
 }
-
-# which library operations each command exercises (kept in sync by tests)
-OPS_BY_COMMAND = {
-    "jacobi": {"bracket", "degree", "jacobi_defect", "in_subalgebra"},
-    "module-check": {"act", "module_defect", "parse_spec"},
-    "catalog": {"from_catalog", "act", "sl2_irrep"},
-    "simple": {"is_simple"},
-    "structure": {"structure_report"},
-    "loop-dims": {"from_catalog", "support"},
-    "verma": {"build_verma", "weight_space_dim", "pbw_straighten",
-              "find_singular_vectors", "verma_act"},
-    "singular": {"build_verma", "find_singular_vectors", "pbw_straighten"},
-    "injectivity": {"stacked_shift_injectivity", "from_catalog"},
-    "witness": {"submodule_witness", "find_extremal_vectors", "from_catalog"},
-    "match": {"catalog_match", "from_catalog"},
-    "support": {"support", "from_catalog"},
-}
-ALL_OPS = {
-    "bracket", "degree", "jacobi_defect", "in_subalgebra",
-    "act", "sl2_irrep", "module_defect", "is_simple", "structure_report",
-    "pbw_straighten", "build_verma", "weight_space_dim", "verma_act",
-    "find_singular_vectors",
-    "from_catalog", "stacked_shift_injectivity", "find_extremal_vectors", "support",
-    "submodule_witness", "catalog_match",
-    "parse_spec", "execute",
-}
-OPS_BY_COMMAND["jacobi"].add("execute")
 
 
 def build_parser() -> argparse.ArgumentParser:

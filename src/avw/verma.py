@@ -40,6 +40,7 @@ most of the recursion runs on int arithmetic.  Readers that need
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -252,12 +253,74 @@ class SingularVector:
         return Vec({m: c for m, c in zip(self.basis, self.coefficients) if c})
 
 
+def _cell_dims(depth_bound: int, charge_bound: int) -> Dict[Tuple[int, int], int]:
+    """dim(n, s) for every kept cell, in (n, s) order, without enumerating.
+
+    A monomial of depth n whose negative part has e/f imbalance i carries
+    f_0^(s - i), so dim(n, s) counts the negative parts of depth n with
+    imbalance <= s.  Those are counted by folding in the geometric series
+    of d, h, f, e at degrees -1..-N (each adds its degree to the depth and
+    0, 0, +1, -1 to the imbalance), then summed over imbalance.
+    """
+    top, width = depth_bound, 2 * depth_bound + 1
+    # counts[n][i + top]: negative parts of depth n and imbalance i
+    counts = [[0] * width for _ in range(top + 1)]
+    counts[0][top] = 1
+    for k in range(1, top + 1):
+        for step in (0, 0, 1, -1):  # d, h, f, e at degree -k
+            for n in range(k, top + 1):
+                row, prev = counts[n], counts[n - k]
+                for i in range(max(step, 0), width + min(step, 0)):
+                    row[i] += prev[i - step]
+    dims: Dict[Tuple[int, int], int] = {}
+    for n, row in enumerate(counts):
+        running = 0
+        for s in range(-n, charge_bound + 1):
+            if s <= n:
+                running += row[s + top]
+            dims[(n, s)] = running
+    return dims
+
+
+class _LazyMap(Mapping):
+    """Read-only mapping over fixed keys whose values are built on first
+    read and kept.  Insert-only: ``setdefault`` keeps a single value when
+    concurrent first readers race."""
+
+    def __init__(self, keys, build):
+        self._keys, self._build, self._values = keys, build, {}
+
+    def __getitem__(self, key):
+        value = self._values.get(key)
+        if value is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            value = self._values.setdefault(key, self._build(key))
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class TruncatedModule:
     """Highest-weight module restricted to depth <= N, charge <= S.
 
+    Construction counts every kept cell (``_cell_dims``) and runs the
+    factor-cap and basis-size checks on the counts; it enumerates nothing.
+    ``cells`` and ``index`` are read-only mappings over the kept cells in
+    (depth, charge) order whose values are built on first read.
+
     Construction is single-writer; after building, all queries are read-only
-    apart from the action memo, which is insert-only and keyed on (g, mono),
-    so concurrent readers agree with a sequential run.
+    apart from two insert-only memos: the action memo, keyed on (g, mono),
+    and the cell memo behind ``cells``/``index``, keyed on the cell.  Every
+    entry of either is a pure function of its key, so concurrent readers
+    agree with a sequential run.
     """
 
     def __init__(self, hw: HighestWeight, depth_bound: int, charge_bound: int,
@@ -273,20 +336,28 @@ class TruncatedModule:
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound
         self.max_factors = max_factors
-        self.cells: Dict[Tuple[int, int], Tuple[Mono, ...]] = {}
-        self.index: Dict[Tuple[int, int], Dict[Mono, int]] = {}
+        dims = _cell_dims(depth_bound, charge_bound)
         total = 0
-        for n in range(depth_bound + 1):
-            for s in range(-n, charge_bound + 1):
-                monos = _enumerate_cell(n, s, max_factors)
-                total += len(monos)
-                if total > max_basis:
-                    raise ResourceBound(
-                        f"basis size exceeds cap {max_basis}; raise "
-                        f"{MAX_BASIS_ENV} or shrink the bounds")
-                self.cells[(n, s)] = tuple(monos)
-                self.index[(n, s)] = {m: i for i, m in enumerate(monos)}
+        for (n, s), dim in dims.items():
+            # the longest monomial of cell (n, s) is e_-1^n f_0^(n+s)
+            if 2 * n + s > max_factors:
+                raise ResourceBound(
+                    f"monomial exceeds the factor cap {max_factors}; "
+                    f"raise max_factors to build this cell")
+            total += dim
+            if total > max_basis:
+                raise ResourceBound(
+                    f"basis size exceeds cap {max_basis}; raise "
+                    f"{MAX_BASIS_ENV} or shrink the bounds")
         self.basis_size = total
+        self._dims = dims
+        # the builders close over max_factors and cells, never over self, so
+        # reference counting alone frees the module
+        cells: Mapping[Tuple[int, int], Tuple[Mono, ...]] = _LazyMap(
+            dims, lambda cell: tuple(_enumerate_cell(cell[0], cell[1], max_factors)))
+        self.cells = cells
+        self.index: Mapping[Tuple[int, int], Dict[Mono, int]] = _LazyMap(
+            dims, lambda cell: {m: i for i, m in enumerate(cells[cell])})
         # (g, mono) -> image, and (g, y) -> bracket terms; see _act
         self._apply_cache: dict = {}
 
@@ -297,7 +368,7 @@ class TruncatedModule:
             raise OutOfWindow(f"cell ({n}, {s}) is outside the truncation")
         if s < -n:
             return 0
-        return len(self.cells[(n, s)])
+        return self._dims[(n, s)]
 
     def weight_of_cell(self, n: int, s: int) -> Tuple[Fraction, Fraction]:
         return self.hw.lam_d - n, self.hw.mu - 2 * s
@@ -402,14 +473,6 @@ def build_verma(hw: HighestWeight, depth_bound: int,
 
 def verma_act(module: TruncatedModule, g: Gen, v: Vec) -> Vec:
     return module.act(g, v)
-
-
-def weight_space_dim(module: TruncatedModule, n: int, s: int) -> int:
-    return module.weight_space_dim(n, s)
-
-
-def find_singular_vectors(module: TruncatedModule, max_depth: int) -> List[SingularVector]:
-    return module.find_singular_vectors(max_depth)
 
 
 def dims_rows(module: TruncatedModule) -> List[Tuple[int, int, int]]:

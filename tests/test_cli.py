@@ -8,8 +8,8 @@ import avw.algebra
 import avw.catalog
 from avw.algebra import C
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
-from avw.cli import (ALL_OPS, OPS_BY_COMMAND, RunConfig, _COMMANDS,
-                     build_parser, config_from_args, execute, main, parse_spec)
+from avw.cli import (RunConfig, build_parser, config_from_args, execute, main,
+                     parse_spec)
 from avw.errors import MissingParameter, SpecParseError, UnknownKind
 from avw.linalg import Vec
 
@@ -311,15 +311,6 @@ def test_determinism_byte_identical_files(tmp_path):
     mfirst = mout.read_bytes()
     assert run(margs) == 0
     assert mout.read_bytes() == mfirst
-
-
-def test_every_operation_reachable_from_a_command():
-    covered = set()
-    for cmd, ops in OPS_BY_COMMAND.items():
-        assert cmd in _COMMANDS
-        covered |= ops
-    assert covered == ALL_OPS
-    assert set(OPS_BY_COMMAND) == set(_COMMANDS)
 
 
 def test_run_config_round_trip():

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +10,14 @@ import pytest
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec, nullspace
-from avw.verma import (DEFAULT_MAX_FACTORS, RAISING_KILL_SET, HighestWeight,
-                       TruncatedModule, _enumerate_cell, build_verma,
+import avw.verma
+from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
+                       HighestWeight, TruncatedModule, _cell_dims,
+                       _enumerate_cell, build_verma,
                        charge_of, charge_shift, depth_of, dims_rows, mono_str,
                        pbw_straighten, singular_vectors_json, verma_act,
                        write_dims_csv)
+from avw.windows import from_verma
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -332,8 +339,6 @@ def test_negative_bounds_are_typed_errors():
 def test_concurrent_queries_match_sequential():
     # built modules are read-only; the straightening cache is insert-only,
     # so concurrent readers must agree with a sequential run
-    from concurrent.futures import ThreadPoolExecutor
-
     hw = HighestWeight.of(F(1, 2), F(2), F(0))
     m = build_verma(hw, 3)
     gens = [Gen(fam, k) for fam in "defh" for k in (-1, 0, 1)]
@@ -802,3 +807,138 @@ def test_kac_kazhdan_singular_vectors_at_depth_6(hw):
         assert Vec.basis(mono) in found, (mono, found)
         for g in RAISING_KILL_SET:
             assert m.act(g, Vec.basis(mono)).is_zero(), (mono, g)
+
+
+# -- lazy cells: counts at construction, a cell enumerated on first read ------
+
+def test_cell_counts_match_enumeration_to_depth_8():
+    N, S = 8, 10
+    dims = _cell_dims(N, S)
+    assert list(dims) == [(n, s) for n in range(N + 1) for s in range(-n, S + 1)]
+    for (n, s), dim in dims.items():
+        assert dim == len(_enumerate_cell(n, s, 2 * N + S)), (n, s)
+
+
+def test_cell_counts_match_generating_function_to_depth_10():
+    N, S = 10, 14
+    dims = _cell_dims(N, S)
+    table = genfunc_dims(N, S)
+    for n in range(N + 1):
+        for s in range(-n, S + 1):
+            assert dims[(n, s)] == table.get((n, s), 0), (n, s)
+    assert sum(dims.values()) == 301_470
+
+
+def eager_build(depth_bound, charge_bound, max_factors, max_basis):
+    """The construction loop that enumerated and indexed every cell up front:
+    (cells, index, running basis totals), or the ResourceBound it raised."""
+    cells, index, totals = {}, {}, []
+    total = 0
+    for n in range(depth_bound + 1):
+        for s in range(-n, charge_bound + 1):
+            monos = _enumerate_cell(n, s, max_factors)
+            total += len(monos)
+            if total > max_basis:
+                raise ResourceBound(
+                    f"basis size exceeds cap {max_basis}; raise "
+                    f"{MAX_BASIS_ENV} or shrink the bounds")
+            cells[(n, s)] = tuple(monos)
+            index[(n, s)] = {m: i for i, m in enumerate(monos)}
+            totals.append(total)
+    return cells, index, totals
+
+
+def _outcome(build, *args):
+    try:
+        result = build(*args)
+    except ResourceBound as exc:
+        return "raised", str(exc)
+    return "built", (result.basis_size if isinstance(result, TruncatedModule)
+                     else result[2][-1])
+
+
+@pytest.mark.parametrize("N,S", [(0, 12), (2, 7), (3, 4), (4, 2)])
+def test_construction_raises_exactly_like_the_eager_loop(N, S):
+    _, _, totals = eager_build(N, S, 2 * N + S, 10 ** 9)
+    basis_caps = sorted({t + dt for t in totals for dt in (-1, 0)}) + [10 ** 9]
+    outcomes = set()
+    for cap in range(12):
+        for max_basis in basis_caps:
+            expect = _outcome(eager_build, N, S, cap, max_basis)
+            got = _outcome(TruncatedModule, GENERIC, N, S, cap, max_basis)
+            assert got == expect, (cap, max_basis)
+            outcomes.add(expect[0] if expect[0] == "built" else expect[1].split()[0])
+    # the factor cap and the basis cap each decide some of these builds
+    assert {"monomial", "basis"} <= outcomes
+    assert ("built" in outcomes) == (2 * N + S <= 11)
+
+
+def test_construction_and_singular_search_enumerate_only_what_they_read(monkeypatch):
+    seen = []
+
+    def spy(n, s, max_factors, real=_enumerate_cell):
+        seen.append((n, s))
+        return real(n, s, max_factors)
+
+    monkeypatch.setattr(avw.verma, "_enumerate_cell", spy)
+    m = build_verma(HighestWeight.of(F(1, 2), 2, 0), 5)
+    rows = dims_rows(m)
+    assert len(m.cells) == len(rows) and list(m.cells) == [(n, s) for n, s, _ in rows]
+    assert (5, 9) in m.cells and (5, 10) not in m.index
+    assert m.basis_size == sum(dim for _, _, dim in rows) == 4160
+    assert seen == []
+    m.find_singular_vectors(3)
+    # sources have depth <= 3 and charge <= S - 1 = 8; f_1 lifts the charge
+    # of its target by one, at one depth less
+    read = {(n, s) for n in range(4) for s in range(-n, 9)} | {(0, 9), (1, 9), (2, 9)}
+    assert sorted(seen) == sorted(read)  # each cell enumerated once
+    assert sum(m.weight_space_dim(n, s) for n, s in seen) == 550
+
+
+def test_fully_read_cells_equal_an_eager_build():
+    m = build_verma(GENERIC, 4, 5)
+    cells, index, totals = eager_build(4, 5, DEFAULT_MAX_FACTORS, 10 ** 9)
+    assert list(m.index.items()) == list(index.items())
+    assert list(m.cells.items()) == list(cells.items())
+    assert list(m.index) == list(m.cells) == list(cells)
+    assert m.basis_size == totals[-1]
+    assert m.cells[(2, 1)] is m.cells[(2, 1)] and m.index[(2, 1)] is m.index[(2, 1)]
+    for bad in [(5, 0), (2, -3), (0, 6)]:
+        assert bad not in m.cells and m.cells.get(bad) is None
+        with pytest.raises(KeyError):
+            m.index[bad]
+
+
+def test_concurrent_first_reads_keep_one_value_per_cell():
+    # racing first readers may each enumerate a cell, but all of them must
+    # get back the one tuple and the one index the memo keeps
+    def read_all(m):
+        return [(m.cells[c], m.index[c]) for c in m.cells if c[0] <= 3]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(4):
+                m = build_verma(GENERIC, 5)
+                futures = [pool.submit(read_all, m) for _ in range(8)]
+                results = [fut.result(timeout=60) for fut in futures]
+                for got in results:
+                    assert all(monos is monos0 and index is index0 for (monos, index),
+                               (monos0, index0) in zip(got, results[0]))
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_used_module_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        m = build_verma(HighestWeight.of(F(1, 2), 2, 0), 4)
+        m.find_singular_vectors(2)
+        wm = from_verma(m)
+        assert wm.block("f", 1, -2)[0] is not None
+        ref = weakref.ref(m)
+        del m, wm
+        assert ref() is None
+    finally:
+        gc.enable()
