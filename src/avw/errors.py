@@ -29,6 +29,10 @@ class InvalidBound(AvwError, ValueError):
     """A depth, charge or basis-size bound is negative or not an integer."""
 
 
+class InvalidArgument(AvwError, ValueError):
+    """An argument lies outside the domain of the operation it was passed to."""
+
+
 class NotAModule(AvwError, ValueError):
     """A spec violates the module axiom, so module-level questions are undefined."""
 

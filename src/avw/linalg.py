@@ -1,10 +1,11 @@
 """Exact rational linear algebra: fraction-free elimination, ranks, nullspaces.
 
 All matrices are lists of rows with exact entries (``int`` or
-``fractions.Fraction``; kernels come back as ``Fraction``).  Ranks and
-kernels go through ``row_echelon_ff``, a sparse fraction-free elimination over
-primitive integer rows, so no floating point appears anywhere.  ``nullspace``
-returns the canonical kernel basis, which does not depend on the echelon form.
+``fractions.Fraction``; kernels come back as ``Fraction``), or for kernels
+dicts ``{col: coeff}``.  Ranks and kernels go through ``row_echelon_ff``, a
+sparse fraction-free elimination over primitive integer rows, so no floating
+point appears anywhere.  ``nullspace`` returns the canonical kernel basis,
+which does not depend on the echelon form or the row order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
+
+from .errors import InternalError
 
 
 def frac(x, y=None) -> Fraction:
@@ -28,23 +31,29 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def row_echelon_ff(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], List[int]]:
+def row_echelon_ff(rows: Sequence, ncols: int | None = None) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free row echelon form by sparse row insertion.
 
-    Zero rows are dropped.  Each other row becomes a primitive integer row
-    ``{col: int}`` and is reduced against the pivot row ``p`` of its leading
-    column ``c`` (``r <- (a/g) r - (b/g) p`` with ``a = p[c]``, ``b = r[c]``,
-    ``g = gcd(a, b)``, then divided by its content) until it is zero or owns
-    a new pivot.  Reading stops once every column has a pivot.  Returns the
-    dense integer echelon rows and their pivot columns, in increasing order;
-    the pivot columns are those of the reduced row echelon form.
+    Rows are dense sequences or dicts ``{col: coeff}`` (which need
+    ``ncols``).  Zero rows are dropped.  Each other row becomes a primitive
+    integer row ``{col: int}`` and is reduced against the pivot row ``p`` of
+    its leading column ``c`` (``r <- (a/g) r - (b/g) p`` with ``a = p[c]``,
+    ``b = r[c]``, ``g = gcd(a, b)``, then divided by its content) until it is
+    zero or owns a new pivot.  Reading stops once every column has a pivot.
+    Returns the dense integer echelon rows and their pivot columns, in
+    increasing order; the pivot columns are those of the reduced row echelon
+    form.
     """
-    ncols = len(rows[0]) if rows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     pivot_rows: Dict[int, Dict[int, int]] = {}
     for row in rows:
         if len(pivot_rows) == ncols:
             break
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        sparse = isinstance(row, dict)
+        if sparse and row and not 0 <= min(row) <= max(row) < ncols:
+            raise InternalError(f"sparse row has a column outside 0..{ncols - 1}")
+        nonzero = [(j, x) for j, x in (row.items() if sparse else enumerate(row)) if x]
         if not nonzero:
             continue
         mult = lcm(*(x.denominator for _, x in nonzero))
@@ -79,35 +88,35 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(pivots)
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> List[List[Fraction]]:
+def nullspace(rows: Sequence, ncols: int | None = None) -> List[List[Fraction]]:
     """Exact basis of the right kernel {v : A v = 0}.
 
-    ``ncols`` must be given when ``rows`` is empty (a 0 x n matrix has the
-    full standard basis as kernel).  Basis vectors carry a 1 in their free
-    coordinate, so the result is canonical for a fixed column order.
+    Rows are dense sequences or dicts ``{col: coeff}``; ``ncols`` must be
+    given when ``rows`` is empty (a 0 x n matrix has the full standard basis
+    as kernel) or sparse.  ``row_echelon_ff`` gets the rows sparsest first
+    (Markowitz's ordering), which keeps fill-in and entry growth small on
+    tall sparse stacks.  Basis vectors carry a 1 in their free coordinate,
+    so the result is canonical for a fixed column order.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    n = len(rows[0])
-    if ncols is not None and ncols != n:
-        raise ValueError("ncols disagrees with row length")
-    ech, pivots = row_echelon_ff(rows)
+    if ncols is None:
+        if not rows or isinstance(rows[0], dict):
+            raise InternalError("ncols required for an empty or sparse matrix")
+        ncols = len(rows[0])
+    elif rows and not isinstance(rows[0], dict) and len(rows[0]) != ncols:
+        raise InternalError("ncols disagrees with row length")
+    ech, pivots = row_echelon_ff(sorted(rows, key=len), ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
+        support = [f]  # the nonzero coordinates of v
         # back-substitute pivot coordinates from the bottom row up
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(0)
-            for j in range(c + 1, n):
-                if v[j]:
-                    s += Fraction(ech[r][j]) * v[j]
-            v[c] = -s / ech[r][c]
+        for row, c in zip(reversed(ech), reversed(pivots)):
+            s = sum(row[j] * v[j] for j in support)
+            if s:
+                v[c] = -s / row[c]
+                support.append(c)
         basis.append(v)
     return basis
 

@@ -8,9 +8,9 @@ Matrices are stored column-major: the block for (family, degree m, offset k)
 is a list of columns, one per basis vector of offset k, each column holding
 the image coordinates over the basis of offset k+m.  Entries are exact:
 structural zeros are the ``int`` 0 and every nonzero entry is a
-``Fraction``, so zero tests on a column run at C level.  Analyses fetch each
-column once and transpose columns into rows with ``zip(*columns)``.  A
-column may be ``None`` when the image is not representable inside the window
+``Fraction``, so zero tests on a column run at C level.  Kernel searches
+gather the columns' nonzeros into sparse rows ``{column: coeff}``.  A column
+may be ``None`` when the image is not representable inside the window
 (this happens only at the charge boundary of truncated highest-weight
 exports); analyses quantify over asserted columns only, so every reported
 fact is an exact statement about the underlying infinite module.
@@ -24,6 +24,7 @@ without building anything.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -32,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Gen, bracket_gens
 from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       acting_algebra, act_basis, label_str, spec_text, weight_of)
-from .errors import (GeneratorOutsideAlgebra, InternalError, NotAModule, OutOfWindow,
-                     WindowTooNarrow, ZeroShift)
+from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
+                     OutOfWindow, WindowTooNarrow, ZeroShift)
 from .linalg import Vec, nullspace
 from .verma import TruncatedModule, mono_str
 
@@ -93,12 +94,6 @@ class WindowedModule:
         if not cols:
             return [[] for _ in range(self.dim(k + m))]
         return [list(row) for row in zip(*cols)]
-
-    def asserted_columns(self, ops: Sequence[Tuple[str, int]], k: int) -> List[int]:
-        """Column indices of offset k on which every listed op is asserted."""
-        blocks = [self.block(fam, m, k) for fam, m in ops]
-        return [j for j in range(self.dim(k))
-                if all(block[j] is not None for block in blocks)]
 
     def apply_columns(self, family: str, m: int, k: int,
                       coords: Sequence[Fraction]) -> Optional[List[Fraction]]:
@@ -178,7 +173,9 @@ _UNBUILT = object()
 class _VermaColumns(Sequence):
     """One block of a highest-weight export.  Column j is the image of source
     monomial j over the target basis, or None when it leaves the kept
-    charges; it is built on first read and then kept."""
+    charges.  It is built on first read and kept as a tuple of ``(row,
+    coeff)`` pairs with the memo's coefficients; reading ``block[j]``
+    replaces the pairs by the dense column."""
 
     def __init__(self, module: TruncatedModule, g: Gen, source: Tuple,
                  target: Dict):
@@ -189,19 +186,63 @@ class _VermaColumns(Sequence):
         return len(self._cols)
 
     def __getitem__(self, j: int) -> Column:
+        pairs = self.kept(j)
+        if type(pairs) is not tuple:
+            return pairs  # None, or the dense column of an earlier read
+        col = self._cols[j] = [0] * len(self._target)
+        for r, x in pairs:
+            col[r] = x if type(x) is Fraction else Fraction(x)
+        return col
+
+    def kept(self, j: int):
+        """Column j as kept: None, its pairs, or its dense column once read."""
         col = self._cols[j]
         if col is _UNBUILT:
             col = self._cols[j] = self._build(self._source[j])
         return col
 
-    def _build(self, mono) -> Column:
-        col: List = [0] * len(self._target)
-        for m2, c2 in self._module.apply_gen(self._g, mono).items():
-            idx = self._target.get(m2)
-            if idx is None:
-                return None  # image leaves the kept charges
-            col[idx] = c2 if type(c2) is Fraction else Fraction(c2)
-        return col
+    def _build(self, mono) -> Optional[Tuple[Tuple[int, object], ...]]:
+        target, img = self._target, self._module.apply_gen(self._g, mono)
+        if not all(m2 in target for m2 in img):
+            return None  # the image leaves the kept charges
+        return tuple((target[m2], c2) for m2, c2 in img.items())
+
+
+def _nonzeros(block: Sequence[Column], j: int) -> Optional[Sequence[Tuple[int, object]]]:
+    """Column j of a block as (row, coeff) pairs, None when unasserted."""
+    if type(block) is _VermaColumns:
+        col = block.kept(j)
+        if type(col) is not list:
+            return col  # None or the kept pairs
+    else:
+        col = block[j]
+    return None if col is None else [(r, x) for r, x in enumerate(col) if x]
+
+
+def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
+                  cols: Sequence[int]) -> List[Tuple[Fraction, ...]]:
+    """Common kernel of the ops on the span of those basis vectors ``cols`` of
+    offset k on which every op is asserted, as vectors over the whole basis.
+    The stack is built as rows ``{position: coeff}``, op by op, without the
+    empty rows."""
+    blocks = [wm.block(fam, m, k) for fam, m in ops]
+    cols = [j for j in cols if all(_nonzeros(block, j) is not None for block in blocks)]
+    if not cols:
+        return []
+    stacked: List[Dict[int, object]] = []
+    for block in blocks:
+        rows: Dict[int, Dict[int, object]] = defaultdict(dict)
+        for idx, j in enumerate(cols):
+            for r, x in _nonzeros(block, j):
+                rows[r][idx] = x
+        stacked.extend(rows[r] for r in sorted(rows))
+    kernel = []
+    for v in nullspace(stacked, ncols=len(cols)):
+        full = [Fraction(0)] * wm.dim(k)
+        for idx, j in enumerate(cols):
+            full[j] = v[idx]
+        kernel.append(tuple(full))
+    return kernel
 
 
 def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
@@ -349,7 +390,7 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
     searched, and only basis directions on which every operator is asserted.
     """
     if direction not in ("highest", "lowest"):
-        raise ValueError("direction must be 'highest' or 'lowest'")
+        raise InvalidArgument(f"direction must be 'highest' or 'lowest', not {direction!r}")
     kill = KILL_HIGHEST if direction == "highest" else KILL_LOWEST
     missing = [fam for fam in "defh" if fam not in wm.families]
     if missing:
@@ -363,20 +404,8 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
             f"window {wm.window} leaves no offset with all kill-set images inside")
     results: List[ExtremalVector] = []
     for k in offs:
-        if wm.dim(k) == 0:
-            continue
-        cols_ok = wm.asserted_columns(kill, k)
-        if not cols_ok:
-            continue
-        stacked: List[List[Fraction]] = []
-        for fam, m in kill:
-            block = wm.block(fam, m, k)
-            stacked.extend(map(list, zip(*[block[j] for j in cols_ok])))
-        for v in nullspace(stacked, ncols=len(cols_ok)):
-            full = [Fraction(0)] * wm.dim(k)
-            for idx, j in enumerate(cols_ok):
-                full[j] = v[idx]
-            results.append(ExtremalVector(k, tuple(full), wm.labels(k)))
+        results.extend(ExtremalVector(k, v, wm.labels(k))
+                       for v in _joint_kernel(wm, kill, k, range(wm.dim(k))))
     return results
 
 
@@ -427,24 +456,10 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
         by_h0: Dict[Fraction, List[int]] = {}
         for j, lab in enumerate(wm.labels(k)):
             by_h0.setdefault(lab.h0, []).append(j)
-        asserted = set(wm.asserted_columns(ops, k))
         for h0 in sorted(by_h0):
-            cols = [j for j in by_h0[h0] if j in asserted]
-            if not cols:
-                continue
-            stacked: List[List[Fraction]] = []
-            for fam, m in ops:
-                block = wm.block(fam, m, k)
-                # rows as lists, like full_matrix: kept as zip's tuples they
-                # raised the peak memory of an hw_scan job by about 0.4 MB
-                stacked.extend(map(list, zip(*[block[j] for j in cols])))
-            for v in nullspace(stacked, ncols=len(cols)):
-                full = [Fraction(0)] * n
-                for idx, j in enumerate(cols):
-                    full[j] = v[idx]
-                witnesses.append(Witness(
-                    k, tuple(full), wm.labels(k),
-                    "annihilated by every in-window weight-moving operator"))
+            witnesses.extend(
+                Witness(k, v, wm.labels(k), "annihilated by every in-window weight-moving operator")
+                for v in _joint_kernel(wm, ops, k, by_h0[h0]))
     if witnesses:
         verdict = f"{len(witnesses)} finitely-supported submodule witness(es) in window"
     else:
@@ -512,7 +527,7 @@ def _rational_roots(p: List[Fraction]) -> List[Fraction]:
     so the roots come in closed form (linear root or square discriminant).
     """
     if not p:
-        raise ValueError("zero polynomial")
+        raise InvalidArgument("the zero polynomial has every number as a root")
     if len(p) > 3:
         raise InternalError(f"rational roots requested for degree {len(p) - 1} > 2")
     mult = lcm(*(a.denominator for a in p))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -321,3 +322,13 @@ def test_run_config_round_trip():
     assert config == RunConfig(command="match", module="loop:lambda=1,a=0,b=0",
                                window=(-3, 3), scramble_seed=9)
     assert execute(config) == 0
+
+
+def test_witness_report_at_depth_4_is_pinned(tmp_path):
+    # north-star size (1476 monomials, default charge): tall, very sparse
+    # kernel stacks; the sha256 is that of the report before the stacks
+    # became sparse rows eliminated sparsest first
+    out = tmp_path / "witness.json"
+    assert main(["witness", "--lamd=1/2", "--mu=2", "--c=0", "--depth=4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3da5c14121019268b5352292386b18a633711731eac40cda2fbfa5a95d11859d")

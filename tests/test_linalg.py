@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from avw.errors import InternalError
 from avw.linalg import Vec, frac, nullspace, rank, row_echelon_ff
 from linalg_helpers import map_keys, mat_mul, mat_vec
 
@@ -48,7 +49,7 @@ def test_nullspace_simple():
 def test_nullspace_empty_matrix_needs_ncols():
     assert nullspace([], ncols=3) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalError):
         nullspace([])
 
 
@@ -295,9 +296,9 @@ def test_nullspace_and_rank_use_the_module_global_echelon(monkeypatch):
     calls = []
     real = avw.linalg.row_echelon_ff
 
-    def spy(rows):
+    def spy(rows, ncols=None):
         calls.append(len(rows))
-        return real(rows)
+        return real(rows, ncols)
 
     monkeypatch.setattr(avw.linalg, "row_echelon_ff", spy)
     rows = [[frac(1), frac(2)], [frac(2), frac(4)]]
@@ -353,5 +354,141 @@ def test_nullspace_same_on_int_and_fraction_zeros_property():
             assert all(type(x) is Fraction for v in got for x in v)
             assert row_echelon_ff(variant) == row_echelon_ff(as_fractions)
             assert rank(variant) == rank(as_fractions)
+
+    check()
+
+
+# -- sparse dict rows ---------------------------------------------------------
+
+def _as_dicts(rows, int_coeffs=False):
+    """Rows as dicts of their nonzeros, integral entries optionally as int
+    (the form highest-weight columns hand out)."""
+    def coeff(x):
+        return x.numerator if int_coeffs and x.denominator == 1 else x
+    return [{j: coeff(x) for j, x in enumerate(row) if x} for row in rows]
+
+
+def assert_dict_rows_match(rows):
+    ncols = len(rows[0])
+    ref = bareiss_nullspace(rows)
+    assert nullspace(rows) == ref
+    for sparse in (_as_dicts(rows), _as_dicts(rows, int_coeffs=True),
+                   [row for row in _as_dicts(rows) if row]):
+        got = nullspace(sparse, ncols)
+        assert got == ref
+        assert all(type(x) is Fraction for v in got for x in v)
+        assert row_echelon_ff(sparse, ncols)[1] == row_echelon_ff(rows)[1]
+    return ref
+
+
+def test_dict_rows_match_bareiss_on_tall_sparse_matrices():
+    rng = random.Random(624039)
+    for nrows, ncols, density in ((624, 39, 0.12), (300, 24, 0.06), (160, 39, 0.03)):
+        assert_dict_rows_match(_sparse_matrix(rng, nrows, ncols, 0.76, density))
+
+
+def test_dict_rows_match_bareiss_on_rank_deficient_tall_matrices():
+    rng = random.Random(31)
+    for trial in range(4):
+        ncols = 39
+        base = _sparse_matrix(rng, 12, ncols, 0.0, 0.15)
+        rows = []
+        for _ in range(200):
+            i, j = rng.randrange(12), rng.randrange(12)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(base[i], base[j])])
+        assert len(assert_dict_rows_match(rows)) >= ncols - 12
+
+
+def test_dict_rows_match_bareiss_on_duplicate_and_dependent_rows():
+    rng = random.Random(5)
+    for trial in range(40):
+        ncols = rng.randint(2, 9)
+        rows = _sparse_matrix(rng, rng.randint(2, 6), ncols, 0.1, 0.5)
+        rows.append(list(rows[0]))
+        rows.insert(1, [Fraction(-3, 7) * x for x in rows[-1]])
+        rows.append([x + 2 * y for x, y in zip(rows[0], rows[-2])])
+        rng.shuffle(rows)
+        assert_dict_rows_match(rows)
+
+
+def test_dict_rows_with_explicit_zeros_and_an_empty_stack():
+    rows = [{0: 0, 2: Fraction(1, 2)}, {}, {1: 3, 2: 0}]
+    assert nullspace(rows, 3) == [[Fraction(1), Fraction(0), Fraction(0)]]
+    assert nullspace([{}, {1: 0}], 2) == [[1, 0], [0, 1]]
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+def test_nullspace_feeds_the_echelon_its_rows_sparsest_first(monkeypatch):
+    import avw.linalg
+    seen = []
+    real = avw.linalg.row_echelon_ff
+
+    def spy(rows, ncols=None):
+        seen.append((list(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(avw.linalg, "row_echelon_ff", spy)
+    rows = [{0: 1, 1: 2, 2: 3}, {1: 5}, {0: 1, 2: 1}, {2: 7}, {}]
+    assert nullspace(rows, 4) == [[0, 0, 0, 1]]
+    assert seen == [([{}, {1: 5}, {2: 7}, {0: 1, 2: 1}, {0: 1, 1: 2, 2: 3}], 4)]
+
+
+def test_sparse_insertion_of_dict_rows_stops_reading_at_full_column_rank():
+    class Unread(dict):
+        def items(self):
+            raise AssertionError("row read after full column rank")
+
+        def __iter__(self):
+            raise AssertionError("row read after full column rank")
+
+    rows = [{0: frac(2), 1: frac(1, 3)}, {1: frac(-5, 2)}, Unread({0: 1, 1: 1})]
+    ech, pivots = row_echelon_ff(rows, 2)
+    assert pivots == [0, 1] and len(ech) == 2
+    # nullspace sorts by length only, so it reads no more than the echelon does
+    rows = [{0: 1}, Unread({0: 1, 1: 1, 2: 1}), {1: 4, 2: 1}, {2: frac(3, 4)}]
+    assert nullspace(rows, 3) == []
+
+
+def test_dict_row_outside_the_columns_is_an_internal_error():
+    for bad in ({3: 1}, {0: 1, 5: 2}, {-1: 1}):
+        with pytest.raises(InternalError, match="outside"):
+            nullspace([{0: 1}, bad], 3)
+    with pytest.raises(InternalError):
+        row_echelon_ff([{2: 1}], 2)
+
+
+def test_nullspace_shape_checks_are_internal_errors():
+    with pytest.raises(InternalError, match="disagrees"):
+        nullspace([[frac(1), frac(2)]], ncols=3)
+    with pytest.raises(InternalError, match="required"):
+        nullspace([{0: 1}])
+    with pytest.raises(InternalError) as err:
+        nullspace([])
+    assert not isinstance(err.value, ValueError)
+
+
+def test_nullspace_ignores_the_row_order_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    nonzero = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), nonzero)
+    shape = st.tuples(st.integers(1, 14), st.integers(1, 8))
+    matrices = shape.flatmap(lambda s: st.lists(
+        st.lists(entry, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices, st.randoms(use_true_random=False))
+    def check(rows, rnd):
+        ncols = len(rows[0])
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        expect_pivots = row_echelon_ff(rows)[1]
+        expect = nullspace(rows)
+        assert row_echelon_ff(shuffled)[1] == expect_pivots
+        assert row_echelon_ff(_as_dicts(shuffled), ncols)[1] == expect_pivots
+        assert nullspace(shuffled) == expect
+        assert nullspace(_as_dicts(shuffled), ncols) == expect
 
     check()

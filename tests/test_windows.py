@@ -7,11 +7,11 @@ import pytest
 from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          spec_text)
-from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, NotAModule,
-                        OutOfWindow, WindowTooNarrow, ZeroShift)
+from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, InvalidArgument,
+                        NotAModule, OutOfWindow, WindowTooNarrow, ZeroShift)
 from avw.linalg import nullspace
 from avw.verma import HighestWeight, build_verma
-from avw.windows import (KILL_HIGHEST, KILL_LOWEST, WindowedModule, _rational_roots,
+from avw.windows import (KILL_HIGHEST, KILL_LOWEST, WindowedModule, _nonzeros, _rational_roots,
                          bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
                          from_catalog, from_verma, injectivity_json, match_json,
@@ -432,6 +432,30 @@ def test_lazy_export_equals_eager_build():
     assert lazy_scrambled.blocks == eager_scrambled.blocks
 
 
+def test_verma_nonzeros_are_the_memo_images_kept_once():
+    m = build_verma(HighestWeight.of(F(1, 3), F(1), F(3)), 2)
+    wm = from_verma(m)
+    eager = _eager_blocks(m, wm, cap=m.charge_bound - 1)
+    calls = _count_apply_gen(m)
+    for key, cols in eager.items():
+        block = wm.blocks[key]
+        for j, col in enumerate(cols):
+            pairs = _nonzeros(block, j)
+            assert _nonzeros(block, j) is pairs
+            if col is None:
+                assert pairs is None and block[j] is None
+                continue
+            assert len({r for r, _ in pairs}) == len(pairs)
+            assert dict(pairs) == {r: x for r, x in enumerate(col) if x}, (key, j)
+            # the memo's coefficients as they stand: integral ones stay int
+            assert all(type(x) is int for _, x in pairs if x == int(x))
+            dense = block[j]
+            assert dense == col and block[j] is dense
+            assert all(type(x) is F for x in dense if x)
+            assert dict(_nonzeros(block, j)) == dict(pairs)
+    assert len(calls) == sum(len(cols) for cols in eager.values())
+
+
 def _trial_division_roots(p):
     """Rational-root-theorem search over all divisor pairs; small inputs only."""
     mult = 1
@@ -478,6 +502,16 @@ def test_rational_roots_rejects_degree_above_two():
         _rational_roots([F(1), F(0), F(0), F(1)])
     with pytest.raises(ValueError):
         _rational_roots([])
+
+
+def test_zero_polynomial_and_unknown_direction_are_typed():
+    with pytest.raises(InvalidArgument, match="zero polynomial"):
+        _rational_roots([])
+    wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-3, 3))
+    for direction in ("up", "Highest", ""):
+        with pytest.raises(InvalidArgument, match="highest' or 'lowest"):
+            find_extremal_vectors(wm, direction)
+    assert issubclass(InvalidArgument, AvwError) and issubclass(InvalidArgument, ValueError)
 
 
 # -- oracles: per-entry stacking and unit-vector bracket consistency, as they
@@ -568,7 +602,7 @@ def _record_nullspace_inputs(monkeypatch):
     real = avw.windows.nullspace
 
     def spy(rows, ncols=None):
-        seen.append([list(row) for row in rows])
+        seen.append([dict(row) if isinstance(row, dict) else list(row) for row in rows])
         return real(rows, ncols=ncols)
 
     monkeypatch.setattr(avw.windows, "nullspace", spy)
@@ -643,7 +677,11 @@ def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
         seen.clear()
         got = search(wm)
         got = got.witnesses if hasattr(got, "witnesses") else got
-        assert seen == expect_stacks
+        # the oracle's rows as sparse rows: nonzeros only, zero rows dropped,
+        # in operator order; nullspace then takes them sparsest first
+        expect_sparse = [[{j: x for j, x in enumerate(row) if x} for row in stack if any(row)]
+                         for stack in expect_stacks]
+        assert seen == expect_sparse
         assert [(x.offset, x.coefficients) for x in got] == expect
 
 
