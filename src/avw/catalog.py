@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .algebra import FULL, HVIR, T2, VIR, AlgebraSpec, Gen, bracket_gens
 from .errors import GeneratorOutsideAlgebra, InternalError, NegativeHighestWeight, NotAModule
@@ -198,10 +198,42 @@ def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:
     return out
 
 
+def axiom_defect(image: Callable, bracket, x: Gen, y: Gen, v) -> Optional[dict]:
+    """[x,y] v - x (y v) + y (x v) as one coefficient dict over the labels;
+    every value is 0 iff the module axiom holds on this triple.
+
+    The one module-axiom check: ``image(g, label)`` gives g applied to label as
+    ``(label, coeff)`` pairs, or None when that image is not known (outside
+    a window); ``bracket`` is [x, y] and ``v`` the vector, both as
+    ``(key, coeff)`` pairs.  Returns None when the sum needs an unknown image.
+    """
+    out: dict = {}
+
+    def add(g: Gen, items, s) -> bool:
+        for label, c in items:
+            img = image(g, label)
+            if img is None:
+                return False
+            sc = s * c
+            for target, ct in img:
+                out[target] = out.get(target, 0) + sc * ct
+        return True
+
+    for g, cg in bracket:
+        if not add(g, v, cg):
+            return None
+    for label, c in v:
+        for inner, outer, s in ((y, x, -c), (x, y, c)):
+            mids = image(inner, label)
+            if mids is None or not add(outer, mids, s):
+                return None
+    return out
+
+
 def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
                   memo: Optional[dict] = None) -> Vec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)), summed into
-    one coefficient dict; 0 iff the module axiom holds on this triple.
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)) by
+    ``axiom_defect``; 0 iff the module axiom holds on this triple.
 
     ``memo`` is an optional dict that the caller creates for one spec and
     one sweep (``avw module-check`` makes one per run).  It keeps [x, y] by
@@ -220,22 +252,7 @@ def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
     br = memo.get((x, y))
     if br is None:
         br = memo[x, y] = bracket_gens(x, y).int_items()
-    vt = v.int_items()
-    out: dict = {}
-
-    def add(items: tuple, s) -> None:
-        for label, c in items:
-            out[label] = out.get(label, 0) + s * c
-
-    for g, cg in br:
-        for label, c in vt:
-            add(image(g, label), cg * c)
-    for label, c in vt:
-        for mid, cm in image(y, label):
-            add(image(x, mid), -c * cm)
-        for mid, cm in image(x, label):
-            add(image(y, mid), c * cm)
-    return Vec(out)
+    return Vec(axiom_defect(image, br, x, y, v.int_items()))
 
 
 def weight_of(spec: ModuleSpec, label) -> Tuple[Fraction, Fraction]:

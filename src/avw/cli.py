@@ -25,7 +25,7 @@ from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
 from .catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       T2Mod, acting_algebra, label_str, spec_text)
-from .errors import (AvwError, MissingParameter, SpecParseError, UnknownKind)
+from .errors import AvwError, MissingParameter, SpecParseError, UnknownKind, UnwritablePath
 from .linalg import Vec
 
 _KINDS = ("A", "A2", "B", "H", "T2", "T2corrupt", "loop")
@@ -41,12 +41,15 @@ _REQUIRED_KEYS = {
 
 
 def _parse_rational(text: str, pos: int) -> Fraction:
-    if not re.fullmatch(r"-?\d+(/-?\d+)?", text):
+    if not re.fullmatch(r"-?\d+(/\d+)?", text):
         raise SpecParseError(f"expected a rational like 7/6 or -2, got {text!r}", pos)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise SpecParseError("zero denominator", pos) from None
+    except ValueError:  # the only other failure: int's digit limit for strings
+        raise SpecParseError(f"numerals are limited to {sys.get_int_max_str_digits()} "
+                             f"digits", pos) from None
 
 
 def parse_spec(text: str) -> ModuleSpec:
@@ -146,10 +149,17 @@ def _vec_json(spec: ModuleSpec, v: Vec) -> Dict[str, str]:
             sorted(v.terms.items(), key=lambda kv: label_str(spec, kv[0]))}
 
 
+def _open_for_writing(path: str, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise UnwritablePath(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_report(config: RunConfig, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+        with _open_for_writing(config.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -364,7 +374,7 @@ def _singular_section(module: vm.TruncatedModule, max_depth: int) -> list:
 def _cmd_verma(config: RunConfig) -> int:
     module = _build_module(config)
     if config.emit:
-        with open(config.emit, "w", encoding="utf-8", newline="") as fh:
+        with _open_for_writing(config.emit, newline="") as fh:
             vm.write_dims_csv(module, fh)
     sing_depth = config.singular_depth
     if sing_depth is None:
@@ -594,9 +604,6 @@ def execute(config: RunConfig) -> int:
     try:
         return handler(config)
     except AvwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

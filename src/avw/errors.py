@@ -45,6 +45,10 @@ class ResourceBound(AvwError, RuntimeError):
     """A configured basis-size or exponent cap was exceeded."""
 
 
+class UnwritablePath(AvwError, OSError):
+    """A report or CSV path given on the command line cannot be opened for writing."""
+
+
 class SpecParseError(AvwError, ValueError):
     """A module-spec string failed to parse; carries the failing position."""
 

@@ -471,10 +471,6 @@ def build_verma(hw: HighestWeight, depth_bound: int,
                            max_factors=max_factors, max_basis=max_basis)
 
 
-def verma_act(module: TruncatedModule, g: Gen, v: Vec) -> Vec:
-    return module.act(g, v)
-
-
 def dims_rows(module: TruncatedModule) -> List[Tuple[int, int, int]]:
     """(depth, charge, dim) rows for every kept cell, sorted."""
     rows = []

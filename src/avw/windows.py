@@ -8,12 +8,16 @@ Matrices are stored column-major: the block for (family, degree m, offset k)
 is a list of columns, one per basis vector of offset k, each column holding
 the image coordinates over the basis of offset k+m.  Entries are exact:
 structural zeros are the ``int`` 0 and every nonzero entry is a
-``Fraction``, so zero tests on a column run at C level.  Kernel searches
-gather the columns' nonzeros into sparse rows ``{column: coeff}``.  A column
-may be ``None`` when the image is not representable inside the window
-(this happens only at the charge boundary of truncated highest-weight
-exports); analyses quantify over asserted columns only, so every reported
-fact is an exact statement about the underlying infinite module.
+``Fraction``, so zero tests on a column run at C level.  Every analysis
+reads a column as its nonzero ``(row, coeff)`` pairs through ``_nonzeros``:
+the kernel searches (injectivity, witnesses, extremal vectors) stack them
+into sparse rows ``{column: coeff}`` for one exact ``nullspace``, and the
+bracket check feeds them to ``catalog.axiom_defect``, the module-axiom check
+that ``catalog.module_defect`` runs too.  A column may be ``None`` when the
+image is not representable inside the window (this happens only at the
+charge boundary of truncated highest-weight exports); analyses quantify over
+asserted columns only, so every reported fact is an exact statement about
+the underlying infinite module.
 
 Blocks exported from a truncated highest-weight module are lazy: each column
 is computed the first time it is read and kept from then on, so an analysis
@@ -32,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Gen, bracket_gens
 from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
-                      acting_algebra, act_basis, label_str, spec_text, weight_of)
+                      acting_algebra, act_basis, axiom_defect, label_str, spec_text,
+                      weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, WindowTooNarrow, ZeroShift)
 from .linalg import Vec, nullspace
@@ -83,34 +88,6 @@ class WindowedModule:
             raise OutOfWindow(
                 f"no {family}-action of degree {m} from offset {k} "
                 f"inside window {self.window}") from None
-
-    def full_matrix(self, family: str, m: int, k: int) -> List[List[Fraction]]:
-        """Row-major matrix of the block; fails if any column is unasserted."""
-        cols = list(self.block(family, m, k))
-        if None in cols:
-            raise OutOfWindow(
-                f"{family}-action of degree {m} from offset {k} is only "
-                f"partially represented in the window")
-        if not cols:
-            return [[] for _ in range(self.dim(k + m))]
-        return [list(row) for row in zip(*cols)]
-
-    def apply_columns(self, family: str, m: int, k: int,
-                      coords: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Image coordinates of a vector at offset k, or None if the vector
-        touches an unasserted column."""
-        cols = self.block(family, m, k)
-        out = [0] * self.dim(k + m)
-        for j, cj in enumerate(coords):
-            if not cj:
-                continue
-            col = cols[j]
-            if col is None:
-                return None
-            for r, x in enumerate(col):
-                if x:
-                    out[r] += cj * x
-        return out
 
 
 def _window_action(spec: ModuleSpec, g: Gen, label) -> Vec:
@@ -336,7 +313,6 @@ class InjectivityReport:
     k: int
     i: int
     dim_source: int
-    stacked: Tuple[Tuple[Fraction, ...], ...]
     kernel_dim: int
     kernel_basis: Tuple[Tuple[Fraction, ...], ...]
 
@@ -346,7 +322,8 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
 
     The stacked map sends V_k into V_{k+i} (four summands) plus V_{k+i+1}
     (the extra d); for irreducible modules without extremal vectors this map
-    is injective for every nonzero shift.
+    is injective for every nonzero shift.  Every column of the five blocks
+    must be asserted.
     """
     if i == 0:
         raise ZeroShift("the stacked map needs a nonzero shift i")
@@ -358,18 +335,15 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
     if missing:
         raise GeneratorOutsideAlgebra(
             f"module lacks generator families {missing} needed by the map")
-    stacked: List[List[Fraction]] = []
-    stacked.extend(wm.full_matrix("d", i, k))
-    stacked.extend(wm.full_matrix("d", i + 1, k))
-    for fam in ("e", "f", "h"):
-        stacked.extend(wm.full_matrix(fam, i, k))
-    dim = wm.dim(k)
-    kernel = nullspace(stacked, ncols=dim)
-    return InjectivityReport(
-        k, i, dim,
-        tuple(tuple(row) for row in stacked),
-        len(kernel),
-        tuple(tuple(v) for v in kernel))
+    ops = (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i))
+    for fam, m in ops:
+        block = wm.block(fam, m, k)
+        if any(_nonzeros(block, j) is None for j in range(len(block))):
+            raise OutOfWindow(
+                f"{fam}-action of degree {m} from offset {k} is only "
+                f"partially represented in the window")
+    kernel = _joint_kernel(wm, ops, k, range(wm.dim(k)))
+    return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 
 KILL_HIGHEST = (("e", 0), ("d", 1), ("e", 1), ("f", 1), ("h", 1), ("d", 2))
@@ -735,62 +709,46 @@ def bracket_consistency_defects(wm: WindowedModule,
     """Check matrix([x,y]) = [matrix(x), matrix(y)] on all fully-contained
     compositions; returns one record per failing (x, y, offset, column).
 
-    Column j of a block is the image of the j-th basis vector, so the
-    inner maps and the bracket terms are read off the blocks directly and
-    only the outer maps are applied.
+    Each basis vector goes through ``catalog.axiom_defect``, the check that
+    ``catalog.module_defect`` makes.  The action on label (k, j) is column j
+    of block (family, degree, k) as ``((k + degree, row), coeff)`` pairs,
+    read once per run; C acts by ``wm.central``.  A column that is None or
+    a block the window lacks is unknown, and a vector whose sum needs one is
+    skipped.
     """
     p, q = wm.window
     fams = sorted(wm.families)
     degs = sorted({m for (_, m, _) in wm.blocks})
     if degree_limit is not None:
         degs = [m for m in degs if abs(m) <= degree_limit]
+    known: Dict[Tuple[Gen, Tuple[int, int]], Optional[tuple]] = {}
+
+    def image(g: Gen, label: Tuple[int, int]) -> Optional[tuple]:
+        key = (g, label)
+        if key not in known:
+            (k, j), m = label, g.degree
+            col = None
+            if g.family == "C":
+                col = ((j, wm.central),)
+            elif wm.has_block(g.family, m, k):
+                col = _nonzeros(wm.block(g.family, m, k), j)
+            known[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
+        return known[key]
+
     defects: List[dict] = []
     for f1 in fams:
         for m1 in degs:
             for f2 in fams:
                 for m2 in degs:
-                    br = bracket_gens(Gen(f1, m1), Gen(f2, m2))
+                    x, y = Gen(f1, m1), Gen(f2, m2)
+                    br = bracket_gens(x, y).int_items()
                     for k in range(p, q + 1):
                         if not (p <= k + m1 <= q and p <= k + m2 <= q
                                 and p <= k + m1 + m2 <= q):
                             continue
-                        if not (wm.has_block(f2, m2, k) and wm.has_block(f1, m1, k + m2)
-                                and wm.has_block(f1, m1, k) and wm.has_block(f2, m2, k + m1)):
-                            continue
-                        usable = True
-                        for g, _ in br:
-                            if g.family != "C" and not wm.has_block(g.family, m1 + m2, k):
-                                usable = False
-                        if not usable:
-                            continue
-                        inner2, inner1 = wm.block(f2, m2, k), wm.block(f1, m1, k)
-                        terms = [(coeff, None if g.family == "C"
-                                  else wm.block(g.family, m1 + m2, k)) for g, coeff in br]
                         for j in range(wm.dim(k)):
-                            a1, a2 = inner2[j], inner1[j]
-                            if a1 is None or a2 is None:
-                                continue
-                            b1 = wm.apply_columns(f1, m1, k + m2, a1)
-                            b2 = wm.apply_columns(f2, m2, k + m1, a2)
-                            if b1 is None or b2 is None:
-                                continue
-                            lhs: List = [0] * wm.dim(k + m1 + m2)
-                            ok = True
-                            for coeff, block in terms:
-                                if block is None:  # the central element C
-                                    if m1 + m2 == 0:
-                                        lhs[j] += coeff * wm.central
-                                    continue
-                                img = block[j]
-                                if img is None:
-                                    ok = False
-                                    break
-                                for r, x in enumerate(img):
-                                    if x:
-                                        lhs[r] += coeff * x
-                            if not ok:
-                                continue
-                            if any(lhs[r] - (b1[r] - b2[r]) for r in range(len(lhs))):
+                            dft = axiom_defect(image, br, x, y, (((k, j), 1),))
+                            if dft is not None and any(dft.values()):
                                 defects.append({
                                     "x": f"{f1}_{m1}", "y": f"{f2}_{m2}",
                                     "offset": k, "column": j,

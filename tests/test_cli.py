@@ -11,7 +11,7 @@ from avw.algebra import C
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
 from avw.cli import (RunConfig, build_parser, config_from_args, execute, main,
                      parse_spec)
-from avw.errors import MissingParameter, SpecParseError, UnknownKind
+from avw.errors import AvwError, MissingParameter, SpecParseError, UnknownKind, UnwritablePath
 from avw.linalg import Vec
 
 
@@ -249,6 +249,39 @@ def test_support_command(capsys):
 def test_bad_spec_exits_2(capsys):
     assert run(["simple", "--module", "A:a=1/0"]) == 2
     assert "denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/-2", "expected a rational like 7/6 or -2, got '1/-2'"),
+    ("7" * 5000, "numerals are limited to 4300 digits"),
+], ids=["negative-denominator", "5000-digits"])
+def test_bad_rational_is_a_typed_spec_error(value, message, capsys):
+    with pytest.raises(SpecParseError, match=message) as err:
+        parse_spec(f"A:a={value},b=0")
+    assert err.value.position == 4
+    assert run(["simple", "--module", f"A:a={value},b=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err.value}\n" and captured.out == ""
+    # the same value as a highest-weight flag is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["singular", f"--lamd={value}", "--mu=1", "--c=0", "--depth=2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simple", "--module", "A:a=1/2,b=1/3", "--out"],
+    ["verma", "--lamd", "1/2", "--mu", "1", "--c", "0", "--depth", "1", "--emit"],
+], ids=["out", "emit"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, args):
+    path = tmp_path / "no-such-dir" / "report"
+    assert run(args + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {str(path)!r}: No such file or directory\n"
+    assert captured.out == "" and not path.parent.exists()
+    assert run(args + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
+    assert issubclass(UnwritablePath, AvwError) and issubclass(UnwritablePath, OSError)
 
 
 def test_negative_depth_exits_2(capsys):
