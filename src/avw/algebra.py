@@ -14,7 +14,9 @@ Everything is exact over the rationals.  Elements are immutable and all
 operations are pure functions, so concurrent use needs no locking.  The
 module holds no cache: ``jacobi_defect`` takes an optional ``memo`` dict
 that the caller creates for one sweep (``avw jacobi`` makes one per run),
-keeps ``bracket_gens`` results by generator pair, and drops.
+keeps ``bracket_gens`` results by generator pair, and drops.  The Jacobi
+sum of a triple is the same three terms for each of its cyclic rotations,
+for any bracket, so a sweep over all triples computes it once per orbit.
 """
 
 from __future__ import annotations
@@ -131,7 +133,10 @@ def bracket(x: Union[Gen, Vec], y: Union[Gen, Vec]) -> Vec:
 
 def jacobi_defect(x: Gen, y: Gen, z: Gen, memo: Optional[dict] = None) -> Vec:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]], summed into one coefficient dict;
-    zero exactly when Jacobi holds.  ``memo`` is as in the module docstring."""
+    zero exactly when Jacobi holds.  The sum is invariant under rotating
+    (x, y, z), so a sweep needs one call per cyclic orbit (``avw jacobi``
+    calls it on the least rotation of generator indices).  ``memo`` is as in
+    the module docstring."""
     if memo is None:
         memo = {}
     out: dict = {}
@@ -139,7 +144,7 @@ def jacobi_defect(x: Gen, y: Gen, z: Gen, memo: Optional[dict] = None) -> Vec:
         for g, cg in _bracket_items(memo, b, c):
             for k, ck in _bracket_items(memo, a, g):
                 out[k] = out.get(k, 0) + cg * ck
-    return Vec(out)
+    return Vec(out) if any(out.values()) else Vec()
 
 
 class AlgebraSpec(NamedTuple):
@@ -160,6 +165,12 @@ class AlgebraSpec(NamedTuple):
             if fam == g.family and (degs == "all" or g.degree in degs):
                 return True
         return False
+
+    def generator_count(self, lo: int, hi: int) -> int:
+        """The length of ``generators(lo, hi)`` for lo <= hi, without listing them."""
+        return self.has_center + sum(hi - lo + 1 if degs == "all" else
+                                     sum(lo <= k <= hi for k in degs)
+                                     for _, degs in self.families)
 
     def generators(self, lo: int, hi: int) -> Iterator[Gen]:
         """Basis generators with degree in [lo, hi], C last if present."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, lcm
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .algebra import FULL, HVIR, T2, VIR, AlgebraSpec, Gen, bracket_gens
@@ -235,24 +235,35 @@ def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
     """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)) by
     ``axiom_defect``; 0 iff the module axiom holds on this triple.
 
+    The sum runs in integers: D, the lcm of the denominators of the spec's
+    rational parameters, clears the denominators of every ``act_basis``
+    coefficient, so with the images and the terms of [x, y] multiplied by D
+    every term is D^2 times its true value.  A nonzero sum is divided by D^2.
+
     ``memo`` is an optional dict that the caller creates for one spec and
-    one sweep (``avw module-check`` makes one per run).  It keeps [x, y] by
-    ``(x, y)`` and ``act_basis`` images by ``(g, label)``, as
+    one sweep (``avw module-check`` makes one per run).  It keeps D [x, y]
+    by ``(x, y)`` and D times the ``act_basis`` images by ``(g, label)``, as
     ``Vec.int_items``; a label is never a ``Gen``, so the keys cannot meet.
     """
     if memo is None:
         memo = {}
+    scale = lcm(spec.a.denominator, getattr(spec, "b", 1).denominator,
+                getattr(spec, "c", 1).denominator)
 
     def image(g: Gen, label) -> tuple:
         items = memo.get((g, label))
         if items is None:
-            items = memo[g, label] = act_basis(spec, g, label).int_items()
+            items = memo[g, label] = act_basis(spec, g, label).scaled(scale).int_items()
         return items
 
     br = memo.get((x, y))
     if br is None:
-        br = memo[x, y] = bracket_gens(x, y).int_items()
-    return Vec(axiom_defect(image, br, x, y, v.int_items()))
+        br = memo[x, y] = bracket_gens(x, y).scaled(scale).int_items()
+    out = axiom_defect(image, br, x, y, v.int_items())
+    if not any(out.values()):
+        return Vec()
+    square = scale * scale
+    return Vec({label: Fraction(c, square) for label, c in out.items()})
 
 
 def weight_of(spec: ModuleSpec, label) -> Tuple[Fraction, Fraction]:

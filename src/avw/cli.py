@@ -25,8 +25,14 @@ from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
 from .catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       T2Mod, acting_algebra, label_str, spec_text)
-from .errors import AvwError, MissingParameter, SpecParseError, UnknownKind, UnwritablePath
+from .errors import (AvwError, MissingParameter, ResourceBound, SpecParseError, UnknownKind,
+                     UnwritablePath)
 from .linalg import Vec
+
+# jacobi sweeps gens^3 triples and module-check gens^2 x labels checks; a
+# sweep over this many exits 2 before it starts (--range=-20..20 of L is 4.5M)
+DEFAULT_MAX_SWEEP = 5_000_000
+MAX_SWEEP_ENV = "AVW_MAX_SWEEP"
 
 _KINDS = ("A", "A2", "B", "H", "T2", "T2corrupt", "loop")
 _REQUIRED_KEYS = {
@@ -165,9 +171,17 @@ def _write_report(config: RunConfig, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _bound_sweep(count: int, what: str) -> None:
+    cap = vm.cap_from_env(MAX_SWEEP_ENV, DEFAULT_MAX_SWEEP)
+    if count > cap:
+        raise ResourceBound(f"the sweep has {count} {what}, over the cap {cap}; "
+                            f"raise {MAX_SWEEP_ENV} or narrow the ranges")
+
+
 def _cmd_jacobi(config: RunConfig) -> int:
     alg = algebra_by_name(config.algebra)
     lo, hi = config.deg_range
+    _bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
     gens = list(alg.generators(lo, hi))
     defects: List[dict] = []
     anti = grading = closure = 0
@@ -181,13 +195,23 @@ def _cmd_jacobi(config: RunConfig) -> int:
                     grading += 1
             if not in_subalgebra(br, alg):
                 closure += 1
+    # jacobi_defect runs once per cyclic orbit of index triples, on its least
+    # rotation, which the loop reaches first; the other rotations read the
+    # nonzero sums, kept by that rotation.  The memo keeps generator brackets;
+    # both live for this run only.
     jac = 0
-    memo: dict = {}  # generator brackets of this run; dropped on return
-    for x in gens:
-        for y in gens:
-            for z in gens:
-                dft = jacobi_defect(x, y, z, memo)
-                if not dft.is_zero():
+    memo: dict = {}
+    nonzero: dict = {}
+    for i, x in enumerate(gens):
+        for j, y in enumerate(gens):
+            for k, z in enumerate(gens):
+                if i < j and i < k or i == j <= k:  # the least rotation
+                    dft = jacobi_defect(x, y, z, memo)
+                    if dft:
+                        nonzero[i, j, k] = dft
+                else:
+                    dft = nonzero and nonzero.get(min((j, k, i), (k, i, j)))
+                if dft:
                     jac += 1
                     if len(defects) < 10:
                         defects.append({"triple": [str(x), str(y), str(z)],
@@ -219,16 +243,20 @@ def _cmd_module_check(config: RunConfig) -> int:
     spec = parse_spec(config.module)
     alg = acting_algebra(spec)
     lo, hi = config.deg_range
+    lab_lo, lab_hi = config.label_range
+    n_labels = (lab_hi - lab_lo + 1) * (spec.lam + 1 if isinstance(spec, LoopMod) else 1)
+    _bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
     gens = list(alg.generators(lo, hi))
-    labels = _module_labels(spec, *config.label_range)
+    labels = _module_labels(spec, lab_lo, lab_hi)
+    vectors = [(lab, Vec.basis(lab)) for lab in labels]
     n_defects = 0
     samples: List[dict] = []
     memo: dict = {}  # brackets and act_basis images of this run; dropped on return
     for x in gens:
         for y in gens:
-            for lab in labels:
-                dft = cat.module_defect(spec, x, y, Vec.basis(lab), memo)
-                if not dft.is_zero():
+            for lab, v in vectors:
+                dft = cat.module_defect(spec, x, y, v, memo)
+                if dft:
                     n_defects += 1
                     if len(samples) < 10:
                         samples.append({

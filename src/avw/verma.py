@@ -70,17 +70,19 @@ def _exact(x: Coeff) -> Coeff:
     return x.numerator if x.denominator == 1 else x
 
 
-def _max_basis_from_env() -> int:
-    raw = os.environ.get(MAX_BASIS_ENV)
+def cap_from_env(name: str, default: int) -> int:
+    """The work cap in environment variable ``name``, or ``default`` when it
+    is unset; anything but a nonnegative integer raises InvalidBound."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_MAX_BASIS
+        return default
     try:
         cap = int(raw)
         if cap < 0:
             raise ValueError(cap)
     except ValueError:
         raise InvalidBound(
-            f"{MAX_BASIS_ENV} must be a nonnegative integer, got {raw!r}") from None
+            f"{name} must be a nonnegative integer, got {raw!r}") from None
     return cap
 
 
@@ -331,7 +333,7 @@ class TruncatedModule:
         if charge_bound < 0:
             raise InvalidBound("charge bound must be >= 0")
         if max_basis is None:
-            max_basis = _max_basis_from_env()
+            max_basis = cap_from_env(MAX_BASIS_ENV, DEFAULT_MAX_BASIS)
         self.hw = hw
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound

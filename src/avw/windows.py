@@ -197,22 +197,36 @@ def _nonzeros(block: Sequence[Column], j: int) -> Optional[Sequence[Tuple[int, o
 
 
 def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
-                  cols: Sequence[int]) -> List[Tuple[Fraction, ...]]:
+                  cols: Sequence[int], whole: bool = False) -> List[Tuple[Fraction, ...]]:
     """Common kernel of the ops on the span of those basis vectors ``cols`` of
     offset k on which every op is asserted, as vectors over the whole basis.
-    The stack is built as rows ``{position: coeff}``, op by op, without the
-    empty rows."""
-    blocks = [wm.block(fam, m, k) for fam, m in ops]
-    cols = [j for j in cols if all(_nonzeros(block, j) is not None for block in blocks)]
-    if not cols:
+    With ``whole``, an op with an unasserted column among ``cols`` raises
+    OutOfWindow instead, checked op by op.  Each column is read once, and not
+    at all once an earlier op leaves it unasserted; the stack is built as
+    rows ``{position: coeff}``, op by op, without the empty rows."""
+    read: List[list] = []  # per op, the pairs of each of cols
+    asserted = range(len(cols))  # positions in cols asserted by every op so far
+    for fam, m in ops:
+        block = wm.block(fam, m, k)
+        pairs: list = [None] * len(cols)
+        for idx in asserted:
+            pairs[idx] = _nonzeros(block, cols[idx])
+        asserted = [idx for idx in asserted if pairs[idx] is not None]
+        if whole and len(asserted) < len(cols):
+            raise OutOfWindow(
+                f"{fam}-action of degree {m} from offset {k} is only "
+                f"partially represented in the window")
+        read.append(pairs)
+    if not asserted:
         return []
     stacked: List[Dict[int, object]] = []
-    for block in blocks:
+    for pairs in read:
         rows: Dict[int, Dict[int, object]] = defaultdict(dict)
-        for idx, j in enumerate(cols):
-            for r, x in _nonzeros(block, j):
-                rows[r][idx] = x
+        for pos, idx in enumerate(asserted):
+            for r, x in pairs[idx]:
+                rows[r][pos] = x
         stacked.extend(rows[r] for r in sorted(rows))
+    cols = [cols[idx] for idx in asserted]
     kernel = []
     for v in nullspace(stacked, ncols=len(cols)):
         full = [Fraction(0)] * wm.dim(k)
@@ -336,13 +350,7 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
         raise GeneratorOutsideAlgebra(
             f"module lacks generator families {missing} needed by the map")
     ops = (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i))
-    for fam, m in ops:
-        block = wm.block(fam, m, k)
-        if any(_nonzeros(block, j) is None for j in range(len(block))):
-            raise OutOfWindow(
-                f"{fam}-action of degree {m} from offset {k} is only "
-                f"partially represented in the window")
-    kernel = _joint_kernel(wm, ops, k, range(wm.dim(k)))
+    kernel = _joint_kernel(wm, ops, k, range(wm.dim(k)), whole=True)
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 

@@ -102,6 +102,13 @@ def test_subalgebra_closure(name):
             assert in_subalgebra(bracket_gens(x, y), alg), (name, x, y)
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_generator_count_is_the_length_of_the_listing(name):
+    alg = ALGEBRAS[name]
+    for lo, hi in ((-5, 5), (0, 0), (1, 4), (-3, -1), (-7, 0)):
+        assert alg.generator_count(lo, hi) == len(list(alg.generators(lo, hi))), (lo, hi)
+
+
 def test_centrality():
     for g in _basis(-6, 6):
         assert bracket_gens(C, g).is_zero()

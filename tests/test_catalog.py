@@ -281,12 +281,14 @@ def test_module_defect_matches_oracle(spec, deg):
 
 def test_module_defect_memo_keys():
     # the memo holds [x, y] by generator pair and act_basis images by
-    # (generator, label); labels never collide with generators
+    # (generator, label), both scaled by D = lcm(2, 3), the lcm of the
+    # parameter denominators; labels never collide with generators
     spec = LoopMod(1, F(1, 2), F(1, 3))
     memo = {}
     module_defect(spec, e(1), f(-1), Vec.basis((0, 2)), memo)
-    assert dict(memo[e(1), f(-1)]) == bracket_gens(e(1), f(-1)).terms
-    assert dict(memo[f(-1), (0, 2)]) == act_basis(spec, f(-1), (0, 2)).terms
+    assert dict(memo[e(1), f(-1)]) == bracket_gens(e(1), f(-1)).scaled(6).terms
+    assert dict(memo[f(-1), (0, 2)]) == act_basis(spec, f(-1), (0, 2)).scaled(6).terms
+    assert all(type(c) is int for items in memo.values() for _, c in items)
     assert all(isinstance(key[0], Gen) for key in memo)
 
 

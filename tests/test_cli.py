@@ -7,10 +7,10 @@ import pytest
 
 import avw.algebra
 import avw.catalog
-from avw.algebra import C
+from avw.algebra import C, bracket, element_str, h
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
-from avw.cli import (RunConfig, build_parser, config_from_args, execute, main,
-                     parse_spec)
+from avw.cli import (DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV, RunConfig, build_parser,
+                     config_from_args, execute, main, parse_spec)
 from avw.errors import AvwError, MissingParameter, SpecParseError, UnknownKind, UnwritablePath
 from avw.linalg import Vec
 
@@ -104,6 +104,67 @@ def test_jacobi_reads_live_defining_relations(monkeypatch, capsys):
     assert payload["jacobi_defects"] > 0
     # the pair checks read avw.cli.bracket_gens, which is untouched
     assert payload["antisymmetry_defects"] == 0
+
+
+def _drop_central(real):
+    # the patch above: [d_i, d_-i] loses its central term for i > 0 only
+    def broken(x, y):
+        out = real(x, y)
+        if x.family == y.family == "d" and x.degree > 0 and x.degree + y.degree == 0:
+            return Vec({g: c for g, c in out if g != C})
+        return out
+    return broken
+
+
+def _break_antisymmetry(real):
+    # [e_i, e_j] gains 1/3 h_{i+j} for i > j while [e_j, e_i] stays 0
+    def broken(x, y):
+        out = real(x, y)
+        if x.family == y.family == "e" and x.degree > y.degree:
+            return out + Vec({h(x.degree + y.degree): F(1, 3)})
+        return out
+    return broken
+
+
+@pytest.mark.parametrize("patch", [_drop_central, _break_antisymmetry])
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (-3, 2)])
+def test_jacobi_orbit_sweep_matches_all_triples_oracle(patch, lo, hi, monkeypatch, capsys):
+    # the command computes one Jacobi sum per cyclic orbit; the oracle sums
+    # [x,[y,z]] + [y,[z,x]] + [z,[x,y]] through avw.algebra.bracket on every
+    # triple, so a broken bracket must give the same count and samples
+    broken = patch(avw.algebra.bracket_gens)
+    monkeypatch.setattr(avw.algebra, "bracket_gens", broken)
+    gens = list(avw.algebra.FULL.generators(lo, hi))
+    # neither patched bracket is antisymmetric
+    assert any(broken(x, y) + broken(y, x) for x in gens for y in gens)
+    jac, samples = 0, []
+    for x in gens:
+        for y in gens:
+            for z in gens:
+                dft = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+                       + bracket(z, bracket(x, y)))
+                if dft:
+                    jac += 1
+                    if len(samples) < 10:
+                        samples.append({"triple": [str(x), str(y), str(z)],
+                                        "defect": element_str(dft)})
+    assert jac > 0
+    assert run(["jacobi", f"--range={lo}..{hi}"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["jacobi_defects"] == jac
+    assert payload["defects"] == samples
+
+
+def test_jacobi_defect_runs_once_per_cyclic_orbit(monkeypatch, capsys):
+    calls = []
+    real = avw.cli.jacobi_defect
+    monkeypatch.setattr(avw.cli, "jacobi_defect", lambda *a: calls.append(a[:3]) or real(*a))
+    assert run(["jacobi", "--range=-2..2"]) == 0
+    n = json.loads(capsys.readouterr().out)["generators"]
+    # n^3 triples: n fixed by rotation, the others in orbits of three
+    assert len(calls) == len(set(calls)) == (n ** 3 + 2 * n) // 3
+    orbits = {min((x, y, z), (y, z, x), (z, x, y)) for x, y, z in calls}
+    assert len(orbits) == len(calls)
 
 
 def _calls_per_run(monkeypatch, owner, name, args, keep=lambda call: True):
@@ -322,6 +383,48 @@ def test_bad_max_basis_env_exits_2(monkeypatch, capsys, raw):
     assert run(["singular", "--lamd", "1/2", "--mu", "1", "--c", "0",
                 "--depth", "2"]) == 2
     assert "AVW_MAX_BASIS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, count", [
+    (["jacobi", "--range=-100..100"], 805 ** 3),
+    (["module-check", "--module=loop:lambda=2,a=0,b=0", "--deg-range=-50..50",
+      "--label-range=-100..100"], 405 ** 2 * 201 * 3),
+    # a range this wide would not even fit its generator list in memory
+    (["jacobi", "--range=-1000000000000..1000000000000"], (4 * (2 * 10 ** 12 + 1) + 1) ** 3),
+])
+def test_sweep_over_the_cap_exits_2_before_it_starts(args, count, capsys):
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"the sweep has {count} " in err
+    assert f"over the cap {DEFAULT_MAX_SWEEP}" in err and MAX_SWEEP_ENV in err
+
+
+def test_sweep_cap_admits_the_documented_sweeps():
+    # jacobi --range=-20..20 on L, and the widest bench and README sweeps
+    assert avw.algebra.FULL.generator_count(-20, 20) ** 3 <= DEFAULT_MAX_SWEEP
+    assert avw.algebra.FULL.generator_count(-3, 3) ** 2 * 7 * 2 <= DEFAULT_MAX_SWEEP
+
+
+def test_sweep_cap_reads_its_environment_override(monkeypatch, capsys):
+    args = ["module-check", "--module=A:a=1/2,b=1/3", "--deg-range=-1..1",
+            "--label-range=-1..1"]
+    monkeypatch.setenv(MAX_SWEEP_ENV, "48")  # 4 generators, 3 labels
+    assert run(args) == 0
+    monkeypatch.setenv(MAX_SWEEP_ENV, "47")
+    assert run(args) == 2
+    assert "the sweep has 48 checks, over the cap 47" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["many", "-3", "1e9"])
+@pytest.mark.parametrize("args", [["jacobi", "--range=0..1"],
+                                  ["module-check", "--module=B:a=0"]])
+def test_bad_sweep_cap_env_exits_2(monkeypatch, capsys, raw, args):
+    monkeypatch.setenv(MAX_SWEEP_ENV, raw)
+    assert run(args) == 2
+    assert f"{MAX_SWEEP_ENV} must be a nonnegative integer, got {raw!r}" \
+        in capsys.readouterr().err
 
 
 def test_unknown_command_usage_error():

@@ -11,7 +11,8 @@ from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, Invali
                         NotAModule, OutOfWindow, WindowTooNarrow, ZeroShift)
 from avw.linalg import nullspace
 from avw.verma import HighestWeight, build_verma
-from avw.windows import (KILL_HIGHEST, KILL_LOWEST, WindowedModule, _nonzeros, _rational_roots,
+from avw.windows import (KILL_HIGHEST, KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
+                         _nonzeros, _rational_roots,
                          bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
                          from_catalog, from_verma, injectivity_json, match_json,
@@ -691,6 +692,45 @@ def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
                          for stack in expect_stacks]
         assert seen == expect_sparse
         assert [(x.offset, x.coefficients) for x in got] == expect
+
+
+def test_each_column_is_read_once_per_analysis(monkeypatch):
+    import avw.windows
+    reads = []
+    real = avw.windows._nonzeros
+    monkeypatch.setattr(avw.windows, "_nonzeros",
+                        lambda block, j: reads.append((id(block), j)) or real(block, j))
+    wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-4, 4))
+    stacked_shift_injectivity(wm, 0, 1)
+    assert len(reads) == len(set(reads)) == 5 * wm.dim(0)
+    hw_wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4))
+    for window in (wm, hw_wm):
+        for search in (submodule_witness, lambda w: find_extremal_vectors(w, "highest"),
+                       lambda w: find_extremal_vectors(w, "lowest")):
+            reads.clear()
+            try:
+                search(window)
+            except WindowTooNarrow:
+                continue
+            assert len(reads) == len(set(reads)) > 0
+
+
+class _UnreadColumn(list):
+    """A block whose column 0 must not be read."""
+
+    def __getitem__(self, j):
+        assert j != 0, "column 0 was read after an earlier op left it unasserted"
+        return super().__getitem__(j)
+
+
+def test_a_column_an_earlier_op_leaves_unasserted_is_not_read():
+    labels = (BasisLabel("v0", F(0), F(0)), BasisLabel("v1", F(0), F(0)))
+    wm = WindowedModule((0, 1), frozenset("de"), F(0),
+                        {0: labels, 1: labels[:1]},
+                        {("d", 1, 0): [None, [F(1)]], ("e", 1, 0): _UnreadColumn([[0], [F(2)]])})
+    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0, range(2)) == []
+    with pytest.raises(OutOfWindow, match="d-action of degree 1 from offset 0 is only partially"):
+        _joint_kernel(wm, (("d", 1), ("e", 1)), 0, range(2), whole=True)
 
 
 def test_full_matrix_of_a_block_without_columns_keeps_its_rows():
