@@ -4,7 +4,8 @@ Commands: jacobi, module-check, catalog, simple, structure, loop-dims,
 verma, singular, injectivity, witness, match, support.
 
 Exit codes: 0 = ran and all checks passed; 1 = ran but a check found a
-defect/violation; 2 = usage or configuration error.  All numbers in reports
+defect/violation; 2 = usage or configuration error; 3 = internal error, a
+defect in the workbench rather than in the input.  All numbers in reports
 are exact fraction strings; identical configurations (including seeds)
 produce byte-identical report files.
 """
@@ -25,8 +26,8 @@ from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
 from .catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       T2Mod, acting_algebra, label_str, spec_text)
-from .errors import (AvwError, MissingParameter, ResourceBound, SpecParseError, UnknownKind,
-                     UnwritablePath)
+from .errors import (AvwError, InternalError, MissingParameter, ResourceBound, SpecParseError,
+                     UnknownKind, UnwritablePath)
 from .linalg import Vec
 
 # jacobi sweeps gens^3 triples and module-check gens^2 x labels checks; a
@@ -291,9 +292,10 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
     if matrices:
         blocks = {}
         for (fam, m, k), cols in sorted(wm.blocks.items()):
-            key = f"{fam}[{m}] from {k}"
-            blocks[key] = [[_fs(x) for x in col] if col is not None else None
-                           for col in cols]
+            rows = range(wm.dim(k + m))  # printed densely: "0" off the pairs
+            entries = [None if col is None else dict(col) for col in cols]
+            blocks[f"{fam}[{m}] from {k}"] = [
+                None if e is None else [_fs(e.get(r, 0)) for r in rows] for e in entries]
         payload["blocks"] = blocks
     return payload
 
@@ -470,6 +472,8 @@ def _cmd_witness(config: RunConfig) -> int:
     for direction in ("highest", "lowest"):
         try:
             vecs = win.find_extremal_vectors(wm, direction)
+        except InternalError:
+            raise  # a defect, not a limit of the window
         except AvwError as exc:
             extremal[direction] = {"not_searchable": str(exc)}
             continue
@@ -631,6 +635,9 @@ def execute(config: RunConfig) -> int:
         return 2
     try:
         return handler(config)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except AvwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,17 @@
 
 All matrices are lists of rows with exact entries (``int`` or
 ``fractions.Fraction``; kernels come back as ``Fraction``), or for kernels
-dicts ``{col: coeff}``.  Ranks and kernels go through ``row_echelon_ff``, a
-sparse fraction-free elimination over primitive integer rows, so no floating
-point appears anywhere.  ``nullspace`` returns the canonical kernel basis,
-which does not depend on the echelon form or the row order.
+dicts ``{col: coeff}``, which ``stack_columns`` builds from matrices given
+column by column as ``(row, coeff)`` pairs.  Ranks and kernels go through
+``row_echelon_ff``, a sparse fraction-free elimination over primitive
+integer rows, so no floating point appears anywhere.  ``nullspace`` returns
+the canonical kernel basis, which does not depend on the echelon form or the
+row order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
@@ -79,6 +82,20 @@ def row_echelon_ff(rows: Sequence, ncols: int | None = None) -> Tuple[List[List[
                 r = _primitive(r)
     pivots = sorted(pivot_rows)
     return [[pivot_rows[c].get(j, 0) for j in range(ncols)] for c in pivots], pivots
+
+
+def stack_columns(matrices) -> List[Dict[int, object]]:
+    """Sparse rows ``{col: coeff}`` of matrices given column by column, each
+    column its ``(row, coeff)`` pairs, stacked in the order given: per matrix
+    its nonempty rows in ascending order."""
+    stacked: List[Dict[int, object]] = []
+    for columns in matrices:
+        rows: Dict[int, Dict[int, object]] = defaultdict(dict)
+        for col, pairs in enumerate(columns):
+            for r, x in pairs:
+                rows[r][col] = x
+        stacked.extend(rows[r] for r in sorted(rows))
+    return stacked
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

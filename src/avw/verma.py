@@ -49,8 +49,8 @@ from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
 # unused here, but perfbench/tracer.py counts bracket_gens calls by wrapping
 # the name in every module that imports it
 from .algebra import bracket_gens  # noqa: F401
-from .errors import InvalidBound, OutOfWindow, ResourceBound
-from .linalg import Vec, frac, nullspace
+from .errors import InternalError, InvalidBound, OutOfWindow, ResourceBound
+from .linalg import Vec, frac, nullspace, stack_columns
 
 Mono = Tuple[Gen, ...]
 
@@ -63,6 +63,8 @@ MAX_BASIS_ENV = "AVW_MAX_BASIS"
 RAISING_KILL_SET = (e(0), d(1), e(1), f(1), h(1), d(2))
 
 Coeff = Union[int, Fraction]
+# a matrix column: its nonzero (row, coeff) pairs in ascending row order
+Pairs = Tuple[Tuple[int, Coeff], ...]
 
 
 def _exact(x: Coeff) -> Coeff:
@@ -199,6 +201,14 @@ def pbw_straighten(word: Sequence[Gen], hw: HighestWeight,
                 acc[m2] = acc.get(m2, 0) + coeff * c2
         vec = {m: _exact(v) for m, v in acc.items() if v}
     return vec
+
+
+def image_pairs(img: Mapping, target: Mapping) -> Pairs:
+    """An image ``{basis vector: coeff}`` as its ``(row, coeff)`` pairs over
+    ``target`` (basis vector -> row), in ascending row order."""
+    pairs = [(target[m2], c2) for m2, c2 in img.items()]
+    pairs.sort()  # in place: cheaper than sorted() on short images
+    return tuple(pairs)
 
 
 def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
@@ -402,14 +412,13 @@ class TruncatedModule:
                 acc[m2] = acc.get(m2, Fraction(0)) + coeff * c2
         return Vec(acc)
 
-    def cell_matrix(self, g: Gen, cell: Tuple[int, int]) -> List[List[Coeff]]:
-        """Matrix of g from the given cell to its shifted target cell.
+    def cell_matrix(self, g: Gen, cell: Tuple[int, int]) -> List[Pairs]:
+        """Matrix of g from the given cell to its shifted target cell, column
+        by column: the ``image_pairs`` of each source monomial's image.
 
-        Rows are indexed by the target-cell basis; a mathematically empty
-        target (negative depth, or charge below -depth) yields a 0 x dim
-        matrix after checking the images really vanish.  Entries are exact:
-        structural zeros are the ``int`` 0 and the others are the memo
-        coefficients as they stand (``int`` when integral, else ``Fraction``).
+        A mathematically empty target (negative depth, or charge below
+        -depth) yields empty columns after checking the images really vanish;
+        a nonzero image there is a defect of the action (InternalError).
         """
         n, s = cell
         source = self.cells.get(cell, ())
@@ -417,28 +426,25 @@ class TruncatedModule:
         s2 = s + charge_shift(g)
         if n2 < 0 or s2 < -n2:
             for mono in source:
-                img = self.apply_gen(g, mono)
-                if img:
-                    raise AssertionError(
-                        f"nonzero image in a weight-empty cell ({n2}, {s2})")
-            return []
+                if self.apply_gen(g, mono):
+                    raise InternalError(f"nonzero image of {g} from cell {cell} in "
+                                        f"the weight-empty cell ({n2}, {s2})")
+            return [()] * len(source)
         if n2 > self.depth_bound or s2 > self.charge_bound:
             raise OutOfWindow(
                 f"matrix of {g} from cell {cell} targets ({n2}, {s2}) "
                 f"outside the truncation")
-        target_index = self.index[(n2, s2)]
-        mat = [[0] * len(source) for _ in target_index]
-        for j, mono in enumerate(source):
-            for m2, c2 in self.apply_gen(g, mono).items():
-                mat[target_index[m2]][j] = c2
-        return mat
+        target = self.index[(n2, s2)]  # holds every image: g moves weights by a fixed shift
+        return [image_pairs(self.apply_gen(g, mono), target) for mono in source]
 
     def find_singular_vectors(self, max_depth: int) -> List[SingularVector]:
         """Joint kernels of the raising kill set, cell by cell.
 
         Searches cells with depth <= max_depth and charge <= S-1 (the top
         charge slice is excluded because the f_1 image would leave the kept
-        cells).  The highest-weight line itself always appears at (0, 0).
+        cells).  A cell is one weight space, so its kill-set stack is one
+        ``stack_columns`` of the operators' ``cell_matrix`` columns.  The
+        highest-weight line itself always appears at (0, 0).
         """
         if max_depth > self.depth_bound - 2:
             raise OutOfWindow(
@@ -450,9 +456,7 @@ class TruncatedModule:
                 basis = self.cells[(n, s)]
                 if not basis:
                     continue
-                stacked: List[List[Coeff]] = []
-                for g in RAISING_KILL_SET:
-                    stacked.extend(self.cell_matrix(g, (n, s)))
+                stacked = stack_columns(self.cell_matrix(g, (n, s)) for g in RAISING_KILL_SET)
                 for coeffs in nullspace(stacked, ncols=len(basis)):
                     results.append(SingularVector(n, s, basis, tuple(coeffs)))
         return results

@@ -5,19 +5,21 @@ offsets p..q, a finite basis per offset carrying exact (d0, h0)-eigenvalue
 labels, and exact matrices for the generator actions between offsets.
 
 Matrices are stored column-major: the block for (family, degree m, offset k)
-is a list of columns, one per basis vector of offset k, each column holding
-the image coordinates over the basis of offset k+m.  Entries are exact:
-structural zeros are the ``int`` 0 and every nonzero entry is a
-``Fraction``, so zero tests on a column run at C level.  Every analysis
-reads a column as its nonzero ``(row, coeff)`` pairs through ``_nonzeros``:
-the kernel searches (injectivity, witnesses, extremal vectors) stack them
-into sparse rows ``{column: coeff}`` for one exact ``nullspace``, and the
-bracket check feeds them to ``catalog.axiom_defect``, the module-axiom check
-that ``catalog.module_defect`` runs too.  A column may be ``None`` when the
-image is not representable inside the window (this happens only at the
-charge boundary of truncated highest-weight exports); analyses quantify over
-asserted columns only, so every reported fact is an exact statement about
-the underlying infinite module.
+holds one column per basis vector of offset k, and every column has one
+shape: the tuple of its nonzero ``(row, coeff)`` pairs over the basis of
+offset k+m, rows ascending, coefficients exact; or ``None`` when the image is
+not representable inside the window (only at the charge boundary of
+truncated highest-weight exports).  Analyses quantify over asserted columns
+only, so every reported fact is an exact statement about the underlying
+infinite module.  The kernel searches (injectivity, witnesses, extremal
+vectors) go through ``_joint_kernel``: ``linalg.stack_columns`` turns the
+columns op by op into sparse rows ``{column: coeff}``, one stack and one
+exact ``nullspace`` per h0 label.  The split is exact because each generator
+moves h0 by a fixed amount (e by +2, f by -2, d and h by 0), so every stack
+is block-diagonal by h0 up to the order of rows and columns; a row that
+takes columns of two h0 labels shows labels that disagree with the action
+and raises NotAModule.  The bracket check feeds the columns to
+``catalog.axiom_defect``, the module-axiom check of ``catalog.module_defect``.
 
 Blocks exported from a truncated highest-weight module are lazy: each column
 is computed the first time it is read and kept from then on, so an analysis
@@ -28,7 +30,6 @@ without building anything.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
@@ -40,10 +41,10 @@ from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, WindowTooNarrow, ZeroShift)
-from .linalg import Vec, nullspace
-from .verma import TruncatedModule, mono_str
+from .linalg import Vec, nullspace, stack_columns
+from .verma import Pairs, TruncatedModule, image_pairs, mono_str
 
-Column = Optional[List[Fraction]]
+Column = Optional[Pairs]
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,9 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
             for k in range(p, q + 1):
                 if not (p <= k + m <= q):
                     continue
-                cols: List[Column] = []
-                for lab in raw_labels[k]:
-                    img = _window_action(spec, Gen(fam, m), lab)
-                    col: List = [0] * len(raw_labels[k + m])
-                    for lab2, coeff in img:
-                        col[index[k + m][lab2]] = coeff
-                    cols.append(col)
-                blocks[(fam, m, k)] = cols
+                blocks[(fam, m, k)] = [
+                    image_pairs(_window_action(spec, Gen(fam, m), lab).terms, index[k + m])
+                    for lab in raw_labels[k]]
     return WindowedModule(window, families, Fraction(0), basis, blocks,
                           description=spec_text(spec))
 
@@ -149,10 +145,8 @@ _UNBUILT = object()
 
 class _VermaColumns(Sequence):
     """One block of a highest-weight export.  Column j is the image of source
-    monomial j over the target basis, or None when it leaves the kept
-    charges.  It is built on first read and kept as a tuple of ``(row,
-    coeff)`` pairs with the memo's coefficients; reading ``block[j]``
-    replaces the pairs by the dense column."""
+    monomial j over the target basis (``verma.image_pairs``), or None when it
+    leaves the kept charges; it is built on first read and kept."""
 
     def __init__(self, module: TruncatedModule, g: Gen, source: Tuple,
                  target: Dict):
@@ -163,77 +157,59 @@ class _VermaColumns(Sequence):
         return len(self._cols)
 
     def __getitem__(self, j: int) -> Column:
-        pairs = self.kept(j)
-        if type(pairs) is not tuple:
-            return pairs  # None, or the dense column of an earlier read
-        col = self._cols[j] = [0] * len(self._target)
-        for r, x in pairs:
-            col[r] = x if type(x) is Fraction else Fraction(x)
-        return col
-
-    def kept(self, j: int):
-        """Column j as kept: None, its pairs, or its dense column once read."""
         col = self._cols[j]
         if col is _UNBUILT:
-            col = self._cols[j] = self._build(self._source[j])
+            img, target = self._module.apply_gen(self._g, self._source[j]), self._target
+            col = self._cols[j] = image_pairs(img, target) if img.keys() <= target.keys() else None
         return col
-
-    def _build(self, mono) -> Optional[Tuple[Tuple[int, object], ...]]:
-        target, img = self._target, self._module.apply_gen(self._g, mono)
-        if not all(m2 in target for m2 in img):
-            return None  # the image leaves the kept charges
-        return tuple((target[m2], c2) for m2, c2 in img.items())
-
-
-def _nonzeros(block: Sequence[Column], j: int) -> Optional[Sequence[Tuple[int, object]]]:
-    """Column j of a block as (row, coeff) pairs, None when unasserted."""
-    if type(block) is _VermaColumns:
-        col = block.kept(j)
-        if type(col) is not list:
-            return col  # None or the kept pairs
-    else:
-        col = block[j]
-    return None if col is None else [(r, x) for r, x in enumerate(col) if x]
 
 
 def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
-                  cols: Sequence[int], whole: bool = False) -> List[Tuple[Fraction, ...]]:
-    """Common kernel of the ops on the span of those basis vectors ``cols`` of
-    offset k on which every op is asserted, as vectors over the whole basis.
-    With ``whole``, an op with an unasserted column among ``cols`` raises
-    OutOfWindow instead, checked op by op.  Each column is read once, and not
-    at all once an earlier op leaves it unasserted; the stack is built as
-    rows ``{position: coeff}``, op by op, without the empty rows."""
-    read: List[list] = []  # per op, the pairs of each of cols
-    asserted = range(len(cols))  # positions in cols asserted by every op so far
+                  whole: bool = False) -> List[Tuple[Fraction, ...]]:
+    """Common kernel of the ops on the span of those basis vectors of offset
+    k on which every op is asserted, as vectors over the whole basis.  With
+    ``whole``, an op with an unasserted column raises OutOfWindow instead,
+    checked op by op.  Each column is read once, and not at all once an
+    earlier op leaves it unasserted.  One ``nullspace`` per h0 label, in
+    ascending order (see the module docstring); the union, ordered by each
+    vector's free (last nonzero) coordinate, is the canonical basis of the
+    whole-offset stack."""
+    n, labels = wm.dim(k), wm.labels(k)
+    read: List[list] = []  # per op, the column of each basis vector
+    asserted = range(n)  # basis vectors asserted by every op so far
     for fam, m in ops:
         block = wm.block(fam, m, k)
-        pairs: list = [None] * len(cols)
-        for idx in asserted:
-            pairs[idx] = _nonzeros(block, cols[idx])
-        asserted = [idx for idx in asserted if pairs[idx] is not None]
-        if whole and len(asserted) < len(cols):
+        cols: list = [None] * n
+        for j in asserted:
+            cols[j] = block[j]
+        asserted = [j for j in asserted if cols[j] is not None]
+        if whole and len(asserted) < n:
             raise OutOfWindow(
                 f"{fam}-action of degree {m} from offset {k} is only "
                 f"partially represented in the window")
-        read.append(pairs)
-    if not asserted:
-        return []
-    stacked: List[Dict[int, object]] = []
-    for pairs in read:
-        rows: Dict[int, Dict[int, object]] = defaultdict(dict)
-        for pos, idx in enumerate(asserted):
-            for r, x in pairs[idx]:
-                rows[r][pos] = x
-        stacked.extend(rows[r] for r in sorted(rows))
-    cols = [cols[idx] for idx in asserted]
+        read.append(cols)
+    by_h0: Dict[Fraction, List[int]] = {}
+    for j in asserted:
+        by_h0.setdefault(labels[j].h0, []).append(j)
+    blocks = [by_h0[h0] for h0 in sorted(by_h0)]
+    for (fam, m), cols in zip(ops, read):
+        owner: Dict[int, int] = {}  # row -> the block of the columns it takes
+        for b, js in enumerate(blocks):
+            for j in js:
+                for r, _ in cols[j]:
+                    if owner.setdefault(r, b) != b:
+                        raise NotAModule(
+                            f"{fam}-action of degree {m} from offset {k} sends two h0 "
+                            f"labels to row {r}: the labels disagree with the action")
     kernel = []
-    for v in nullspace(stacked, ncols=len(cols)):
-        full = [Fraction(0)] * wm.dim(k)
-        for idx, j in enumerate(cols):
-            full[j] = v[idx]
-        kernel.append(tuple(full))
-    return kernel
+    for js in blocks:
+        for v in nullspace(stack_columns([cols[j] for j in js] for cols in read),
+                           ncols=len(js)):
+            full = [Fraction(0)] * n
+            for idx, j in enumerate(js):
+                full[j] = v[idx]
+            kernel.append((js[max(idx for idx, x in enumerate(v) if x)], tuple(full)))
+    return [v for _, v in sorted(kernel)]  # free columns differ: vectors never compared
 
 
 def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
@@ -245,7 +221,9 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
     are answerable).  Per offset the basis keeps charges up to ``charge_cap``
     (default S-1); an f-action column whose image would exceed the kept
     charges is stored as unasserted rather than silently truncated.  Each
-    column is computed from the module's action the first time it is read.
+    column is computed the first time it is read, as the ``(row, coeff)``
+    pairs of ``verma.image_pairs`` with the memo's coefficients (``int`` when
+    integral), and kept.
     """
     if charge_cap is None:
         charge_cap = module.charge_bound - 1
@@ -293,6 +271,7 @@ def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:
     in a disguised basis (weight labels travel with their vectors)."""
     rng = random.Random(seed)
     perms: Dict[int, List[int]] = {}
+    moved: Dict[int, List[int]] = {}  # old position -> new position
     scales: Dict[int, List[Fraction]] = {}
     new_basis: Dict[int, Tuple[BasisLabel, ...]] = {}
     for k in wm.offsets():
@@ -300,23 +279,19 @@ def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:
         perm = list(range(n))
         rng.shuffle(perm)  # perm[new_pos] = old_pos
         perms[k] = perm
+        moved[k] = sorted(range(n), key=perm.__getitem__)
         scales[k] = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                      * rng.choice((1, -1)) for _ in range(n)]
         new_basis[k] = tuple(wm.labels(k)[old] for old in perm)
     new_blocks: Dict[Tuple[str, int, int], List[Column]] = {}
     for (fam, m, k), cols in wm.blocks.items():
-        perm_src, perm_tgt = perms[k], perms[k + m]
-        th_src, th_tgt = scales[k], scales[k + m]
+        th_src, th_tgt, to_new = scales[k], scales[k + m], moved[k + m]
         new_cols: List[Column] = []
-        for new_j in range(len(cols)):
-            old_j = perm_src[new_j]
+        for old_j in perms[k]:
             col = cols[old_j]
-            if col is None:
-                new_cols.append(None)
-                continue
             scale = th_src[old_j]
-            new_cols.append([scale * col[r] / th_tgt[r] if col[r] else 0
-                             for r in perm_tgt])
+            new_cols.append(None if col is None else tuple(sorted(
+                [(to_new[r], scale * x / th_tgt[r]) for r, x in col])))
         new_blocks[(fam, m, k)] = new_cols
     return WindowedModule(wm.window, wm.families, wm.central, new_basis,
                           new_blocks, description=wm.description + f" (scrambled seed={seed})")
@@ -350,7 +325,7 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
         raise GeneratorOutsideAlgebra(
             f"module lacks generator families {missing} needed by the map")
     ops = (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i))
-    kernel = _joint_kernel(wm, ops, k, range(wm.dim(k)), whole=True)
+    kernel = _joint_kernel(wm, ops, k, whole=True)
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 
@@ -384,11 +359,7 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
     if not offs:
         raise WindowTooNarrow(
             f"window {wm.window} leaves no offset with all kill-set images inside")
-    results: List[ExtremalVector] = []
-    for k in offs:
-        results.extend(ExtremalVector(k, v, wm.labels(k))
-                       for v in _joint_kernel(wm, kill, k, range(wm.dim(k))))
-    return results
+    return [ExtremalVector(k, v, wm.labels(k)) for k in offs for v in _joint_kernel(wm, kill, k)]
 
 
 def support(wm: WindowedModule) -> List[Tuple[Fraction, Fraction]]:
@@ -422,8 +393,7 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
     p, q = wm.window
     witnesses: List[Witness] = []
     for k in wm.offsets():
-        n = wm.dim(k)
-        if n == 0:
+        if not wm.dim(k):
             continue
         ops: List[Tuple[str, int]] = []
         for fam in sorted(wm.families):
@@ -434,14 +404,13 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
                     ops.append((fam, m))
         if not ops:
             continue
-        # candidates must be weight vectors: work one h0-eigenvalue at a time
-        by_h0: Dict[Fraction, List[int]] = {}
-        for j, lab in enumerate(wm.labels(k)):
-            by_h0.setdefault(lab.h0, []).append(j)
-        for h0 in sorted(by_h0):
-            witnesses.extend(
-                Witness(k, v, wm.labels(k), "annihilated by every in-window weight-moving operator")
-                for v in _joint_kernel(wm, ops, k, by_h0[h0]))
+        # the kernel's vectors are weight vectors; report them by ascending h0
+        labels = wm.labels(k)
+        kernel = sorted(_joint_kernel(wm, ops, k),
+                        key=lambda v: next(labels[j].h0 for j, x in enumerate(v) if x))
+        witnesses.extend(
+            Witness(k, v, labels, "annihilated by every in-window weight-moving operator")
+            for v in kernel)
     if witnesses:
         verdict = f"{len(witnesses)} finitely-supported submodule witness(es) in window"
     else:
@@ -555,7 +524,8 @@ def _label_index_maps(wm: WindowedModule):
 def _verify_match(wm: WindowedModule, spec: LoopMod) -> bool:
     """Does the observed window equal the reference one up to per-vector
     rescaling?  Labels pair the bases; a scale factor is propagated along
-    nonzero entries and every entry is checked for consistency."""
+    nonzero entries and every entry is checked for consistency.  A column's
+    nonzeros must sit exactly where the reference column's do."""
     ref = from_catalog(spec, wm.window)
     if set(ref.blocks) != set(wm.blocks):
         return False
@@ -578,16 +548,16 @@ def _verify_match(wm: WindowedModule, spec: LoopMod) -> bool:
         for j, col in enumerate(cols):
             if col is None:
                 continue
-            rj = to_ref[k][j]
-            ref_col = ref_cols[rj]
-            for r, alpha in enumerate(col):
-                beta = ref_col[to_ref[k + m][r]]
-                if (alpha == 0) != (beta == 0):
+            ref_col = dict(ref_cols[to_ref[k][j]])
+            if len(col) != len(ref_col):
+                return False  # the bijection to_ref then misses a nonzero
+            for r, alpha in col:
+                beta = ref_col.get(to_ref[k + m][r])
+                if beta is None:
                     return False
-                if alpha:
-                    u, w = (k, j), (k + m, r)
-                    constraints.setdefault(u, []).append((w, beta / alpha))
-                    constraints.setdefault(w, []).append((u, alpha / beta))
+                u, w = (k, j), (k + m, r)
+                constraints.setdefault(u, []).append((w, beta / alpha))
+                constraints.setdefault(w, []).append((u, alpha / beta))
     theta: Dict[Tuple[int, int], Fraction] = {}
     for start in sorted(constraints):
         if start in theta:
@@ -659,15 +629,15 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
         k0 = p
         j_src = maps[k0][(a + k0, Fraction(lam))]
         r_tgt = maps[k0 + 1][(a + k0 + 1, Fraction(lam))]
-        o_h = wm.block("h", 1, k0)[j_src][r_tgt]
-        o_d = wm.block("d", 1, k0)[j_src][r_tgt]
+        o_h = dict(wm.block("h", 1, k0)[j_src]).get(r_tgt, 0)
+        o_d = dict(wm.block("d", 1, k0)[j_src]).get(r_tgt, 0)
         if o_h == 0:
             evidence["reason"] = "h-action does not ladder on the highest line"
             return MatchResult(None, evidence)
         candidates.append(lam * o_d / o_h - a - k0)
     else:
-        o1 = {k: wm.block("d", 1, k)[0][0] for k in range(p, q)}
-        o2 = {k: wm.block("d", 2, k)[0][0] for k in range(p, q - 1)}
+        o1 = {k: dict(wm.block("d", 1, k)[0]).get(0, 0) for k in range(p, q)}
+        o2 = {k: dict(wm.block("d", 2, k)[0]).get(0, 0) for k in range(p, q - 1)}
         polys: List[List[Fraction]] = []
         for k in range(p, q - 1):
             lhs = _poly_scale(o2[k], _poly_mul([a + k, Fraction(1)],
@@ -739,7 +709,7 @@ def bracket_consistency_defects(wm: WindowedModule,
             if g.family == "C":
                 col = ((j, wm.central),)
             elif wm.has_block(g.family, m, k):
-                col = _nonzeros(wm.block(g.family, m, k), j)
+                col = wm.block(g.family, m, k)[j]
             known[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
         return known[key]
 

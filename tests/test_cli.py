@@ -7,11 +7,14 @@ import pytest
 
 import avw.algebra
 import avw.catalog
-from avw.algebra import C, bracket, element_str, h
+import avw.verma
+import avw.windows
+from avw.algebra import C, bracket, e, element_str, h
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
 from avw.cli import (DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV, RunConfig, build_parser,
                      config_from_args, execute, main, parse_spec)
-from avw.errors import AvwError, MissingParameter, SpecParseError, UnknownKind, UnwritablePath
+from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
+                        UnwritablePath)
 from avw.linalg import Vec
 
 
@@ -468,3 +471,47 @@ def test_witness_report_at_depth_4_is_pinned(tmp_path):
     assert main(["witness", "--lamd=1/2", "--mu=2", "--c=0", "--depth=4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3da5c14121019268b5352292386b18a633711731eac40cda2fbfa5a95d11859d")
+
+
+@pytest.mark.parametrize("args, digest", [
+    # the singular search stacked dense cell matrices before its stacks
+    # became sparse rows built from pair columns
+    (["singular", "--lamd=1/2", "--mu=2", "--c=0", "--depth=6"],
+     "31f2ee0aea4806a6c1675468c55726d8b6aa10fd81797e2331d0376280e1a634"),
+    # the printed blocks were the stored dense columns before columns became
+    # (row, coeff) pairs
+    (["catalog", "--module=loop:lambda=2,a=1/2,b=1/3", "--window=-2..2", "--matrices"],
+     "52d9ced763ac050e55e05baa37a966db04987ee995a44261b9fd0c402bcf8332"),
+], ids=["singular-depth-6", "catalog-matrices"])
+def test_reports_across_the_column_shape_change_are_pinned(tmp_path, args, digest):
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, capsys):
+    # plant a defect in the action: e_0 no longer kills the highest-weight
+    # vector, so the image lands in the weight-empty cell (0, -1)
+    real = avw.verma.TruncatedModule.apply_gen
+
+    def apply_gen(module, g, mono):
+        return {(): 1} if (g, mono) == (e(0), ()) else real(module, g, mono)
+
+    monkeypatch.setattr(avw.verma.TruncatedModule, "apply_gen", apply_gen)
+    args = ["singular", "--lamd=1/2", "--mu=2", "--c=0", "--depth=2"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: nonzero image of e_0 from cell (0, 0) "
+                            "in the weight-empty cell (0, -1)\n")
+    # a defect inside a search the witness report would otherwise mark as
+    # not searchable
+    def planted(wm, direction="highest"):
+        raise InternalError("planted defect")
+
+    monkeypatch.setattr(avw.windows, "find_extremal_vectors", planted)
+    assert main(["witness", "--module=A:a=0,b=0"]) == 3
+    assert capsys.readouterr() == ("", "internal error: planted defect\n")
+    assert main(["singular", "--lamd=1/2", "--mu=2", "--depth=2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --lamd, --mu and --c are all required (at position 0)\n")

@@ -769,8 +769,13 @@ def test_cell_matrix_matches_fraction_oracle(int_path_module):
                     m.cell_matrix(g, cell)
                 continue
             got = m.cell_matrix(g, cell)
-            assert got == expect, (g, cell)
-            assert all(type(x) is int for row in got for x in row if not x), (g, cell)
+            # one column per source monomial: the nonzeros of the oracle's
+            # column in ascending row order, with the memo's coefficients
+            ncols = len(m.cells[cell])
+            assert got == [tuple((r, row[j]) for r, row in enumerate(expect) if row[j])
+                           for j in range(ncols)], (g, cell)
+            assert all(_is_memo_form(x) for col in got for _, x in col), (g, cell)
+            assert all(list(col) == sorted(col) for col in got), (g, cell)
             compared += 1
     assert compared > 200
 

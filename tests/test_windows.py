@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
@@ -12,7 +14,7 @@ from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, Invali
 from avw.linalg import nullspace
 from avw.verma import HighestWeight, build_verma
 from avw.windows import (KILL_HIGHEST, KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
-                         _nonzeros, _rational_roots,
+                         _rational_roots, _VermaColumns, _verify_match,
                          bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
                          from_catalog, from_verma, injectivity_json, match_json,
@@ -41,7 +43,7 @@ def test_from_catalog_t2_e_matrices_zero():
     for m in (-2, -1, 0, 1, 2):
         for k in wm.offsets():
             if wm.has_block("e", m, k):
-                assert all(all(x == 0 for x in col) for col in wm.block("e", m, k))
+                assert all(col == () for col in wm.block("e", m, k))
 
 
 def test_from_catalog_rejects_corrupt():
@@ -250,7 +252,7 @@ def test_catalog_match_with_vanishing_d_ladder_entry():
     # (a + b + k) = 0 at the probe offset: inference must still pin b
     spec = LoopMod(1, F(0), F(3))
     wm = from_catalog(spec, (-3, 3))
-    assert wm.block("d", 1, -3)[0][0] == 0  # the vanishing ladder entry
+    assert dense_block(wm, "d", 1, -3)[0][0] == 0  # the vanishing ladder entry
     res = catalog_match(scramble_window(wm, seed=321))
     assert res.spec == spec
 
@@ -375,7 +377,8 @@ def _count_apply_gen(module):
 
 def _eager_blocks(module, wm, cap):
     """Every block of a from_verma export, built column by column up front
-    from the module's action, with charges up to cap kept per offset."""
+    from the module's action, with charges up to cap kept per offset: each
+    column built dense, then kept as the nonzeros of the dense column."""
     monos = {k: [mono for s in range(k, cap + 1) for mono in module.cells[(-k, s)]]
              if k <= 0 else [] for k in wm.offsets()}
     blocks = {}
@@ -390,7 +393,7 @@ def _eager_blocks(module, wm, cap):
             col = [F(0)] * len(target)
             for m2, c2 in img.items():
                 col[target[m2]] = c2
-            cols.append(col)
+            cols.append(tuple((r, x) for r, x in enumerate(col) if x))
         blocks[(fam, m, k)] = cols
     return blocks
 
@@ -436,7 +439,7 @@ def test_lazy_export_equals_eager_build():
     assert lazy_scrambled.blocks == eager_scrambled.blocks
 
 
-def test_verma_nonzeros_are_the_memo_images_kept_once():
+def test_verma_columns_are_the_memo_images_kept_once():
     m = build_verma(HighestWeight.of(F(1, 3), F(1), F(3)), 2)
     wm = from_verma(m)
     eager = _eager_blocks(m, wm, cap=m.charge_bound - 1)
@@ -444,19 +447,16 @@ def test_verma_nonzeros_are_the_memo_images_kept_once():
     for key, cols in eager.items():
         block = wm.blocks[key]
         for j, col in enumerate(cols):
-            pairs = _nonzeros(block, j)
-            assert _nonzeros(block, j) is pairs
+            pairs = block[j]
+            assert block[j] is pairs  # built once and kept
             if col is None:
-                assert pairs is None and block[j] is None
+                assert pairs is None
                 continue
-            assert len({r for r, _ in pairs}) == len(pairs)
-            assert dict(pairs) == {r: x for r, x in enumerate(col) if x}, (key, j)
+            # the nonzeros of the dense column, rows ascending
+            assert type(pairs) is tuple and pairs == col, (key, j)
+            assert [r for r, _ in pairs] == sorted({r for r, _ in pairs})
             # the memo's coefficients as they stand: integral ones stay int
-            assert all(type(x) is int for _, x in pairs if x == int(x))
-            dense = block[j]
-            assert dense == col and block[j] is dense
-            assert all(type(x) is F for x in dense if x)
-            assert dict(_nonzeros(block, j)) == dict(pairs)
+            assert all(x != 0 and type(x) is (int if x == int(x) else F) for _, x in pairs)
     assert len(calls) == sum(len(cols) for cols in eager.values())
 
 
@@ -521,22 +521,57 @@ def test_zero_polynomial_and_unknown_direction_are_typed():
 # -- oracles: per-entry stacking and unit-vector bracket consistency, as they
 #    were before whole columns were stacked --------------------------------
 
+def dense_block(wm, family, m, k):
+    """A block densified for the oracles that read entries: each column a
+    list over the basis of offset k+m, 0 off its pairs; None stays None."""
+    out = []
+    for col in wm.block(family, m, k):
+        dense = None
+        if col is not None:
+            dense = [0] * wm.dim(k + m)
+            for r, x in col:
+                dense[r] = x
+        out.append(dense)
+    return out
+
+
 def reference_full_matrix(wm, family, m, k):
-    cols = wm.block(family, m, k)
+    cols = dense_block(wm, family, m, k)
     if any(c is None for c in cols):
         raise OutOfWindow("partially represented")
     nrows = wm.dim(k + m)
     return [[cols[j][r] for j in range(len(cols))] for r in range(nrows)]
 
 
+def injectivity_ops(i):
+    return (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i))
+
+
 def reference_injectivity(wm, k, i):
     stacked = []
-    stacked.extend(reference_full_matrix(wm, "d", i, k))
-    stacked.extend(reference_full_matrix(wm, "d", i + 1, k))
-    for fam in ("e", "f", "h"):
-        stacked.extend(reference_full_matrix(wm, fam, i, k))
+    for fam, m in injectivity_ops(i):
+        stacked.extend(reference_full_matrix(wm, fam, m, k))
     kernel = nullspace(stacked, ncols=wm.dim(k))
     return stacked, kernel
+
+
+def dense_stack(wm, ops, k, cols):
+    """The ops' dense rows over the basis vectors cols of offset k."""
+    stacked = []
+    for fam, m in ops:
+        block = dense_block(wm, fam, m, k)
+        for r in range(wm.dim(k + m)):
+            stacked.append([block[j][r] for j in cols])
+    return stacked
+
+
+def weight_split_stacks(wm, ops, k, cols):
+    """The stacks of a kernel search over the basis vectors cols of offset k
+    as it takes them: one per h0 label, in ascending order, over that label's
+    columns."""
+    labels = wm.labels(k)
+    return [dense_stack(wm, ops, k, [j for j in cols if labels[j].h0 == h0])
+            for h0 in sorted({labels[j].h0 for j in cols})]
 
 
 def reference_extremal(wm, direction, record):
@@ -553,13 +588,9 @@ def reference_extremal(wm, direction, record):
                    if all(wm.block(fam, m, k)[j] is not None for fam, m in kill)]
         if not cols_ok:
             continue
-        stacked = []
-        for fam, m in kill:
-            block = wm.block(fam, m, k)
-            for r in range(wm.dim(k + m)):
-                stacked.append([block[j][r] for j in cols_ok])
-        record.append(stacked)
-        for v in nullspace(stacked, ncols=len(cols_ok)):
+        # the search splits by weight; the kernel is the whole-offset one
+        record.extend(weight_split_stacks(wm, kill, k, cols_ok))
+        for v in nullspace(dense_stack(wm, kill, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
                 full[j] = v[idx]
@@ -586,11 +617,7 @@ def reference_witness(wm, record):
                     if all(wm.block(fam, m, k)[j] is not None for fam, m in ops)]
             if not cols:
                 continue
-            stacked = []
-            for fam, m in ops:
-                block = wm.block(fam, m, k)
-                for r in range(wm.dim(k + m)):
-                    stacked.append([block[j][r] for j in cols])
+            stacked = dense_stack(wm, ops, k, cols)
             record.append(stacked)
             for v in nullspace(stacked, ncols=len(cols)):
                 full = [F(0)] * n
@@ -613,6 +640,13 @@ def _record_nullspace_inputs(monkeypatch):
     return seen
 
 
+def _as_sparse(stacks):
+    """Dense stacks as sparse rows: nonzeros only, zero rows dropped, in
+    operator order; nullspace then takes them sparsest first."""
+    return [[{j: x for j, x in enumerate(row) if x} for row in stack if any(row)]
+            for stack in stacks]
+
+
 STACKING_WEIGHTS = [HighestWeight.of(F(1, 2), 2, 0), HighestWeight.of(0, 0, 1),
                     HighestWeight.of(F(1, 2), 1, 2), HighestWeight.of(F(1, 3), 0, 2),
                     HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7))]
@@ -632,22 +666,28 @@ def _stacking_windows():
     yield "narrow", from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-1, 1))
 
 
+def assert_column_shape(wm, fam, m, k, col):
+    """None, or the nonzero (row, coeff) pairs in ascending row order."""
+    if col is None:
+        return
+    rows = [r for r, _ in col]
+    assert type(col) is tuple and rows == sorted(set(rows)), (fam, m, k, col)
+    assert all(0 <= r < wm.dim(k + m) for r in rows), (fam, m, k, col)
+    assert all(x != 0 and type(x) in (int, F) for _, x in col), (fam, m, k, col)
+
+
 @pytest.mark.parametrize("name, wm", list(_stacking_windows()), ids=lambda x: x if isinstance(x, str) else "")
 def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
     seen = _record_nullspace_inputs(monkeypatch)
     # every block, including blocks with no columns, no rows or None columns:
-    # each column's (row, coeff) pairs are the nonzeros of the dense column
+    # each column is None or its ascending nonzero (row, coeff) pairs
     shapes = set()
     for fam, m, k in wm.blocks:
         block = wm.block(fam, m, k)
-        pairs = [_nonzeros(block, j) for j in range(len(block))]
-        shapes.add((wm.dim(k) == 0, wm.dim(k + m) == 0, None in pairs))
-        for j, col in enumerate(pairs):
-            dense = block[j]
-            assert (col is None) == (dense is None), (fam, m, k, j)
-            if dense is not None:
-                assert len(dense) == wm.dim(k + m), (fam, m, k, j)
-                assert list(col) == [(r, x) for r, x in enumerate(dense) if x], (fam, m, k, j)
+        cols = [block[j] for j in range(len(block))]
+        shapes.add((wm.dim(k) == 0, wm.dim(k + m) == 0, None in cols))
+        for col in cols:
+            assert_column_shape(wm, fam, m, k, col)
     if name.startswith("verma"):
         assert shapes >= {(True, False, False), (False, True, False), (False, False, True)}
     # injectivity on every offset and shift the window holds
@@ -664,12 +704,14 @@ def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
                 continue
             seen.clear()
             rep = stacked_shift_injectivity(wm, k, i)
-            # the oracle's rows as sparse rows, as for the searches below; a
-            # source offset without basis vectors stacks nothing
-            expect_sparse = [{j: x for j, x in enumerate(row) if x} for row in stacked if any(row)]
-            assert seen == ([expect_sparse] if wm.dim(k) else [])
+            # one stack per h0 label of the source offset, as sparse rows; a
+            # source offset without basis vectors stacks nothing.  The kernel
+            # is the oracle's whole-offset kernel.
+            assert seen == _as_sparse(weight_split_stacks(
+                wm, injectivity_ops(i), k, range(wm.dim(k))))
             assert rep.kernel_basis == tuple(tuple(v) for v in kernel)
-    # witness and both extremal searches: same stacked matrices, same kernels
+    # witness and both extremal searches: the stacks in weight order, and the
+    # oracle's kernels (whole-offset ones for the extremal searches)
     for search, reference in [
             (submodule_witness, reference_witness),
             (lambda w: find_extremal_vectors(w, "highest"),
@@ -686,21 +728,29 @@ def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
         seen.clear()
         got = search(wm)
         got = got.witnesses if hasattr(got, "witnesses") else got
-        # the oracle's rows as sparse rows: nonzeros only, zero rows dropped,
-        # in operator order; nullspace then takes them sparsest first
-        expect_sparse = [[{j: x for j, x in enumerate(row) if x} for row in stack if any(row)]
-                         for stack in expect_stacks]
-        assert seen == expect_sparse
+        assert seen == _as_sparse(expect_stacks)
         assert [(x.offset, x.coefficients) for x in got] == expect
 
 
+class _ReadColumns(list):
+    """A block that records each column read in ``reads``."""
+
+    def __init__(self, cols, reads):
+        super().__init__(cols)
+        self.reads = reads
+
+    def __getitem__(self, j):
+        self.reads.append((id(self), j))
+        return super().__getitem__(j)
+
+
 def test_each_column_is_read_once_per_analysis(monkeypatch):
-    import avw.windows
     reads = []
-    real = avw.windows._nonzeros
-    monkeypatch.setattr(avw.windows, "_nonzeros",
+    real = _VermaColumns.__getitem__
+    monkeypatch.setattr(_VermaColumns, "__getitem__",
                         lambda block, j: reads.append((id(block), j)) or real(block, j))
     wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-4, 4))
+    wm.blocks = {key: _ReadColumns(cols, reads) for key, cols in wm.blocks.items()}
     stacked_shift_injectivity(wm, 0, 1)
     assert len(reads) == len(set(reads)) == 5 * wm.dim(0)
     hw_wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4))
@@ -727,10 +777,37 @@ def test_a_column_an_earlier_op_leaves_unasserted_is_not_read():
     labels = (BasisLabel("v0", F(0), F(0)), BasisLabel("v1", F(0), F(0)))
     wm = WindowedModule((0, 1), frozenset("de"), F(0),
                         {0: labels, 1: labels[:1]},
-                        {("d", 1, 0): [None, [F(1)]], ("e", 1, 0): _UnreadColumn([[0], [F(2)]])})
-    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0, range(2)) == []
+                        {("d", 1, 0): [None, ((0, F(1)),)],
+                         ("e", 1, 0): _UnreadColumn([(), ((0, F(2)),)])})
+    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0) == []
     with pytest.raises(OutOfWindow, match="d-action of degree 1 from offset 0 is only partially"):
-        _joint_kernel(wm, (("d", 1), ("e", 1)), 0, range(2), whole=True)
+        _joint_kernel(wm, (("d", 1), ("e", 1)), 0, whole=True)
+
+
+def _two_label_window(h0_w):
+    """Offsets 0..2: V_0 = <u, w> with h0 labels 0 and h0_w, V_1 = <x> and
+    V_2 = <y>.  d_1 sends u and w to x; d_2, e_0, e_1, f_1 and h_1 from
+    offset 0 are zero, so these are all the blocks the stacked map, the
+    witness and the highest kill set read from offset 0."""
+    basis = {0: (BasisLabel("u", F(0), F(0)), BasisLabel("w", F(0), F(h0_w))),
+             1: (BasisLabel("x", F(1), F(0)),), 2: (BasisLabel("y", F(2), F(0)),)}
+    blocks = {key: [(), ()] for key in
+              [("d", 2, 0), ("e", 0, 0), ("e", 1, 0), ("f", 1, 0), ("h", 1, 0)]}
+    blocks[("d", 1, 0)] = [((0, F(1)),), ((0, F(1)),)]
+    return WindowedModule((0, 2), frozenset("defh"), F(0), basis, blocks)
+
+
+def test_labels_that_disagree_with_the_action_are_not_a_module():
+    # d_1 mixes the two h0 labels, so no h0 action makes u and w weight
+    # vectors: a split by label would miss the kernel vector w - u
+    wm = _two_label_window(2)
+    for search in (lambda w: stacked_shift_injectivity(w, 0, 1), submodule_witness,
+                   find_extremal_vectors):
+        with pytest.raises(NotAModule, match="d-action of degree 1 from offset 0 sends two h0"):
+            search(wm)
+    # with one label for both, the kernel of the stacked map is <w - u>
+    rep = stacked_shift_injectivity(_two_label_window(0), 0, 1)
+    assert (rep.kernel_dim, rep.kernel_basis) == (1, ((F(-1), F(1)),))
 
 
 def test_full_matrix_of_a_block_without_columns_keeps_its_rows():
@@ -748,7 +825,7 @@ def test_full_matrix_of_a_block_without_columns_keeps_its_rows():
 
 
 def reference_apply_columns(wm, family, m, k, coords):
-    cols = wm.block(family, m, k)
+    cols = dense_block(wm, family, m, k)
     out = [F(0)] * wm.dim(k + m)
     for j, cj in enumerate(coords):
         if not cj:
@@ -828,6 +905,13 @@ CONSISTENCY_SPECS = [
 ]
 
 
+def bump(wm, key, j, r, delta):
+    """Alter a window's matrices by hand: add delta to row r of column j."""
+    entries = dict(wm.blocks[key][j])
+    entries[r] = entries.get(r, 0) + delta
+    wm.blocks[key][j] = tuple(sorted((row, x) for row, x in entries.items() if x))
+
+
 @pytest.mark.parametrize("spec", CONSISTENCY_SPECS, ids=spec_text)
 def test_bracket_consistency_matches_unit_vector_oracle(spec):
     wm = from_catalog(spec, (-2, 2))
@@ -847,7 +931,7 @@ def test_bracket_consistency_of_corrupted_windows_matches_oracle():
                             (IntAB(F(1, 2), F(1, 3)), ("d", 2, -1), 0, 0),
                             (T2Mod(F(0), F(0), F(1)), ("h", 0, 0), 0, 0)]:
         wm = from_catalog(spec, (-2, 2))
-        wm.blocks[key][j][r] += F(1, 7)
+        bump(wm, key, j, r, F(1, 7))
         expect = reference_bracket_consistency_defects(wm)
         assert expect, spec
         assert bracket_consistency_defects(wm) == expect, spec
@@ -858,8 +942,10 @@ def test_bracket_consistency_of_corrupted_windows_matches_oracle():
     assert any(c is None for cols in eager.blocks.values() for c in cols)
     assert bracket_consistency_defects(eager, 2) == \
         reference_bracket_consistency_defects(eager, 2) == []
-    col = next(c for c in eager.blocks[("f", 0, -1)] if c is not None and any(c))
-    col[next(r for r, x in enumerate(col) if x)] *= 2
+    cols = eager.blocks[("f", 0, -1)]
+    j = next(j for j, c in enumerate(cols) if c)
+    r, x = cols[j][0]
+    bump(eager, ("f", 0, -1), j, r, x)  # doubles the entry
     expect = reference_bracket_consistency_defects(eager, 2)
     assert expect and bracket_consistency_defects(eager, 2) == expect
 
@@ -871,27 +957,68 @@ def test_bracket_consistency_skips_vectors_that_need_an_unknown_image():
     wm.blocks[("d", 1, 0)][1] = None
     del wm.blocks[("e", 2, -1)]
     assert bracket_consistency_defects(wm) == reference_bracket_consistency_defects(wm) == []
-    wm.blocks[("d", 1, 1)][0][0] += F(1, 7)
+    bump(wm, ("d", 1, 1), 0, 0, F(1, 7))
     expect = reference_bracket_consistency_defects(wm)
     assert expect and bracket_consistency_defects(wm) == expect
 
 
-def _column_entries(wm):
-    for cols in wm.blocks.values():
-        for j in range(len(cols)):
-            if cols[j] is not None:
-                yield from cols[j]
-
-
-def test_exported_zeros_are_int_and_nonzero_entries_fraction():
+def test_exported_columns_are_ascending_nonzero_pairs():
     windows = [from_verma(build_verma(hw, 2, 3)) for hw in STACKING_WEIGHTS]
     windows += [from_catalog(spec, (-2, 2)) for spec in CONSISTENCY_SPECS]
     windows += [scramble_window(wm, 9) for wm in windows[::3]]
-    zeros = 0
+    pairs = 0
     for wm in windows:
-        entries = list(_column_entries(wm))
-        assert any(entries), wm.description
-        for x in entries:
-            assert type(x) is (int if x == 0 else F), (wm.description, x)
-        zeros += entries.count(0)
-    assert zeros > 1000
+        for (fam, m, k), block in wm.blocks.items():
+            for j in range(len(block)):
+                col = block[j]
+                assert_column_shape(wm, fam, m, k, col)
+                assert block[j] is col  # kept, not rebuilt
+                pairs += len(col or ())
+        # catalog and scrambled entries are Fractions; exported memo
+        # coefficients stay int when integral
+        if not wm.description.startswith("verma") or "scrambled" in wm.description:
+            assert all(type(x) is F for block in wm.blocks.values()
+                       for col in block if col for _, x in col), wm.description
+    assert pairs > 1000
+
+
+def test_witnesses_are_reported_by_ascending_h0():
+    # V_0 = <u, w> with h0 labels 2 and 0 and every block from offset 0 zero:
+    # both unit vectors are witnesses, w (h0 = 0) first
+    wm = _two_label_window(0)
+    wm.basis[0] = (BasisLabel("u", F(0), F(2)), BasisLabel("w", F(0), F(0)))
+    wm.blocks[("d", 1, 0)] = [(), ()]
+    got = [(x.offset, x.coefficients) for x in submodule_witness(wm).witnesses]
+    assert got == [(0, (F(0), F(1))), (0, (F(1), F(0)))]
+
+
+def test_verify_match_needs_every_nonzero_where_the_reference_has_one():
+    spec = LoopMod(1, F(1, 2), F(1, 3))
+    wm = from_catalog(spec, (-3, 3))
+    assert _verify_match(wm, spec)
+    col = wm.blocks[("d", 1, 0)][0]
+    assert len(col) == 1
+    r, x = col[0]
+    bump(wm, ("d", 1, 0), 0, r, -x)  # a reference nonzero the window lacks
+    assert not _verify_match(wm, spec)
+    bump(wm, ("d", 1, 0), 0, r, x)
+    bump(wm, ("d", 1, 0), 0, 1 - r, F(1))  # a nonzero the reference lacks
+    assert not _verify_match(wm, spec)
+    bump(wm, ("d", 1, 0), 0, r, -x)  # as many nonzeros, one in the wrong row
+    assert not _verify_match(wm, spec)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(lam=st.integers(0, 3),
+       a=st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       b=st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       seed=st.integers(0, 2**32 - 1))
+def test_scramble_match_round_trip_property(lam, a, b, seed):
+    # scrambling rescales and reorders the pair columns; the match must see
+    # through it to the spec it finds unscrambled, and that spec must verify
+    wm = from_catalog(LoopMod(lam, a, b), (-3, 3))
+    plain = catalog_match(wm).spec
+    assert plain is not None and _verify_match(wm, plain)
+    scrambled = scramble_window(wm, seed)
+    spec = catalog_match(scrambled).spec
+    assert spec == plain and _verify_match(scrambled, spec)
