@@ -8,6 +8,13 @@ column by column as ``(row, coeff)`` pairs.  Ranks and kernels go through
 integer rows, so no floating point appears anywhere.  ``nullspace`` returns
 the canonical kernel basis, which does not depend on the echelon form or the
 row order.
+
+``full_rank_mod_p`` is a one-sided certificate: the same elimination over
+the prime field F_P, P = 2^61 - 1.  Every minor that is nonzero mod P is
+nonzero over Q, so rank over F_P <= rank over Q, and rank ``ncols`` mod P
+proves that the kernel over Q is {0}.  A "no" proves nothing and only sends
+the matrix on to the exact elimination, which stays the only producer of a
+nonzero kernel (Dumas-Saunders-Villard, J. Symbolic Comput. 32, 2001).
 """
 
 from __future__ import annotations
@@ -29,9 +36,33 @@ def frac(x, y=None) -> Fraction:
     return Fraction(x)
 
 
+PRIME = 2 ** 61 - 1  # the modulus of full_rank_mod_p
+
+
 def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     g = gcd(*row.values())
     return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _nonzero_terms(row, ncols: int) -> list:
+    """The ``(col, coeff)`` pairs of a dense or dict row's nonzero entries."""
+    if isinstance(row, dict):
+        if row and not 0 <= min(row) <= max(row) < ncols:
+            raise InternalError(f"sparse row has a column outside 0..{ncols - 1}")
+        return [(j, x) for j, x in row.items() if x]
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _width(rows: Sequence, ncols: int | None) -> int:
+    """The number of columns: ``ncols``, which empty or sparse matrices
+    need, or the length of the first dense row, which must agree with it."""
+    if ncols is None:
+        if not rows or isinstance(rows[0], dict):
+            raise InternalError("ncols required for an empty or sparse matrix")
+        return len(rows[0])
+    if rows and not isinstance(rows[0], dict) and len(rows[0]) != ncols:
+        raise InternalError("ncols disagrees with row length")
+    return ncols
 
 
 def row_echelon_ff(rows: Sequence, ncols: int | None = None) -> Tuple[List[List[int]], List[int]]:
@@ -53,10 +84,7 @@ def row_echelon_ff(rows: Sequence, ncols: int | None = None) -> Tuple[List[List[
     for row in rows:
         if len(pivot_rows) == ncols:
             break
-        sparse = isinstance(row, dict)
-        if sparse and row and not 0 <= min(row) <= max(row) < ncols:
-            raise InternalError(f"sparse row has a column outside 0..{ncols - 1}")
-        nonzero = [(j, x) for j, x in (row.items() if sparse else enumerate(row)) if x]
+        nonzero = _nonzero_terms(row, ncols)
         if not nonzero:
             continue
         mult = lcm(*(x.denominator for _, x in nonzero))
@@ -84,6 +112,52 @@ def row_echelon_ff(rows: Sequence, ncols: int | None = None) -> Tuple[List[List[
     return [[pivot_rows[c].get(j, 0) for j in range(ncols)] for c in pivots], pivots
 
 
+def full_rank_mod_p(rows: Sequence, ncols: int) -> bool:
+    """Do the rows have rank ``ncols`` modulo ``PRIME``?  Then the kernel
+    over Q is {0} (see the module docstring).
+
+    The same sparse insertion as ``row_echelon_ff``, over F_PRIME: a
+    rational a/b becomes a * b^-1 mod PRIME, and pivot rows are scaled to a
+    leading 1.  False when PRIME divides a denominator, or the rank mod PRIME
+    is below ``ncols``; False never says anything about the rank over Q.
+    Reading stops once every column has a pivot.
+    """
+    if len(rows) < ncols:
+        return False
+    pivot_rows: Dict[int, Dict[int, int]] = {}  # pivot column -> the rest of its row
+    for row in rows:
+        if len(pivot_rows) == ncols:
+            break
+        r: Dict[int, int] = {}
+        for j, x in _nonzero_terms(row, ncols):
+            if isinstance(x, int):
+                v = x % PRIME
+            else:
+                den = x.denominator % PRIME
+                if not den:
+                    return False
+                v = x.numerator * pow(den, -1, PRIME) % PRIME
+            if v:
+                r[j] = v
+        while r:
+            c = min(r)
+            b = r.pop(c)
+            p = pivot_rows.get(c)
+            if p is None:
+                if b != 1:
+                    inv = pow(b, -1, PRIME)
+                    r = {j: x * inv % PRIME for j, x in r.items()}
+                pivot_rows[c] = r
+                break
+            for j, x in p.items():
+                v = (r.get(j, 0) - b * x) % PRIME
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+    return len(pivot_rows) == ncols
+
+
 def stack_columns(matrices) -> List[Dict[int, object]]:
     """Sparse rows ``{col: coeff}`` of matrices given column by column, each
     column its ``(row, coeff)`` pairs, stacked in the order given: per matrix
@@ -98,10 +172,12 @@ def stack_columns(matrices) -> List[Dict[int, object]]:
     return stacked
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows or not rows[0]:
+def rank(rows: Sequence, ncols: int | None = None) -> int:
+    """Exact rank.  Rows are dense sequences or dicts ``{col: coeff}``;
+    ``ncols`` must be given when they are sparse, as for ``nullspace``."""
+    if not rows:
         return 0
-    _, pivots = row_echelon_ff(rows)
+    _, pivots = row_echelon_ff(rows, _width(rows, ncols))
     return len(pivots)
 
 
@@ -110,18 +186,19 @@ def nullspace(rows: Sequence, ncols: int | None = None) -> List[List[Fraction]]:
 
     Rows are dense sequences or dicts ``{col: coeff}``; ``ncols`` must be
     given when ``rows`` is empty (a 0 x n matrix has the full standard basis
-    as kernel) or sparse.  ``row_echelon_ff`` gets the rows sparsest first
-    (Markowitz's ordering), which keeps fill-in and entry growth small on
-    tall sparse stacks.  Basis vectors carry a 1 in their free coordinate,
-    so the result is canonical for a fixed column order.
+    as kernel) or sparse.  The rows are taken sparsest first (Markowitz's
+    ordering), which keeps fill-in and entry growth small on tall sparse
+    stacks.  ``full_rank_mod_p`` reads them first: full rank mod p proves
+    the kernel is {0}, and most kernels the searches ask for are.  Any other
+    matrix goes to ``row_echelon_ff``, the only producer of a nonzero kernel.
+    Basis vectors carry a 1 in their free coordinate, so the result is
+    canonical for a fixed column order.
     """
-    if ncols is None:
-        if not rows or isinstance(rows[0], dict):
-            raise InternalError("ncols required for an empty or sparse matrix")
-        ncols = len(rows[0])
-    elif rows and not isinstance(rows[0], dict) and len(rows[0]) != ncols:
-        raise InternalError("ncols disagrees with row length")
-    ech, pivots = row_echelon_ff(sorted(rows, key=len), ncols)
+    ncols = _width(rows, ncols)
+    ordered = sorted(rows, key=len)
+    if full_rank_mod_p(ordered, ncols):
+        return []
+    ech, pivots = row_echelon_ff(ordered, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivot_set):

@@ -50,7 +50,7 @@ from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
 # the name in every module that imports it
 from .algebra import bracket_gens  # noqa: F401
 from .errors import InternalError, InvalidBound, OutOfWindow, ResourceBound
-from .linalg import Vec, frac, nullspace, stack_columns
+from .linalg import Vec, frac, full_rank_mod_p, nullspace, stack_columns
 
 Mono = Tuple[Gen, ...]
 
@@ -442,9 +442,13 @@ class TruncatedModule:
 
         Searches cells with depth <= max_depth and charge <= S-1 (the top
         charge slice is excluded because the f_1 image would leave the kept
-        cells).  A cell is one weight space, so its kill-set stack is one
-        ``stack_columns`` of the operators' ``cell_matrix`` columns.  The
-        highest-weight line itself always appears at (0, 0).
+        cells).  A cell is one weight space, and its kill-set operators are
+        read one at a time: once one operator's ``cell_matrix`` alone has
+        full rank mod p (``full_rank_mod_p``), it is injective on the cell,
+        so the joint kernel is {0} and the rest of the kill set is never
+        built.  A cell that no single operator certifies gets the whole
+        ``stack_columns`` stack to ``nullspace``.  The highest-weight line
+        itself always appears at (0, 0).
         """
         if max_depth > self.depth_bound - 2:
             raise OutOfWindow(
@@ -456,9 +460,15 @@ class TruncatedModule:
                 basis = self.cells[(n, s)]
                 if not basis:
                     continue
-                stacked = stack_columns(self.cell_matrix(g, (n, s)) for g in RAISING_KILL_SET)
-                for coeffs in nullspace(stacked, ncols=len(basis)):
-                    results.append(SingularVector(n, s, basis, tuple(coeffs)))
+                stacked: List[dict] = []
+                for g in RAISING_KILL_SET:
+                    rows = stack_columns([self.cell_matrix(g, (n, s))])
+                    if full_rank_mod_p(rows, len(basis)):
+                        break
+                    stacked.extend(rows)
+                else:
+                    for coeffs in nullspace(stacked, ncols=len(basis)):
+                        results.append(SingularVector(n, s, basis, tuple(coeffs)))
         return results
 
 

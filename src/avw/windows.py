@@ -13,18 +13,20 @@ truncated highest-weight exports).  Analyses quantify over asserted columns
 only, so every reported fact is an exact statement about the underlying
 infinite module.  The kernel searches (injectivity, witnesses, extremal
 vectors) go through ``_joint_kernel``: ``linalg.stack_columns`` turns the
-columns op by op into sparse rows ``{column: coeff}``, one stack and one
-exact ``nullspace`` per h0 label.  The split is exact because each generator
-moves h0 by a fixed amount (e by +2, f by -2, d and h by 0), so every stack
-is block-diagonal by h0 up to the order of rows and columns; a row that
-takes columns of two h0 labels shows labels that disagree with the action
-and raises NotAModule.  The bracket check feeds the columns to
-``catalog.axiom_defect``, the module-axiom check of ``catalog.module_defect``.
+columns op by op into sparse rows ``{column: coeff}``, one stack per h0
+label.  The split is exact because each generator moves h0 by a fixed
+amount (e by +2, f by -2, d and h by 0), so every stack is block-diagonal by
+h0 up to the order of rows and columns; a row that takes columns of two h0
+labels shows labels that disagree with the action and raises NotAModule.  A
+label's block leaves the search as soon as one op alone certifies, mod p,
+that it has no kernel there; the rest go to one exact ``nullspace`` each.
+The bracket check feeds the columns to ``catalog.axiom_defect``, the
+module-axiom check of ``catalog.module_defect``.
 
-Blocks exported from a truncated highest-weight module are lazy: each column
-is computed the first time it is read and kept from then on, so an analysis
-that reads a few blocks pays only for those.  The length of a block is known
-without building anything.
+Exports of a truncated highest-weight module are lazy: an offset's basis is
+enumerated, a block made and a column computed the first time each is read,
+and kept from then on, so an analysis pays only for what it reads, however
+wide the window.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, WindowTooNarrow, ZeroShift)
-from .linalg import Vec, nullspace, stack_columns
-from .verma import Pairs, TruncatedModule, image_pairs, mono_str
+from .linalg import Vec, full_rank_mod_p, nullspace, stack_columns
+from .verma import Pairs, TruncatedModule, _LazyMap, image_pairs, mono_str
 
 Column = Optional[Pairs]
 
@@ -169,40 +171,53 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     """Common kernel of the ops on the span of those basis vectors of offset
     k on which every op is asserted, as vectors over the whole basis.  With
     ``whole``, an op with an unasserted column raises OutOfWindow instead,
-    checked op by op.  Each column is read once, and not at all once an
-    earlier op leaves it unasserted.  One ``nullspace`` per h0 label, in
-    ascending order (see the module docstring); the union, ordered by each
-    vector's free (last nonzero) coordinate, is the canonical basis of the
-    whole-offset stack."""
+    checked op by op.
+
+    The basis splits into one block per h0 label, in ascending order (see
+    the module docstring), and the ops are read one at a time.  Each column
+    is read once, and not at all once an earlier op leaves it unasserted or
+    its block is certified: a block is dropped once one op alone, restricted
+    to the block's vectors asserted so far, has full rank mod p
+    (``full_rank_mod_p``).  That op is then injective on their span and on
+    every subspace of it, so the stacked map is too, and the block's kernel
+    is {0} whichever of those vectors later ops leave asserted.  ``whole``
+    still reads every column.  The label check covers the columns read, and
+    each surviving block's whole stack goes to ``nullspace``.  The
+    union of the blocks' kernels, ordered by each vector's free (last
+    nonzero) coordinate, is the canonical basis of the whole-offset stack."""
     n, labels = wm.dim(k), wm.labels(k)
-    read: List[list] = []  # per op, the column of each basis vector
-    asserted = range(n)  # basis vectors asserted by every op so far
+    by_h0: Dict[Fraction, List[int]] = {}
+    for j in range(n):
+        by_h0.setdefault(labels[j].h0, []).append(j)
+    blocks = [by_h0[h0] for h0 in sorted(by_h0)]  # each block's asserted vectors
+    live = range(len(blocks))  # the blocks no op has certified yet
+    read: List[Dict[int, Column]] = []  # per op, the columns read
     for fam, m in ops:
         block = wm.block(fam, m, k)
-        cols: list = [None] * n
-        for j in asserted:
-            cols[j] = block[j]
-        asserted = [j for j in asserted if cols[j] is not None]
-        if whole and len(asserted) < n:
+        cols: Dict[int, Column] = {}
+        for b in (range(len(blocks)) if whole else live):
+            for j in blocks[b]:
+                cols[j] = block[j]
+            blocks[b] = [j for j in blocks[b] if cols[j] is not None]
+        if whole and None in cols.values():
             raise OutOfWindow(
                 f"{fam}-action of degree {m} from offset {k} is only "
                 f"partially represented in the window")
         read.append(cols)
-    by_h0: Dict[Fraction, List[int]] = {}
-    for j in asserted:
-        by_h0.setdefault(labels[j].h0, []).append(j)
-    blocks = [by_h0[h0] for h0 in sorted(by_h0)]
+        live = [b for b in live if blocks[b] and not full_rank_mod_p(
+            stack_columns([[cols[j] for j in blocks[b]]]), len(blocks[b]))]
     for (fam, m), cols in zip(ops, read):
         owner: Dict[int, int] = {}  # row -> the block of the columns it takes
         for b, js in enumerate(blocks):
             for j in js:
-                for r, _ in cols[j]:
+                for r, _ in cols.get(j, ()):
                     if owner.setdefault(r, b) != b:
                         raise NotAModule(
                             f"{fam}-action of degree {m} from offset {k} sends two h0 "
                             f"labels to row {r}: the labels disagree with the action")
     kernel = []
-    for js in blocks:
+    for b in live:
+        js = blocks[b]
         for v in nullspace(stack_columns([cols[j] for j in js] for cols in read),
                            ncols=len(js)):
             full = [Fraction(0)] * n
@@ -210,6 +225,34 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
                 full[j] = v[idx]
             kernel.append((js[max(idx for idx, x in enumerate(v) if x)], tuple(full)))
     return [v for _, v in sorted(kernel)]  # free columns differ: vectors never compared
+
+
+class _BlockKeys:
+    """The keys (family, degree m, offset k) of a highest-weight export: every
+    family, |m| <= max_degree, and k and k + m inside the window.  Membership
+    and size are arithmetic, so a wide window costs nothing until a block is
+    read."""
+
+    def __init__(self, families: frozenset, max_degree: int, window: Tuple[int, int]):
+        self._families, self._max_degree, self._window = families, max_degree, window
+
+    def __contains__(self, key) -> bool:
+        fam, m, k = key
+        p, q = self._window
+        return fam in self._families and abs(m) <= self._max_degree \
+            and p <= k <= q and p <= k + m <= q
+
+    def __iter__(self):
+        p, q = self._window
+        for fam in sorted(self._families):
+            for m in range(-self._max_degree, self._max_degree + 1):
+                for k in range(max(p, p - m), min(q, q - m) + 1):
+                    yield fam, m, k
+
+    def __len__(self) -> int:
+        width = self._window[1] - self._window[0] + 1
+        top = min(self._max_degree, width - 1)  # |m| up to top leaves width - |m| offsets
+        return len(self._families) * (width * (2 * top + 1) - top * (top + 1))
 
 
 def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
@@ -220,10 +263,13 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
     above the highest weight, so degenerate injectivity questions at the top
     are answerable).  Per offset the basis keeps charges up to ``charge_cap``
     (default S-1); an f-action column whose image would exceed the kept
-    charges is stored as unasserted rather than silently truncated.  Each
-    column is computed the first time it is read, as the ``(row, coeff)``
-    pairs of ``verma.image_pairs`` with the memo's coefficients (``int`` when
-    integral), and kept.
+    charges is stored as unasserted rather than silently truncated.  Nothing
+    is built up front: an offset's basis is enumerated the first time it is
+    read, a block is made the first time it is looked up, and each column is
+    computed the first time it is read, as the ``(row, coeff)`` pairs of
+    ``verma.image_pairs`` with the memo's coefficients (``int`` when
+    integral), and kept.  So a query pays for what it reads, however wide
+    ``pad_top`` and ``max_degree`` make the window.
     """
     if charge_cap is None:
         charge_cap = module.charge_bound - 1
@@ -232,35 +278,25 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
                           "bound so f-images remain computable")
     n_max = module.depth_bound
     window = (-n_max, pad_top)
-    basis: Dict[int, Tuple[BasisLabel, ...]] = {}
-    placement: Dict[int, Dict] = {}  # offset -> {mono: index}
-    for k in range(-n_max, pad_top + 1):
-        if k > 0:
-            basis[k] = ()
-            placement[k] = {}
-            continue
-        n = -k
-        labs: List[BasisLabel] = []
-        place: Dict = {}
-        for s in range(-n, charge_cap + 1):
-            d0, h0 = module.weight_of_cell(n, s)
-            for mono in module.cells[(n, s)]:
-                place[mono] = len(labs)
-                labs.append(BasisLabel(mono_str(mono), d0, h0))
-        basis[k] = tuple(labs)
-        placement[k] = place
+    kept = range(-n_max, 1)  # the offsets with basis vectors; those above are empty
+
+    def labels(k: int) -> Tuple[BasisLabel, ...]:
+        return tuple(BasisLabel(mono_str(mono), *module.weight_of_cell(-k, s))
+                     for s in range(k, charge_cap + 1) for mono in module.cells[(-k, s)])
+
+    # offset -> its monomials in the order of its labels, and their positions
+    monos = _LazyMap(kept, lambda k: tuple(
+        mono for s in range(k, charge_cap + 1) for mono in module.cells[(-k, s)]))
+    placement = _LazyMap(kept, lambda k: {mono: j for j, mono in enumerate(monos[k])})
+
+    def block(key) -> _VermaColumns:
+        fam, m, k = key
+        return _VermaColumns(module, Gen(fam, m), monos.get(k, ()), placement.get(k + m, {}))
+
     families = frozenset("defh")
-    src_monos = {k: tuple(place) for k, place in placement.items()}
-    blocks: Dict[Tuple[str, int, int], Sequence[Column]] = {}
-    for fam in sorted(families):
-        for m in range(-max_degree, max_degree + 1):
-            for k in range(-n_max, pad_top + 1):
-                if not (-n_max <= k + m <= pad_top):
-                    continue
-                blocks[(fam, m, k)] = _VermaColumns(
-                    module, Gen(fam, m), src_monos[k], placement[k + m])
     hw = module.hw
-    return WindowedModule(window, families, hw.c, basis, blocks,
+    return WindowedModule(window, families, hw.c, _LazyMap(kept, labels),
+                          _LazyMap(_BlockKeys(families, max_degree, window), block),
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"
                                       f"N={module.depth_bound},S={module.charge_bound}")
 

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import avw
 import avw.algebra
 import avw.catalog
 import avw.verma
@@ -471,6 +477,44 @@ def test_witness_report_at_depth_4_is_pinned(tmp_path):
     assert main(["witness", "--lamd=1/2", "--mu=2", "--c=0", "--depth=4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "3da5c14121019268b5352292386b18a633711731eac40cda2fbfa5a95d11859d")
+
+
+@pytest.mark.parametrize("args, digest", [
+    # both computed before kill-set operators were read one at a time with a
+    # full-rank certificate mod p; the singular report has four singular
+    # vectors, so cells the certificate cannot settle take the exact path
+    (["witness", "--lamd=1/2", "--mu=2", "--c=0", "--depth=5"],
+     "17ad2ebaaa1f3d154b6c159d348e767531a0adde03fb6239bda73297f901dfc6"),
+    (["singular", "--lamd=1/2", "--mu=1", "--c=2", "--depth=5"],
+     "a4d74ab2b6faf3114c1d45717f0dde385e4e3abceb64a3789a68021812d96764"),
+], ids=["witness-depth-5", "singular-depth-5"])
+def test_reports_across_the_certified_early_exit_are_pinned(tmp_path, args, digest):
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    report = out.read_bytes()
+    if args[0] == "singular":
+        assert len(json.loads(report)["singular_vectors"]) == 4
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_injectivity_at_a_huge_shift_stays_small():
+    # the export is as wide as the shift; building only what the query
+    # reads keeps a 10^9 shift within 512 MB of address space and 30 s
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    code = "import sys; from avw.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "injectivity", "--lamd=1/2", "--mu=0", "--c=0",
+         "--depth=2", "--k=0", "--i=1000000000"],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=30)
+    assert done.returncode in (0, 2), done.stderr
+    assert "Traceback" not in done.stderr
+    if done.returncode == 0:
+        report = json.loads(done.stdout)
+        assert (report["i"], report["dimV_k"]) == (10 ** 9, 6)
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from avw.errors import InternalError
-from avw.linalg import Vec, frac, nullspace, rank, row_echelon_ff
+from avw.linalg import PRIME, Vec, frac, full_rank_mod_p, nullspace, rank, row_echelon_ff
 from linalg_helpers import map_keys, mat_mul, mat_vec
 
 
@@ -492,3 +492,133 @@ def test_nullspace_ignores_the_row_order_property():
         assert nullspace(_as_dicts(shuffled), ncols) == expect
 
     check()
+
+
+# -- the full-rank certificate mod p -----------------------------------------
+
+def bareiss_rank(rows):
+    return len(bareiss_row_echelon(rows)[1])
+
+
+def _spy_echelon(monkeypatch):
+    import avw.linalg
+    calls = []
+    real = avw.linalg.row_echelon_ff
+
+    def spy(rows, ncols=None):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(avw.linalg, "row_echelon_ff", spy)
+    return calls
+
+
+def test_certificate_matches_bareiss_on_random_sparse_matrices():
+    rng = random.Random(61)
+    full = deficient = 0
+    for trial in range(60):
+        ncols = rng.randint(1, 12)
+        rows = _sparse_matrix(rng, rng.randint(1, 3 * ncols), ncols, 0.3, rng.choice((0.2, 0.5)))
+        if trial % 3 == 0:  # a diagonal block makes the column rank full
+            rows += [[Fraction(rng.randint(1, 9), rng.randint(1, 5)) if i == j else Fraction(0)
+                      for j in range(ncols)] for i in range(ncols)]
+            rng.shuffle(rows)
+        full_rank = bareiss_rank(rows) == ncols
+        full, deficient = full + full_rank, deficient + (not full_rank)
+        assert full_rank_mod_p(rows, ncols) == full_rank
+        assert full_rank_mod_p(_as_dicts(rows, int_coeffs=True), ncols) == full_rank
+        assert nullspace(rows) == bareiss_nullspace(rows)
+        assert nullspace(_as_dicts(rows), ncols) == bareiss_nullspace(rows)
+    assert full >= 20 and deficient >= 10
+
+
+def test_a_rank_drop_only_mod_p_goes_to_the_exact_path(monkeypatch):
+    calls = _spy_echelon(monkeypatch)
+    for rows in ([[1, 1], [1, 1 + PRIME]],  # det = PRIME
+                 [[PRIME, 0], [0, 1]],  # a row scaled by PRIME
+                 [[Fraction(3, 7), Fraction(2 * PRIME + 1)], [Fraction(3, 7), Fraction(1)]]):
+        assert bareiss_rank(rows) == 2
+        assert not full_rank_mod_p(rows, 2)
+        calls.clear()
+        assert nullspace(rows) == bareiss_nullspace(rows) == []
+        assert calls == [2]
+        assert rank(rows) == 2
+
+
+def test_a_denominator_divisible_by_p_declines_the_certificate(monkeypatch):
+    calls = _spy_echelon(monkeypatch)
+    for rows in ([[Fraction(1, PRIME), 0], [0, 1]],
+                 [{0: 1, 1: Fraction(5, 2 * PRIME)}, {1: 1}],
+                 [[Fraction(PRIME + 1, PRIME * 3)]]):
+        assert not full_rank_mod_p(rows, 2 if len(rows) == 2 else 1)
+        calls.clear()
+        assert nullspace(rows, 2 if len(rows) == 2 else 1) == []
+        assert calls, "the exact path must answer"
+    # the same matrices with a denominator p does not divide are certified
+    assert full_rank_mod_p([[Fraction(1, PRIME - 1), 0], [0, 1]], 2)
+
+
+def test_certificate_is_never_true_below_full_rank_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # entries that vanish mod p, have p in the denominator, or sit next to
+    # a multiple of p, so the rank mod p often differs from the rank over Q
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                      st.builds(lambda a, b: Fraction(a * PRIME + b), st.integers(-2, 2),
+                                st.integers(-1, 1)),
+                      st.builds(lambda a: Fraction(a, PRIME), st.integers(-3, 3)))
+    shape = st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(1, 5))
+
+    def product(s):
+        n_left, inner, ncols = s
+        left = st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                        min_size=n_left, max_size=n_left)
+        right = st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=inner, max_size=inner)
+        return st.tuples(left, right)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shape.flatmap(product))
+    def check(factors):
+        rows = mat_mul(*factors)  # rank <= inner, often below ncols
+        ncols = len(rows[0])
+        certified = full_rank_mod_p(rows, ncols)
+        assert not certified or bareiss_rank(rows) == ncols
+        assert full_rank_mod_p(_as_dicts(rows), ncols) == certified
+        assert nullspace(rows) == bareiss_nullspace(rows)
+
+    check()
+
+
+def test_full_rank_never_reaches_the_exact_elimination(monkeypatch):
+    calls = _spy_echelon(monkeypatch)
+    rng = random.Random(7)
+    for ncols in (1, 4, 9):
+        rows = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        rows += _sparse_matrix(rng, 2 * ncols, ncols, 0.5, 0.4)
+        assert nullspace(rows) == []
+        assert nullspace(_as_dicts(rows), ncols) == []
+    assert calls == []
+    deficient = [[frac(1), frac(2), frac(0)], [frac(2), frac(4), frac(0)]]
+    assert nullspace(deficient) == bareiss_nullspace(deficient)
+    assert nullspace(_as_dicts(deficient), 3) == bareiss_nullspace(deficient)
+    assert calls == [3, 3]
+
+
+def test_rank_of_sparse_rows_needs_ncols():
+    assert rank([{0: Fraction(1)}, {3: Fraction(1)}], ncols=4) == 2
+    assert rank([{0: 1, 3: 2}, {0: 2, 3: 4}, {}], ncols=5) == 1
+    assert rank([], ncols=3) == rank([]) == 0
+    with pytest.raises(InternalError, match="ncols required"):
+        rank([{0: Fraction(1)}, {3: Fraction(1)}])
+    with pytest.raises(InternalError, match="outside"):
+        rank([{0: 1}, {3: 1}], ncols=3)
+    with pytest.raises(InternalError, match="disagrees"):
+        rank([[frac(1), frac(2)]], ncols=3)
+    rng = random.Random(4)
+    for trial in range(20):
+        ncols = rng.randint(1, 8)
+        rows = _sparse_matrix(rng, rng.randint(1, 10), ncols, 0.3, 0.4)
+        assert rank(_as_dicts(rows), ncols) == rank(rows) == bareiss_rank(rows)

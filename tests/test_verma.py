@@ -299,6 +299,32 @@ def test_singular_vectors_killed_by_all_raising_generators():
             assert m.act(g, v).is_zero(), (sv.depth, sv.charge, g)
 
 
+def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
+    # e_0 f_0 v = mu v != 0, so e_0 alone is injective on the cell (0, 1):
+    # none of the other five kill-set matrices is built there
+    built = []
+    real = TruncatedModule.cell_matrix
+
+    def spy(module, g, cell):
+        built.append((cell, g))
+        return real(module, g, cell)
+
+    monkeypatch.setattr(TruncatedModule, "cell_matrix", spy)
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 4)
+    svs = m.find_singular_vectors(2)
+    by_cell = {}
+    for cell, g in built:
+        by_cell.setdefault(cell, []).append(g)
+    assert by_cell[(0, 1)] == [e(0)]
+    # every cell builds a prefix of the kill set, each matrix once; the cells
+    # with singular vectors build all of it
+    for cell, gens in by_cell.items():
+        assert gens == list(RAISING_KILL_SET[:len(gens)]), cell
+    for sv in svs:
+        assert by_cell[(sv.depth, sv.charge)] == list(RAISING_KILL_SET)
+    assert sum(gens == [e(0)] for gens in by_cell.values()) > len(by_cell) // 3
+
+
 def test_depth2_singular_vector_at_zero_central_charge():
     # a genuinely deeper kernel vector: -4 e_-2 + h_-1 e_-1 + e_-1^2 f_0
     hw = HighestWeight.of(F(1, 2), F(2), F(0))
@@ -892,11 +918,13 @@ def test_construction_and_singular_search_enumerate_only_what_they_read(monkeypa
     assert m.basis_size == sum(dim for _, _, dim in rows) == 4160
     assert seen == []
     m.find_singular_vectors(3)
-    # sources have depth <= 3 and charge <= S - 1 = 8; f_1 lifts the charge
-    # of its target by one, at one depth less
-    read = {(n, s) for n in range(4) for s in range(-n, 9)} | {(0, 9), (1, 9), (2, 9)}
+    # sources have depth <= 3 and charge <= S - 1 = 8.  f_1 would lift the
+    # charge of its target to 9, at one depth less, but at charge 8 an
+    # earlier kill-set operator always certifies the cell first, so f_1 is
+    # never built there and no cell of the top charge slice is enumerated
+    read = {(n, s) for n in range(4) for s in range(-n, 9)}
     assert sorted(seen) == sorted(read)  # each cell enumerated once
-    assert sum(m.weight_space_dim(n, s) for n, s in seen) == 550
+    assert sum(m.weight_space_dim(n, s) for n, s in seen) == 531
 
 
 def test_fully_read_cells_equal_an_eager_build():

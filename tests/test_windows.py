@@ -439,6 +439,29 @@ def test_lazy_export_equals_eager_build():
     assert lazy_scrambled.blocks == eager_scrambled.blocks
 
 
+def test_export_keys_match_the_eager_loop_at_any_width():
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 2)
+    for pad_top, max_degree in ((3, 3), (2, 5), (0, 1), (6, 2)):
+        wm = from_verma(m, pad_top=pad_top, max_degree=max_degree)
+        eager = [(fam, deg, k) for fam in "defh" for deg in range(-max_degree, max_degree + 1)
+                 for k in range(-2, pad_top + 1) if -2 <= k + deg <= pad_top]
+        assert list(wm.blocks) == eager and len(wm.blocks) == len(eager)
+        assert all(key in wm.blocks for key in eager)
+        assert not any(key in wm.blocks for key in [
+            ("d", max_degree + 1, -2), ("e", 0, pad_top + 1), ("f", 1, pad_top), ("x", 0, 0)])
+    # a wide window: nothing is built until it is read (tests/test_cli.py
+    # runs a 10^9-wide one under a memory limit)
+    calls = _count_apply_gen(m)
+    wm = from_verma(m, pad_top=10 ** 4, max_degree=10 ** 4)
+    width = 10 ** 4 + 3  # offsets -2..10^4; degree m leaves width - |m| of them
+    assert len(wm.blocks) == 4 * sum(width - abs(m) for m in range(-10 ** 4, 10 ** 4 + 1))
+    assert ("h", 10 ** 4, 0) in wm.blocks and ("h", 10 ** 4, 1) not in wm.blocks
+    assert wm.dim(10 ** 4) == 0 and wm.labels(5) == () and calls == []
+    block = wm.block("d", 10 ** 4, 0)
+    assert [block[j] for j in range(len(block))] == [()] * wm.dim(0)
+    assert len(calls) == wm.dim(0)
+
+
 def test_verma_columns_are_the_memo_images_kept_once():
     m = build_verma(HighestWeight.of(F(1, 3), F(1), F(3)), 2)
     wm = from_verma(m)
@@ -565,13 +588,25 @@ def dense_stack(wm, ops, k, cols):
     return stacked
 
 
-def weight_split_stacks(wm, ops, k, cols):
-    """The stacks of a kernel search over the basis vectors cols of offset k
-    as it takes them: one per h0 label, in ascending order, over that label's
-    columns."""
+def nullspace_stacks(wm, ops, k, cols):
+    """The stacks a kernel search hands ``nullspace`` over the basis vectors
+    cols of offset k: one per h0 label, in ascending order, over that label's
+    vectors that every op asserts, unless one op alone has full column rank
+    on the label's vectors that it and the earlier ops assert.  Such a label
+    is certified and stacks nothing."""
     labels = wm.labels(k)
-    return [dense_stack(wm, ops, k, [j for j in cols if labels[j].h0 == h0])
-            for h0 in sorted({labels[j].h0 for j in cols})]
+    stacks = []
+    for h0 in sorted({labels[j].h0 for j in cols}):
+        js = [j for j in cols if labels[j].h0 == h0]
+        for fam, m in ops:
+            block = wm.block(fam, m, k)
+            js = [j for j in js if block[j] is not None]
+            if js and len(nullspace(dense_stack(wm, [(fam, m)], k, js), ncols=len(js))) == 0:
+                break
+        else:
+            if js:
+                stacks.append(dense_stack(wm, ops, k, js))
+    return stacks
 
 
 def reference_extremal(wm, direction, record):
@@ -589,7 +624,7 @@ def reference_extremal(wm, direction, record):
         if not cols_ok:
             continue
         # the search splits by weight; the kernel is the whole-offset one
-        record.extend(weight_split_stacks(wm, kill, k, cols_ok))
+        record.extend(nullspace_stacks(wm, kill, k, range(wm.dim(k))))
         for v in nullspace(dense_stack(wm, kill, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
@@ -609,6 +644,7 @@ def reference_witness(wm, record):
                if not (m == 0 and fam in ("d", "h")) and wm.has_block(fam, m, k)]
         if not ops:
             continue
+        record.extend(nullspace_stacks(wm, ops, k, range(n)))
         by_h0 = {}
         for j, lab in enumerate(wm.labels(k)):
             by_h0.setdefault(lab.h0, []).append(j)
@@ -617,9 +653,7 @@ def reference_witness(wm, record):
                     if all(wm.block(fam, m, k)[j] is not None for fam, m in ops)]
             if not cols:
                 continue
-            stacked = dense_stack(wm, ops, k, cols)
-            record.append(stacked)
-            for v in nullspace(stacked, ncols=len(cols)):
+            for v in nullspace(dense_stack(wm, ops, k, cols), ncols=len(cols)):
                 full = [F(0)] * n
                 for idx, j in enumerate(cols):
                     full[j] = v[idx]
@@ -704,14 +738,15 @@ def test_column_stacking_matches_per_entry_oracle(name, wm, monkeypatch):
                 continue
             seen.clear()
             rep = stacked_shift_injectivity(wm, k, i)
-            # one stack per h0 label of the source offset, as sparse rows; a
-            # source offset without basis vectors stacks nothing.  The kernel
-            # is the oracle's whole-offset kernel.
-            assert seen == _as_sparse(weight_split_stacks(
+            # one stack per h0 label of the source offset that no single op
+            # certifies, as sparse rows; a source offset without basis
+            # vectors stacks nothing.  The kernel is the oracle's
+            # whole-offset kernel.
+            assert seen == _as_sparse(nullspace_stacks(
                 wm, injectivity_ops(i), k, range(wm.dim(k))))
             assert rep.kernel_basis == tuple(tuple(v) for v in kernel)
-    # witness and both extremal searches: the stacks in weight order, and the
-    # oracle's kernels (whole-offset ones for the extremal searches)
+    # witness and both extremal searches: the uncertified stacks in weight
+    # order, and the oracle's kernels (whole-offset ones for the extremal searches)
     for search, reference in [
             (submodule_witness, reference_witness),
             (lambda w: find_extremal_vectors(w, "highest"),
@@ -782,6 +817,59 @@ def test_a_column_an_earlier_op_leaves_unasserted_is_not_read():
     assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0) == []
     with pytest.raises(OutOfWindow, match="d-action of degree 1 from offset 0 is only partially"):
         _joint_kernel(wm, (("d", 1), ("e", 1)), 0, whole=True)
+
+
+class _CertifiedColumns(list):
+    """A block whose columns in ``unread`` must not be read."""
+
+    def __init__(self, cols, unread):
+        super().__init__(cols)
+        self.unread = unread
+
+    def __getitem__(self, j):
+        assert j not in self.unread, f"column {j} was read after its block was certified"
+        return super().__getitem__(j)
+
+
+def _certified_window(later):
+    """Offset 0 holds u, u' (h0 = 0) and w (h0 = 2).  d_1 has full rank on
+    <u, u'> and kills w, so it certifies the h0 = 0 block and later ops
+    never read its columns; the block's kernel under every op is {0}.
+    ``later`` is the e_1 block from offset 0."""
+    labels = (BasisLabel("u", F(0), F(0)), BasisLabel("u'", F(0), F(0)),
+              BasisLabel("w", F(0), F(2)))
+    basis = {0: labels, 1: labels[:2] + (BasisLabel("x", F(1), F(2)),)}
+    blocks = {("d", 1, 0): [((0, F(1)), (1, F(2))), ((1, F(3)),), ()],
+              ("e", 1, 0): later}
+    return WindowedModule((0, 1), frozenset("de"), F(0), basis, blocks)
+
+
+def test_a_certified_block_is_not_read_by_later_ops(monkeypatch):
+    seen = _record_nullspace_inputs(monkeypatch)
+    # e_1 kills w too: only the h0 = 2 block reaches the exact kernel, with
+    # its (empty) stack, and its kernel is <w>
+    wm = _certified_window(_CertifiedColumns([None, (), ()], unread={0, 1}))
+    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0) == [(F(0), F(0), F(1))]
+    assert seen == [[]]
+    # e_1 maps w to x: it certifies the h0 = 2 block as well
+    seen.clear()
+    wm = _certified_window(_CertifiedColumns([None, (), ((2, F(5)),)], unread={0, 1}))
+    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0) == []
+    assert seen == []
+
+
+def test_whole_reads_every_column_and_raises_on_a_partial_later_block():
+    # the certified block's e_1 columns are read all the same, and the
+    # unasserted one raises as before the certificate
+    reads = []
+    wm = _certified_window(_ReadColumns([None, (), ((2, F(5)),)], reads))
+    with pytest.raises(OutOfWindow, match="e-action of degree 1 from offset 0 is only partially"):
+        _joint_kernel(wm, (("d", 1), ("e", 1)), 0, whole=True)
+    assert sorted(j for _, j in reads) == [0, 1, 2]
+    reads.clear()
+    wm = _certified_window(_ReadColumns([((0, F(1)),), (), ((2, F(5)),)], reads))
+    assert _joint_kernel(wm, (("d", 1), ("e", 1)), 0, whole=True) == []
+    assert sorted(j for _, j in reads) == [0, 1, 2]
 
 
 def _two_label_window(h0_w):
