@@ -25,7 +25,7 @@ kinds and by ``(k, i)`` pairs (u_k x t^i) for the loop kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
@@ -82,20 +82,22 @@ class LoopMod:
 
 ModuleSpec = Union[IntAB, IntA, IntB, HVirABC, T2Mod, T2Corrupt, LoopMod]
 
-_KIND_TAG = {IntAB: "A", IntA: "A2", IntB: "B", HVirABC: "H",
-             T2Mod: "T2", T2Corrupt: "T2corrupt", LoopMod: "loop"}
+# the spec grammar: kind tag -> class; a kind's keys are its fields in order
+KINDS = {"A": IntAB, "A2": IntA, "B": IntB, "H": HVirABC, "T2": T2Mod,
+         "T2corrupt": T2Corrupt, "loop": LoopMod}
+_KIND_TAG = {cls: tag for tag, cls in KINDS.items()}
+
+
+def spec_keys(cls) -> Tuple[str, ...]:
+    """The spec keys of a kind's class, with ``LoopMod.lam`` written lambda."""
+    return tuple("lambda" if fld.name == "lam" else fld.name for fld in fields(cls))
 
 
 def spec_text(spec: ModuleSpec) -> str:
     """Canonical text form, e.g. ``A:a=1/2,b=1/3`` or ``loop:lambda=1,a=0,b=0``."""
-    tag = _KIND_TAG[type(spec)]
-    if isinstance(spec, (IntA, IntB)):
-        return f"{tag}:a={spec.a}"
-    if isinstance(spec, IntAB):
-        return f"{tag}:a={spec.a},b={spec.b}"
-    if isinstance(spec, (HVirABC, T2Mod, T2Corrupt)):
-        return f"{tag}:a={spec.a},b={spec.b},c={spec.c}"
-    return f"{tag}:lambda={spec.lam},a={spec.a},b={spec.b}"
+    values = (getattr(spec, fld.name) for fld in fields(spec))
+    return _KIND_TAG[type(spec)] + ":" + ",".join(
+        f"{key}={value}" for key, value in zip(spec_keys(type(spec)), values))
 
 
 def acting_algebra(spec: ModuleSpec) -> AlgebraSpec:

@@ -24,8 +24,7 @@ from . import catalog as cat
 from . import verma as vm
 from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
-from .catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
-                      T2Mod, acting_algebra, label_str, spec_text)
+from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec_keys, spec_text
 from .errors import (AvwError, InternalError, MissingParameter, ResourceBound, SpecParseError,
                      UnknownKind, UnwritablePath)
 from .linalg import Vec
@@ -34,17 +33,6 @@ from .linalg import Vec
 # sweep over this many exits 2 before it starts (--range=-20..20 of L is 4.5M)
 DEFAULT_MAX_SWEEP = 5_000_000
 MAX_SWEEP_ENV = "AVW_MAX_SWEEP"
-
-_KINDS = ("A", "A2", "B", "H", "T2", "T2corrupt", "loop")
-_REQUIRED_KEYS = {
-    "A": ("a", "b"),
-    "A2": ("a",),
-    "B": ("a",),
-    "H": ("a", "b", "c"),
-    "T2": ("a", "b", "c"),
-    "T2corrupt": ("a", "b", "c"),
-    "loop": ("lambda", "a", "b"),
-}
 
 
 def _parse_rational(text: str, pos: int) -> Fraction:
@@ -65,45 +53,36 @@ def parse_spec(text: str) -> ModuleSpec:
     if colon < 0:
         raise SpecParseError("missing ':' after the kind", len(text))
     kind = text[:colon]
-    if kind not in _KINDS:
-        raise UnknownKind(f"unknown kind {kind!r}; expected one of {_KINDS}", 0)
+    if kind not in KINDS:
+        raise UnknownKind(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}", 0)
+    cls = KINDS[kind]
+    keys = spec_keys(cls)
     params: Dict[str, Fraction] = {}
     pos = colon + 1
     body = text[colon + 1:]
     if not body:
-        raise MissingParameter(f"kind {kind!r} needs parameters "
-                               f"{_REQUIRED_KEYS[kind]}", pos)
+        raise MissingParameter(f"kind {kind!r} needs parameters {keys}", pos)
     for part in body.split(","):
         eq = part.find("=")
         if eq < 0:
             raise SpecParseError(f"expected key=value, got {part!r}", pos)
         key, value = part[:eq], part[eq + 1:]
-        if key not in _REQUIRED_KEYS[kind]:
+        if key not in keys:
             raise SpecParseError(f"unknown parameter {key!r} for kind {kind!r}", pos)
         if key in params:
             raise SpecParseError(f"duplicate parameter {key!r}", pos)
         params[key] = _parse_rational(value, pos + eq + 1)
         pos += len(part) + 1
-    for key in _REQUIRED_KEYS[kind]:
+    for key in keys:
         if key not in params:
             raise MissingParameter(f"missing parameter {key!r} for kind {kind!r}",
                                    len(text))
-    if kind == "A":
-        return IntAB(params["a"], params["b"])
-    if kind == "A2":
-        return IntA(params["a"])
-    if kind == "B":
-        return IntB(params["a"])
-    if kind == "H":
-        return HVirABC(params["a"], params["b"], params["c"])
-    if kind == "T2":
-        return T2Mod(params["a"], params["b"], params["c"])
-    if kind == "T2corrupt":
-        return T2Corrupt(params["a"], params["b"], params["c"])
-    lam = params["lambda"]
-    if lam.denominator != 1 or lam < 0:
-        raise SpecParseError("lambda must be a nonnegative integer", colon + 1)
-    return LoopMod(int(lam), params["a"], params["b"])
+    if cls is LoopMod:
+        lam = params["lambda"]
+        if lam.denominator != 1 or lam < 0:
+            raise SpecParseError("lambda must be a nonnegative integer", colon + 1)
+        params["lambda"] = int(lam)
+    return cls(*(params[key] for key in keys))
 
 
 @dataclass(frozen=True)
@@ -147,12 +126,8 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _fs(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec_json(spec: ModuleSpec, v: Vec) -> Dict[str, str]:
-    return {label_str(spec, lab): _fs(coeff) for lab, coeff in
+    return {label_str(spec, lab): str(coeff) for lab, coeff in
             sorted(v.terms.items(), key=lambda kv: label_str(spec, kv[0]))}
 
 
@@ -286,7 +261,7 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
         "window": [p, q],
         "families": sorted(wm.families),
         "dims": {str(k): wm.dim(k) for k in wm.offsets()},
-        "labels": {str(k): [{"name": lab.name, "d0": _fs(lab.d0), "h0": _fs(lab.h0)}
+        "labels": {str(k): [{"name": lab.name, "d0": str(lab.d0), "h0": str(lab.h0)}
                             for lab in wm.labels(k)] for k in wm.offsets()},
     }
     if matrices:
@@ -295,7 +270,7 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
             rows = range(wm.dim(k + m))  # printed densely: "0" off the pairs
             entries = [None if col is None else dict(col) for col in cols]
             blocks[f"{fam}[{m}] from {k}"] = [
-                None if e is None else [_fs(e.get(r, 0)) for r in rows] for e in entries]
+                None if e is None else [str(e.get(r, 0)) for r in rows] for e in entries]
         payload["blocks"] = blocks
     return payload
 
@@ -314,9 +289,9 @@ def _cmd_catalog(config: RunConfig) -> int:
         rep = cat.sl2_irrep(spec.lam)
         payload["sl2_irrep"] = {
             "lambda": rep.lam,
-            "e": [[_fs(x) for x in row] for row in rep.e_mat],
-            "f": [[_fs(x) for x in row] for row in rep.f_mat],
-            "h": [[_fs(x) for x in row] for row in rep.h_mat],
+            "e": [[str(x) for x in row] for row in rep.e_mat],
+            "f": [[str(x) for x in row] for row in rep.f_mat],
+            "h": [[str(x) for x in row] for row in rep.h_mat],
         }
     _write_report(config, payload)
     return 0 if not defects else 1
@@ -412,8 +387,8 @@ def _cmd_verma(config: RunConfig) -> int:
     cartan = _cartan_check(module)
     payload = {
         "command": "verma",
-        "highest_weight": {"lamd": _fs(module.hw.lam_d), "mu": _fs(module.hw.mu),
-                           "c": _fs(module.hw.c)},
+        "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
+                           "c": str(module.hw.c)},
         "depth_bound": module.depth_bound,
         "charge_bound": module.charge_bound,
         "basis_size": module.basis_size,
@@ -436,8 +411,8 @@ def _cmd_singular(config: RunConfig) -> int:
         sing_depth = max(module.depth_bound - 2, 0)
     payload = {
         "command": "singular",
-        "highest_weight": {"lamd": _fs(module.hw.lam_d), "mu": _fs(module.hw.mu),
-                           "c": _fs(module.hw.c)},
+        "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
+                           "c": str(module.hw.c)},
         "max_depth": sing_depth,
         "singular_vectors": _singular_section(module, sing_depth),
     }
@@ -479,7 +454,7 @@ def _cmd_witness(config: RunConfig) -> int:
             continue
         extremal[direction] = [
             {"offset": v.offset,
-             "vector": {lab.name: _fs(cf) for lab, cf in zip(v.labels, v.coefficients) if cf}}
+             "vector": {lab.name: str(cf) for lab, cf in zip(v.labels, v.coefficients) if cf}}
             for v in vecs]
     payload["extremal_vectors"] = extremal
     _write_report(config, payload)

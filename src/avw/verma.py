@@ -323,7 +323,7 @@ class _LazyMap(Mapping):
 class TruncatedModule:
     """Highest-weight module restricted to depth <= N, charge <= S.
 
-    Construction counts every kept cell (``_cell_dims``) and runs the
+    Construction counts the kept cells (``_cell_dims``) and runs the
     factor-cap and basis-size checks on the counts; it enumerates nothing.
     ``cells`` and ``index`` are read-only mappings over the kept cells in
     (depth, charge) order whose values are built on first read.
@@ -348,7 +348,10 @@ class TruncatedModule:
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound
         self.max_factors = max_factors
-        dims = _cell_dims(depth_bound, charge_bound)
+        # the checks stop at the first cell over the factor cap, whose depth
+        # and charge are at most max_factors + 1, so larger ones are not counted
+        cap = max(max_factors, 0) + 1
+        dims = _cell_dims(min(depth_bound, cap), min(charge_bound, cap))
         total = 0
         for (n, s), dim in dims.items():
             # the longest monomial of cell (n, s) is e_-1^n f_0^(n+s)

@@ -44,7 +44,7 @@ from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, WindowTooNarrow, ZeroShift)
 from .linalg import Vec, full_rank_mod_p, nullspace, stack_columns
-from .verma import Pairs, TruncatedModule, _LazyMap, image_pairs, mono_str
+from .verma import RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, image_pairs, mono_str
 
 Column = Optional[Pairs]
 
@@ -365,7 +365,7 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 
-KILL_HIGHEST = (("e", 0), ("d", 1), ("e", 1), ("f", 1), ("h", 1), ("d", 2))
+KILL_HIGHEST = RAISING_KILL_SET
 KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("f", -1), ("h", -1), ("d", -2))
 
 
@@ -463,55 +463,12 @@ def _poly_trim(p: List[Fraction]) -> List[Fraction]:
     return p
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _poly_trim(out)
-
-
-def _poly_scale(s, p):
-    return _poly_trim([s * a for a in p]) if s else []
-
-
-def _poly_mod(p, q):
-    p = list(p)
-    while len(p) >= len(q) and p:
-        factor = p[-1] / q[-1]
-        shift = len(p) - len(q)
-        for i, b in enumerate(q):
-            p[shift + i] -= factor * b
-        _poly_trim(p)
-    return p
-
-
-def _poly_gcd(p, q):
-    p, q = list(p), list(q)
-    while q:
-        p, q = q, _poly_mod(p, q)
-    if p:
-        lead = p[-1]
-        p = [a / lead for a in p]
-    return p
-
-
 def _rational_roots(p: List[Fraction]) -> List[Fraction]:
     """Sorted distinct rational roots of a nonzero polynomial of degree <= 2.
 
-    ``catalog_match`` only asks for gcds of quadratic and linear constraints,
-    so the roots come in closed form (linear root or square discriminant).
+    ``catalog_match`` only asks for roots of its quadratic and linear
+    constraints, so they come in closed form (linear root or square
+    discriminant).
     """
     if not p:
         raise InvalidArgument("the zero polynomial has every number as a root")
@@ -617,8 +574,8 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
     """Identify the window as a loop module L(M(lam)) with parameters (a, b).
 
     lam comes from the h0-spectrum, a from the d0-labels; b is read off the
-    h/d ladder entries when lam >= 1 and otherwise pinned as a rational root
-    of scale-invariant polynomial constraints on the d-entries.  Every
+    h/d ladder entries when lam >= 1 and otherwise pinned as a common rational
+    root of scale-invariant polynomial constraints on the d-entries.  Every
     candidate is verified entrywise up to per-vector rescaling.
     """
     p, q = wm.window
@@ -674,25 +631,18 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
     else:
         o1 = {k: dict(wm.block("d", 1, k)[0]).get(0, 0) for k in range(p, q)}
         o2 = {k: dict(wm.block("d", 2, k)[0]).get(0, 0) for k in range(p, q - 1)}
+        # coefficients of 1, b, b^2: o2 (u+b)(u+1+b) - o1 o1' (u+2b) with u = a+k,
+        # and u+b or u+2b where a d_1 or d_2 entry vanishes
         polys: List[List[Fraction]] = []
         for k in range(p, q - 1):
-            lhs = _poly_scale(o2[k], _poly_mul([a + k, Fraction(1)],
-                                               [a + k + 1, Fraction(1)]))
-            rhs = _poly_scale(o1[k] * o1[k + 1], [a + k, Fraction(2)])
-            poly = _poly_sub(lhs, rhs)
-            if poly:
-                polys.append(poly)
-        for k, v in o1.items():
-            if v == 0:
-                polys.append([a + k, Fraction(1)])
-        for k, v in o2.items():
-            if v == 0:
-                polys.append([a + k, Fraction(2)])
-        g = []
-        for poly in polys:
-            g = _poly_gcd(g, poly) if g else list(poly)
-        if len(g) >= 2:
-            candidates.extend(_rational_roots(g))
+            u, w = a + k, o1[k] * o1[k + 1]
+            polys.append([o2[k] * u * (u + 1) - w * u, o2[k] * (2 * u + 1) - 2 * w, o2[k]])
+        polys.extend([a + k, Fraction(1)] for k, v in o1.items() if v == 0)
+        polys.extend([a + k, Fraction(2)] for k, v in o2.items() if v == 0)
+        polys = [poly for poly in map(_poly_trim, polys) if poly]
+        if polys:
+            candidates.extend(r for r in _rational_roots(polys[0]) if all(
+                sum(c * r ** i for i, c in enumerate(poly)) == 0 for poly in polys[1:]))
         candidates.extend((Fraction(0), Fraction(1)))
     tried = []
     verified: List[LoopMod] = []

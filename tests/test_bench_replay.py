@@ -1,10 +1,10 @@
-"""The benchmark's catalog workload, replayed against its committed digests.
+"""The benchmark's workloads, replayed against their committed digests.
 
-Every job of one seed-0 ``catalog_sweep`` pass (``perfbench/workloads.py``)
+Every job of one seed-0 pass of each workload in ``perfbench/workloads.py``
 runs through ``avw.cli.execute`` and must pass ``perfbench/checks.check``:
 its exit code and the sha256 of its report as in ``perfbench/expected.json``,
 and the workload's invariants.  So a change to a report byte of these
-sweeps fails here, not only in the benchmark.  Nothing under ``perfbench/``
+passes fails here, not only in the benchmark.  Nothing under ``perfbench/``
 is written.
 """
 
@@ -18,11 +18,15 @@ import pytest
 from avw.cli import build_parser, config_from_args, execute
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
+# import the bench modules without writing their bytecode under perfbench/
+dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 from checks import check, load_expected  # noqa: E402
-from workloads import command_line, jobs_for  # noqa: E402
+from workloads import WORKLOADS, command_line, jobs_for  # noqa: E402
+sys.dont_write_bytecode = dont_write
 
-JOBS = jobs_for("catalog_sweep", 0)
+JOBS = {workload: jobs_for(workload, 0) for workload in WORKLOADS}
+HW_JOBS = [(workload, n, job) for workload in WORKLOADS if workload != "catalog_sweep"
+           for n, job in enumerate(JOBS[workload])]
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +34,22 @@ def expected():
     return load_expected()
 
 
-@pytest.mark.parametrize("job", JOBS, ids=[f"{n}-{job[0]}" for n, job in enumerate(JOBS)])
-def test_catalog_sweep_job_matches_expected(job, expected):
+def replay(job, expected):
     config = config_from_args(build_parser().parse_args(list(job)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = execute(config)
     assert command_line(job) in expected
     assert check(job, rc, out.getvalue().encode("utf-8"), expected) is None, err.getvalue()
+
+
+@pytest.mark.parametrize("job", JOBS["catalog_sweep"],
+                         ids=[f"{n}-{job[0]}" for n, job in enumerate(JOBS["catalog_sweep"])])
+def test_catalog_sweep_job_matches_expected(job, expected):
+    replay(job, expected)
+
+
+@pytest.mark.parametrize("job", [job for _, _, job in HW_JOBS],
+                         ids=[f"{workload}-{n}-{job[0]}" for workload, n, job in HW_JOBS])
+def test_highest_weight_job_matches_expected(job, expected):
+    replay(job, expected)

@@ -68,6 +68,36 @@ def test_parse_spec_errors():
         parse_spec("loop:lambda=1/2,a=0,b=0")
 
 
+KINDS_TEXT = "('A', 'A2', 'B', 'H', 'T2', 'T2corrupt', 'loop')"
+
+
+@pytest.mark.parametrize("text, exc, message, position", [
+    ("A", SpecParseError, "missing ':' after the kind", 1),
+    ("Q:a=1", UnknownKind, f"unknown kind 'Q'; expected one of {KINDS_TEXT}", 0),
+    ("A:", MissingParameter, "kind 'A' needs parameters ('a', 'b')", 2),
+    ("A2:", MissingParameter, "kind 'A2' needs parameters ('a',)", 3),
+    ("loop:", MissingParameter, "kind 'loop' needs parameters ('lambda', 'a', 'b')", 5),
+    ("A:a", SpecParseError, "expected key=value, got 'a'", 2),
+    ("T2corrupt:c=1,,", SpecParseError, "expected key=value, got ''", 14),
+    ("A:a=1,z=2", SpecParseError, "unknown parameter 'z' for kind 'A'", 6),
+    ("loop:lam=1", SpecParseError, "unknown parameter 'lam' for kind 'loop'", 5),
+    ("A:a=1,a=2,b=0", SpecParseError, "duplicate parameter 'a'", 6),
+    ("A:a=1/0", SpecParseError, "zero denominator", 4),
+    ("A:a=x,b=0", SpecParseError, "expected a rational like 7/6 or -2, got 'x'", 4),
+    ("A:a=1", MissingParameter, "missing parameter 'b' for kind 'A'", 5),
+    ("H:a=0,b=0", MissingParameter, "missing parameter 'c' for kind 'H'", 9),
+    ("loop:lambda=1,a=0", MissingParameter, "missing parameter 'b' for kind 'loop'", 17),
+    ("loop:lambda=-1,a=0,b=0", SpecParseError, "lambda must be a nonnegative integer", 5),
+    ("loop:lambda=1/2,a=0,b=0", SpecParseError, "lambda must be a nonnegative integer", 5),
+])
+def test_parse_spec_error_messages_and_positions(text, exc, message, position):
+    with pytest.raises(SpecParseError) as err:
+        parse_spec(text)
+    assert type(err.value) is exc
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def run(args):
     return main(args)
 
@@ -515,6 +545,27 @@ def test_injectivity_at_a_huge_shift_stays_small():
     if done.returncode == 0:
         report = json.loads(done.stdout)
         assert (report["i"], report["dimV_k"]) == (10 ** 9, 6)
+
+
+@pytest.mark.parametrize("args", [
+    ["verma", "--lamd=0", "--mu=0", "--c=0", "--depth=1000000"],
+    ["singular", "--lamd=0", "--mu=0", "--c=0", "--depth=2", "--charge=1000000000"],
+], ids=["depth", "charge"])
+def test_huge_depth_or_charge_meets_the_factor_cap_at_once(args):
+    # cells are counted only up to the first one over the factor cap, so a
+    # huge bound exits 2 within 512 MB of address space and 30 s
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    code = "import sys; from avw.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("error: monomial exceeds the factor cap 24; "
+                           "raise max_factors to build this cell\n")
 
 
 @pytest.mark.parametrize("args, digest", [

@@ -257,6 +257,87 @@ def test_catalog_match_with_vanishing_d_ladder_entry():
     assert res.spec == spec
 
 
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_sub(p, q):
+    out = [F(0)] * max(len(p), len(q))
+    for i, x in enumerate(p):
+        out[i] += x
+    for i, y in enumerate(q):
+        out[i] -= y
+    return _poly_trim(out)
+
+
+def _poly_gcd(p, q):
+    p, q = list(p), list(q)
+    while q:
+        r = list(p)
+        while len(r) >= len(q) and r:
+            factor, shift = r[-1] / q[-1], len(r) - len(q)
+            for i, y in enumerate(q):
+                r[shift + i] -= factor * y
+            _poly_trim(r)
+        p, q = q, r
+    return [x / p[-1] for x in p]
+
+
+def reference_b_candidates(wm):
+    """The lam = 0 b candidates through the gcd over Q[b] of the constraints
+    o2 (u+b)(u+1+b) - o1 o1' (u+2b), u+b and u+2b; then 0 and 1."""
+    p, q = wm.window
+    a = wm.labels(p)[0].d0 - p
+    o1 = {k: dict(wm.block("d", 1, k)[0]).get(0, 0) for k in range(p, q)}
+    o2 = {k: dict(wm.block("d", 2, k)[0]).get(0, 0) for k in range(p, q - 1)}
+    polys = []
+    for k in range(p, q - 1):
+        lhs = _poly_mul([o2[k]], _poly_mul([a + k, F(1)], [a + k + 1, F(1)]))
+        poly = _poly_sub(lhs, _poly_mul([o1[k] * o1[k + 1]], [a + k, F(2)]))
+        if poly:
+            polys.append(poly)
+    polys += [[a + k, F(1)] for k, v in o1.items() if v == 0]
+    polys += [[a + k, F(2)] for k, v in o2.items() if v == 0]
+    g = []
+    for poly in polys:
+        g = _poly_gcd(g, poly) if g else list(poly)
+    roots = _rational_roots(g) if len(g) >= 2 else []
+    vanishing = 0 in o1.values() or 0 in o2.values()
+    return list(dict.fromkeys(roots + [F(0), F(1)])), vanishing
+
+
+def test_catalog_match_b_candidates_are_the_gcd_roots():
+    # the common rational roots of the constraints are the rational roots of
+    # their gcd over Q[b]: (b - r) divides the gcd iff it divides each one
+    rng = random.Random(13)
+    vanishing = integral = 0
+    for t in range(240):
+        a, b = (F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(2))
+        if t % 4 == 0:
+            a, b = F(rng.randint(-4, 4)), F(t % 8 // 4)
+            integral += 1
+        spec = rng.choice([LoopMod(0, a, b), IntAB(a, b), IntA(a), IntB(a)])
+        lo = rng.randint(-4, 2)
+        wm = from_catalog(spec, (lo, lo + rng.randint(2, 6)))
+        if t % 2:
+            wm = scramble_window(wm, seed=t)
+        expected, vanishes = reference_b_candidates(wm)
+        vanishing += vanishes
+        got = catalog_match(wm).evidence["candidates"]
+        assert [c["b"] for c in got] == [str(x) for x in expected], (spec, wm.window, t)
+    assert vanishing >= 50 and integral == 60
+
+
 def test_catalog_match_unscrambled_and_intab():
     res = catalog_match(from_catalog(LoopMod(1, F(1, 2), F(0)), (-3, 3)))
     assert res.spec == LoopMod(1, F(1, 2), F(0))
