@@ -25,7 +25,7 @@ kinds and by ``(k, i)`` pairs (u_k x t^i) for the loop kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
@@ -295,19 +295,7 @@ def canonicalize(spec: ModuleSpec) -> ModuleSpec:
     the class of a."""
     if isinstance(spec, (IntA, IntB)):
         return spec
-    shift = floor(spec.a)
-    if shift == 0:
-        return spec
-    a0 = spec.a - shift
-    if isinstance(spec, IntAB):
-        return IntAB(a0, spec.b)
-    if isinstance(spec, HVirABC):
-        return HVirABC(a0, spec.b, spec.c)
-    if isinstance(spec, T2Mod):
-        return T2Mod(a0, spec.b, spec.c)
-    if isinstance(spec, LoopMod):
-        return LoopMod(spec.lam, a0, spec.b)
-    return spec
+    return replace(spec, a=spec.a - floor(spec.a))
 
 
 class SimplicityVerdict(NamedTuple):

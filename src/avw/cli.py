@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog as cat
 from . import verma as vm
@@ -420,18 +420,18 @@ def _cmd_singular(config: RunConfig) -> int:
     return 0
 
 
-def _analysis_window(config: RunConfig) -> win.WindowedModule:
+def _analysis_window(config: RunConfig,
+                     degrees: Sequence[int] = range(-3, 4)) -> win.WindowedModule:
     """Shared input path: --module picks a catalog window, --lamd/--mu/--c a
-    truncated highest-weight export."""
+    truncated highest-weight export with blocks of the given degrees."""
     if config.module:
         return win.from_catalog(parse_spec(config.module), config.window)
-    module = _build_module(config)
-    need = max(abs(config.i) + 1, 3)
-    return win.from_verma(module, pad_top=need, max_degree=need)
+    return win.from_verma(_build_module(config), pad_top=max(abs(config.i) + 1, 3),
+                          degrees=degrees)
 
 
 def _cmd_injectivity(config: RunConfig) -> int:
-    wm = _analysis_window(config)
+    wm = _analysis_window(config, (config.i, config.i + 1))
     report = win.stacked_shift_injectivity(wm, config.k, config.i)
     payload = {"command": "injectivity", "module": wm.description,
                **win.injectivity_json(report)}

@@ -453,6 +453,8 @@ class TruncatedModule:
         ``stack_columns`` stack to ``nullspace``.  The highest-weight line
         itself always appears at (0, 0).
         """
+        if max_depth < 0:
+            raise InvalidBound("max_depth must be >= 0")
         if max_depth > self.depth_bound - 2:
             raise OutOfWindow(
                 f"max_depth {max_depth} needs depth bound >= {max_depth + 2} "

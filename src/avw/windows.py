@@ -23,10 +23,10 @@ that it has no kernel there; the rest go to one exact ``nullspace`` each.
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
-Exports of a truncated highest-weight module are lazy: an offset's basis is
-enumerated, a block made and a column computed the first time each is read,
-and kept from then on, so an analysis pays only for what it reads, however
-wide the window.
+Exports of a truncated highest-weight module carry only the block degrees
+their caller names, and are lazy: an offset's basis is enumerated, a block
+made and a column computed the first time each is read, and kept from then
+on, so an analysis pays only for what it reads, however wide the window.
 """
 
 from __future__ import annotations
@@ -110,6 +110,16 @@ def _window_families(spec: ModuleSpec) -> frozenset:
     return frozenset("dhe")  # T2
 
 
+def _block_keys(families: frozenset, degrees: Sequence[int],
+                window: Tuple[int, int]) -> Dict[Tuple[str, int, int], None]:
+    """The block keys (family, degree m, offset k) of every family and given
+    degree with k and k + m inside the window, ordered by family, m, then k,
+    as the keys of a dict."""
+    p, q = window
+    return dict.fromkeys((fam, m, k) for fam in sorted(families) for m in sorted(set(degrees))
+                         for k in range(max(p, p - m), min(q, q - m) + 1))
+
+
 def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     """Materialize a catalog module's actions as exact matrices."""
     if isinstance(spec, T2Corrupt):
@@ -129,15 +139,9 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     index: Dict[int, Dict] = {k: {lab: i for i, lab in enumerate(raw_labels[k])}
                               for k in range(p, q + 1)}
     families = _window_families(spec)
-    blocks: Dict[Tuple[str, int, int], List[Column]] = {}
-    for fam in sorted(families):
-        for m in range(p - q, q - p + 1):
-            for k in range(p, q + 1):
-                if not (p <= k + m <= q):
-                    continue
-                blocks[(fam, m, k)] = [
-                    image_pairs(_window_action(spec, Gen(fam, m), lab).terms, index[k + m])
-                    for lab in raw_labels[k]]
+    blocks = {(fam, m, k): [image_pairs(_window_action(spec, Gen(fam, m), lab).terms, index[k + m])
+                            for lab in raw_labels[k]]
+              for fam, m, k in _block_keys(families, range(p - q, q - p + 1), window)}
     return WindowedModule(window, families, Fraction(0), basis, blocks,
                           description=spec_text(spec))
 
@@ -227,66 +231,34 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     return [v for _, v in sorted(kernel)]  # free columns differ: vectors never compared
 
 
-class _BlockKeys:
-    """The keys (family, degree m, offset k) of a highest-weight export: every
-    family, |m| <= max_degree, and k and k + m inside the window.  Membership
-    and size are arithmetic, so a wide window costs nothing until a block is
-    read."""
-
-    def __init__(self, families: frozenset, max_degree: int, window: Tuple[int, int]):
-        self._families, self._max_degree, self._window = families, max_degree, window
-
-    def __contains__(self, key) -> bool:
-        fam, m, k = key
-        p, q = self._window
-        return fam in self._families and abs(m) <= self._max_degree \
-            and p <= k <= q and p <= k + m <= q
-
-    def __iter__(self):
-        p, q = self._window
-        for fam in sorted(self._families):
-            for m in range(-self._max_degree, self._max_degree + 1):
-                for k in range(max(p, p - m), min(q, q - m) + 1):
-                    yield fam, m, k
-
-    def __len__(self) -> int:
-        width = self._window[1] - self._window[0] + 1
-        top = min(self._max_degree, width - 1)  # |m| up to top leaves width - |m| offsets
-        return len(self._families) * (width * (2 * top + 1) - top * (top + 1))
-
-
-def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
-               charge_cap: Optional[int] = None) -> WindowedModule:
+def from_verma(module: TruncatedModule, pad_top: int = 3,
+               degrees: Sequence[int] = range(-3, 4)) -> WindowedModule:
     """Export a truncated highest-weight module as a windowed module.
 
     Offsets run from -N (deepest kept depth) up to ``pad_top`` (empty slices
     above the highest weight, so degenerate injectivity questions at the top
-    are answerable).  Per offset the basis keeps charges up to ``charge_cap``
-    (default S-1); an f-action column whose image would exceed the kept
-    charges is stored as unasserted rather than silently truncated.  Nothing
-    is built up front: an offset's basis is enumerated the first time it is
-    read, a block is made the first time it is looked up, and each column is
+    are answerable), and the blocks are those of the given ``degrees``
+    (``_block_keys``).  Per offset the basis keeps charges up to S-1; an
+    f-action column whose image would exceed the kept charges is stored as
+    unasserted rather than silently truncated.  Nothing else is built up
+    front: an offset's basis is enumerated the first time it is read, a
+    block is made the first time it is looked up, and each column is
     computed the first time it is read, as the ``(row, coeff)`` pairs of
     ``verma.image_pairs`` with the memo's coefficients (``int`` when
-    integral), and kept.  So a query pays for what it reads, however wide
-    ``pad_top`` and ``max_degree`` make the window.
+    integral), and kept.  So a query pays for what it reads, however high
+    ``pad_top`` puts the window top.
     """
-    if charge_cap is None:
-        charge_cap = module.charge_bound - 1
-    if charge_cap >= module.charge_bound:
-        raise OutOfWindow("charge_cap must stay below the module's charge "
-                          "bound so f-images remain computable")
     n_max = module.depth_bound
     window = (-n_max, pad_top)
     kept = range(-n_max, 1)  # the offsets with basis vectors; those above are empty
 
     def labels(k: int) -> Tuple[BasisLabel, ...]:
         return tuple(BasisLabel(mono_str(mono), *module.weight_of_cell(-k, s))
-                     for s in range(k, charge_cap + 1) for mono in module.cells[(-k, s)])
+                     for s in range(k, module.charge_bound) for mono in module.cells[(-k, s)])
 
     # offset -> its monomials in the order of its labels, and their positions
     monos = _LazyMap(kept, lambda k: tuple(
-        mono for s in range(k, charge_cap + 1) for mono in module.cells[(-k, s)]))
+        mono for s in range(k, module.charge_bound) for mono in module.cells[(-k, s)]))
     placement = _LazyMap(kept, lambda k: {mono: j for j, mono in enumerate(monos[k])})
 
     def block(key) -> _VermaColumns:
@@ -296,7 +268,7 @@ def from_verma(module: TruncatedModule, pad_top: int = 3, max_degree: int = 3,
     families = frozenset("defh")
     hw = module.hw
     return WindowedModule(window, families, hw.c, _LazyMap(kept, labels),
-                          _LazyMap(_BlockKeys(families, max_degree, window), block),
+                          _LazyMap(_block_keys(families, degrees, window), block),
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"
                                       f"N={module.depth_bound},S={module.charge_bound}")
 

@@ -142,6 +142,9 @@ def test_is_simple_canonicalizes_a_mod_1():
     assert is_simple(IntAB(F(-3, 2), F(0))).simple  # a = 1/2 after reduction
     assert canonicalize(IntAB(F(7), F(0))) == IntAB(F(0), F(0))
     assert canonicalize(LoopMod(1, F(-3, 2), F(1))) == LoopMod(1, F(1, 2), F(1))
+    assert canonicalize(HVirABC(F(5, 2), F(1), F(3))) == HVirABC(F(1, 2), F(1), F(3))
+    assert canonicalize(T2Mod(F(-1), F(2), F(1))) == T2Mod(F(0), F(2), F(1))
+    assert canonicalize(T2Corrupt(F(7, 3), F(0), F(1))) == T2Corrupt(F(1, 3), F(0), F(1))
 
 
 def test_structure_report_examples():

@@ -390,6 +390,19 @@ def test_negative_depth_exits_2(capsys):
     assert capsys.readouterr().err == "error: depth bound must be >= 0\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["singular", "--max-depth=-1"],
+    ["verma", "--singular-depth=-1"],
+], ids=["singular", "verma"])
+def test_negative_singular_depth_exits_2(capsys, args):
+    # the highest-weight line is singular at depth 0, so a search that stops
+    # above it is a usage error, not an empty list
+    assert run(args + ["--lamd=1/2", "--mu=1", "--c=0", "--depth=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_depth must be >= 0\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["witness", "--module=T2corrupt:a=0,b=0,c=1"],
      "T2Corrupt violates the module axiom; it has no consistent window"),
@@ -582,6 +595,23 @@ def test_reports_across_the_column_shape_change_are_pinned(tmp_path, args, diges
     out = tmp_path / "report.json"
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_highest_weight_exports_are_pinned(capsys):
+    # one sha256 over the exit code, stdout and stderr of each command,
+    # computed when every highest-weight export held all degrees up to its
+    # window top rather than only the degrees its command reads
+    hw = ["--lamd=1/2", "--mu=2", "--c=0", "--depth=3"]
+    commands = [["injectivity", *hw, f"--k={k}", f"--i={i}"]
+                for k in range(-3, 1) for i in range(-4, 5)]
+    commands += [["witness", *hw], ["support", *hw], ["match", *hw, "--scramble-seed=5"]]
+    digest = hashlib.sha256()
+    for args in commands:
+        code = main(args)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\n{captured.err}\n".encode())
+    assert digest.hexdigest() == (
+        "5833f7c824536a81f2f72c2706eeb0bc5e440469922dbe4318946a1cdb876f96")
 
 
 def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, capsys):

@@ -6,6 +6,9 @@ name.  A rename or deletion in ``src/`` that drops one of them makes
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import avw.algebra
@@ -51,3 +54,23 @@ def test_tracer_wraps_names_that_exist_and_restores_them(tmp_path):
         assert name in wrapped, name
     assert tracer.calls["windows.bracket_consistency_defects"] == 1
     assert tracer.calls["algebra.bracket_gens"] > 0
+
+
+def test_traced_injectivity_at_a_huge_shift_finishes():
+    # the tracer counts every column of each highest-weight export; the
+    # injectivity export holds only the blocks of degrees i and i + 1, so a
+    # 10^9 shift still finishes at once under the tracer
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('avw_bench_tracer', sys.argv[1])\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "from avw.cli import main\n"
+            "with tracer.Tracer().installed():\n"
+            "    code = main(sys.argv[2:])\n"
+            "sys.exit(code)\n")
+    src = str(Path(avw.windows.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(TRACER_PATH), "injectivity", "--lamd=1/2", "--mu=0",
+         "--c=0", "--depth=2", "--k=0", "--i=1000000000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

@@ -249,6 +249,8 @@ def test_out_of_window_errors():
     assert m.weight_space_dim(2, -3) == 0  # in-window but weight-empty
     with pytest.raises(OutOfWindow):
         m.find_singular_vectors(1)  # needs depth bound >= 3
+    with pytest.raises(InvalidBound, match="max_depth must be >= 0"):
+        m.find_singular_vectors(-1)  # the highest-weight line is at depth 0
 
 
 def test_lowering_out_the_bottom_raises():

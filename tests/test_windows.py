@@ -87,7 +87,7 @@ def test_bracket_consistency_full_degree_sweep_small_window():
 
 def test_bracket_consistency_of_verma_window():
     m = build_verma(HighestWeight.of(F(1, 2), F(1, 3), F(7, 5)), 2, 3)
-    wm = from_verma(m, pad_top=2, max_degree=2)
+    wm = from_verma(m, pad_top=2, degrees=range(-2, 3))
     assert bracket_consistency_defects(wm, degree_limit=2) == []
 
 
@@ -222,12 +222,6 @@ def test_block_lookup_outside_window_raises():
     wm = from_catalog(LoopMod(0, F(0), F(0)), (-1, 1))
     with pytest.raises(OutOfWindow):
         wm.block("d", 5, 0)
-
-
-def test_from_verma_rejects_full_charge_cap():
-    m = build_verma(HighestWeight.of(F(0), F(0), F(0)), 2, 3)
-    with pytest.raises(OutOfWindow):
-        from_verma(m, charge_cap=3)
 
 
 def test_witness_reducible_but_infinite_support_is_inconclusive():
@@ -522,23 +516,27 @@ def test_lazy_export_equals_eager_build():
 
 def test_export_keys_match_the_eager_loop_at_any_width():
     m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 2)
-    for pad_top, max_degree in ((3, 3), (2, 5), (0, 1), (6, 2)):
-        wm = from_verma(m, pad_top=pad_top, max_degree=max_degree)
-        eager = [(fam, deg, k) for fam in "defh" for deg in range(-max_degree, max_degree + 1)
+    for pad_top, degrees in ((3, range(-3, 4)), (2, range(-5, 6)), (0, (1, -1, 0)),
+                             (6, (2, -2)), (4, (5, 6)), (3, (-7, 1, 1))):
+        wm = from_verma(m, pad_top=pad_top, degrees=degrees)
+        eager = [(fam, deg, k) for fam in "defh" for deg in sorted(set(degrees))
                  for k in range(-2, pad_top + 1) if -2 <= k + deg <= pad_top]
         assert list(wm.blocks) == eager and len(wm.blocks) == len(eager)
         assert all(key in wm.blocks for key in eager)
         assert not any(key in wm.blocks for key in [
-            ("d", max_degree + 1, -2), ("e", 0, pad_top + 1), ("f", 1, pad_top), ("x", 0, 0)])
-    # a wide window: nothing is built until it is read (tests/test_cli.py
-    # runs a 10^9-wide one under a memory limit)
+            ("d", max(degrees) + 1, -2), ("e", 0, pad_top + 1), ("f", 1, pad_top), ("x", 0, 0)])
+    # a 10^9-wide window holds only the blocks of its degrees, and nothing
+    # is built until it is read (tests/test_cli.py runs such an injectivity
+    # query under a memory limit)
     calls = _count_apply_gen(m)
-    wm = from_verma(m, pad_top=10 ** 4, max_degree=10 ** 4)
-    width = 10 ** 4 + 3  # offsets -2..10^4; degree m leaves width - |m| of them
-    assert len(wm.blocks) == 4 * sum(width - abs(m) for m in range(-10 ** 4, 10 ** 4 + 1))
-    assert ("h", 10 ** 4, 0) in wm.blocks and ("h", 10 ** 4, 1) not in wm.blocks
-    assert wm.dim(10 ** 4) == 0 and wm.labels(5) == () and calls == []
-    block = wm.block("d", 10 ** 4, 0)
+    top = 10 ** 9 + 1
+    wm = from_verma(m, pad_top=top, degrees=(10 ** 9, 10 ** 9 + 1))
+    assert len(wm.blocks) == 28  # 4 families x (4 + 3) offsets at N = 2
+    assert ("h", 10 ** 9, 1) in wm.blocks and ("h", 10 ** 9, 2) not in wm.blocks
+    assert ("d", 10 ** 9 + 1, 0) in wm.blocks and ("d", 1, 0) not in wm.blocks
+    assert wm.dim(top) == 0 and wm.labels(5) == () and calls == []
+    block = wm.block("d", 10 ** 9, 0)
+    assert calls == []
     assert [block[j] for j in range(len(block))] == [()] * wm.dim(0)
     assert len(calls) == wm.dim(0)
 
@@ -1105,7 +1103,7 @@ def test_bracket_consistency_of_corrupted_windows_matches_oracle():
         assert expect, spec
         assert bracket_consistency_defects(wm) == expect, spec
     verma = from_verma(build_verma(HighestWeight.of(F(1, 2), F(1, 3), F(7, 5)), 2, 3),
-                       pad_top=2, max_degree=2)
+                       pad_top=2, degrees=range(-2, 3))
     eager = WindowedModule(verma.window, verma.families, verma.central, verma.basis,
                            {key: list(cols) for key, cols in verma.blocks.items()})
     assert any(c is None for cols in eager.blocks.values() for c in cols)
