@@ -12,7 +12,7 @@ Layers:
 from .algebra import (ALGEBRAS, C, FULL, HVIR, SL2, SL2LOOP, T2, VIR, Gen,
                       bracket, bracket_gens, d, degree, e, element_str, f, h,
                       in_subalgebra, jacobi_defect)
-from .catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, Sl2Irrep, T2Corrupt,
+from .catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, Sl2Irrep, T2Corrupt,
                       T2Mod, act, act_basis, canonicalize, is_simple,
                       module_defect, sl2_irrep, spec_text, structure_report)
 from .cli import RunConfig, execute, main, parse_spec

@@ -13,10 +13,12 @@ element C, and bracket
 Everything is exact over the rationals.  Elements are immutable and all
 operations are pure functions, so concurrent use needs no locking.  The
 module holds no cache: ``jacobi_defect`` takes an optional ``memo`` dict
-that the caller creates for one sweep (``avw jacobi`` makes one per run),
-keeps ``bracket_gens`` results by generator pair, and drops.  The Jacobi
-sum of a triple is the same three terms for each of its cyclic rotations,
-for any bracket, so a sweep over all triples computes it once per orbit.
+that the caller creates for one sweep (``avw jacobi`` makes one per run)
+and drops.  It maps a generator pair (x, y) to the terms of [x, y] as
+``Vec.int_items``; a hit is one ``memo.get`` and a miss calls the live
+``bracket_gens``.  The Jacobi sum of a triple is the same three terms for
+each of its cyclic rotations, for any bracket, so a sweep over all triples
+computes it once per orbit.
 """
 
 from __future__ import annotations
@@ -77,39 +79,35 @@ def degree(g: Gen) -> int:
 
 
 def bracket_gens(x: Gen, y: Gen) -> Vec:
-    """Bracket of two basis generators from the defining relations."""
+    """Bracket of two basis generators from the defining relations; a pair
+    out of (d, h, f, e) order is swapped and its sign flipped."""
     fx, fy = x.family, y.family
-    i, j = x.degree, y.degree
-    if fx == "C" or fy == "C":
-        return Vec.zero()
-    if fx == "d":
-        if fy == "d":
-            out = {d(i + j): Fraction(j - i)} if j != i else {}
-            if i + j == 0:
-                central = Fraction(j ** 3 - j, 12)
-                if central:
-                    out[C] = central
-            return Vec(out)
-        # [d_i, x_j] = j x_{i+j}
-        return Vec({Gen(fy, i + j): Fraction(j)}) if j else Vec.zero()
-    if fy == "d":
-        return bracket_gens(y, x).scaled(-1)
-    if fx == "h":
-        if fy == "h":
-            return Vec({C: Fraction(2 * i)}) if (i + j == 0 and i) else Vec.zero()
-        sign = 2 if fy == "e" else -2
-        return Vec({Gen(fy, i + j): Fraction(sign)})
-    if fy == "h":
-        return bracket_gens(y, x).scaled(-1)
-    if fx == fy:  # [e,e] = [f,f] = 0
-        return Vec.zero()
-    if fx == "e":  # [e_i, f_j] = h_{i+j} + i delta C
-        out = {h(i + j): Fraction(1)}
-        if i + j == 0 and i:
-            out[C] = Fraction(i)
-        return Vec(out)
-    # fx == "f", fy == "e"
-    return bracket_gens(y, x).scaled(-1)
+    out: dict = {}
+    if fx != "C" != fy:
+        sign = 1
+        if FAMILY_ORDER[fx] > FAMILY_ORDER[fy]:
+            x, y, fx, fy, sign = y, x, fy, fx, -1
+        i, j = x.degree, y.degree
+        if fx == fy == "d":
+            if j != i:
+                out[d(i + j)] = Fraction(j - i)
+            if i + j == 0 and j ** 3 != j:
+                out[C] = Fraction(j ** 3 - j, 12)
+        elif fx == "d":  # [d_i, x_j] = j x_{i+j}
+            if j:
+                out[Gen(fy, i + j)] = Fraction(sign * j)
+        elif fx == fy == "h":
+            if i + j == 0 and i:
+                out[C] = Fraction(2 * i)
+        elif fx == "h":  # [h_i, e_j] = 2 e_{i+j}, [h_i, f_j] = -2 f_{i+j}
+            out[Gen(fy, i + j)] = Fraction(2 * sign if fy == "e" else -2 * sign)
+        elif fx == "f" and fy == "e":  # [f_i, e_j] = -h_{i+j} - j delta C
+            out[h(i + j)] = Fraction(-sign)
+            if i + j == 0 and j:
+                out[C] = Fraction(-sign * j)
+    vec = Vec.__new__(Vec)
+    vec.terms = out
+    return vec
 
 
 def _bracket_items(memo: dict, x: Gen, y: Gen) -> tuple:
@@ -139,10 +137,13 @@ def jacobi_defect(x: Gen, y: Gen, z: Gen, memo: Optional[dict] = None) -> Vec:
     the module docstring."""
     if memo is None:
         memo = {}
+    get = memo.get
     out: dict = {}
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for g, cg in _bracket_items(memo, b, c):
-            for k, ck in _bracket_items(memo, a, g):
+        inner = get((b, c))
+        for g, cg in _bracket_items(memo, b, c) if inner is None else inner:
+            outer = get((a, g))
+            for k, ck in _bracket_items(memo, a, g) if outer is None else outer:
                 out[k] = out.get(k, 0) + cg * ck
     return Vec(out) if any(out.values()) else Vec()
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, lcm
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .algebra import FULL, HVIR, T2, VIR, AlgebraSpec, Gen, bracket_gens
 from .errors import GeneratorOutsideAlgebra, InternalError, NegativeHighestWeight, NotAModule
@@ -155,7 +155,7 @@ def _sl2_image(spec: LoopMod, family: str, k: int) -> Tuple[Optional[int], Fract
 
 def act_basis(spec: ModuleSpec, g: Gen, label) -> Vec:
     """Action of one generator on one basis vector; C acts as 0.  Pure, so
-    a sweep over one spec may memoize it by (g, label), as module_defect does."""
+    a sweep over one spec may memoize it by (g, label), as DefectMemo does."""
     if not acting_algebra(spec).contains(g):
         raise GeneratorOutsideAlgebra(
             f"{g} does not act on {spec_text(spec)} "
@@ -200,72 +200,80 @@ def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:
     return out
 
 
-def axiom_defect(image: Callable, bracket, x: Gen, y: Gen, v) -> Optional[dict]:
+def axiom_defect(image, bracket, x: Gen, y: Gen, v) -> Optional[dict]:
     """[x,y] v - x (y v) + y (x v) as one coefficient dict over the labels;
     every value is 0 iff the module axiom holds on this triple.
 
-    The one module-axiom check: ``image(g, label)`` gives g applied to label as
-    ``(label, coeff)`` pairs, or None when that image is not known (outside
-    a window); ``bracket`` is [x, y] and ``v`` the vector, both as
-    ``(key, coeff)`` pairs.  Returns None when the sum needs an unknown image.
+    The one module-axiom sum: ``image[g, label]`` gives g applied to label
+    as ``(label, coeff)`` pairs, or None when that image is not known
+    (outside a window), so a per-run mapping whose ``__missing__`` computes
+    and keeps a miss (``DefectMemo``) answers a hit with no Python call.
+    ``bracket`` is [x, y] and ``v`` the vector, both as ``(key, coeff)``
+    pairs.  Returns None when the sum needs an unknown image.
     """
     out: dict = {}
-
-    def add(g: Gen, items, s) -> bool:
-        for label, c in items:
-            img = image(g, label)
-            if img is None:
-                return False
-            sc = s * c
-            for target, ct in img:
-                out[target] = out.get(target, 0) + sc * ct
-        return True
-
+    get = out.get
     for g, cg in bracket:
-        if not add(g, v, cg):
-            return None
+        for label, c in v:
+            img = image[g, label]
+            if img is None:
+                return None
+            s = cg * c
+            for target, ct in img:
+                out[target] = get(target, 0) + s * ct
     for label, c in v:
         for inner, outer, s in ((y, x, -c), (x, y, c)):
-            mids = image(inner, label)
-            if mids is None or not add(outer, mids, s):
+            mids = image[inner, label]
+            if mids is None:
                 return None
+            for mid, cm in mids:
+                img = image[outer, mid]
+                if img is None:
+                    return None
+                sc = s * cm
+                for target, ct in img:
+                    out[target] = get(target, 0) + sc * ct
     return out
 
 
-def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
-                  memo: Optional[dict] = None) -> Vec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)) by
-    ``axiom_defect``; 0 iff the module axiom holds on this triple.
+class DefectMemo(dict):
+    """One spec's per-run memo, the ``image`` of ``axiom_defect``: ``(g, label)``
+    maps to D ``act_basis(spec, g, label)`` and a generator pair ``(x, y)`` to
+    D [x, y], as ``Vec.int_items`` (a label is never a ``Gen``), computed by
+    ``__missing__`` on a miss and kept.  D, the lcm of the denominators of the
+    spec's parameters, clears every ``act_basis`` denominator, so the sum runs
+    in integers and each of its terms is D^2 times its true value."""
 
-    The sum runs in integers: D, the lcm of the denominators of the spec's
-    rational parameters, clears the denominators of every ``act_basis``
-    coefficient, so with the images and the terms of [x, y] multiplied by D
-    every term is D^2 times its true value.  A nonzero sum is divided by D^2.
+    def __init__(self, spec: ModuleSpec):
+        super().__init__()
+        self.spec = spec
+        self.scale = lcm(spec.a.denominator, getattr(spec, "b", 1).denominator,
+                         getattr(spec, "c", 1).denominator)
 
-    ``memo`` is an optional dict that the caller creates for one spec and
-    one sweep (``avw module-check`` makes one per run).  It keeps D [x, y]
-    by ``(x, y)`` and D times the ``act_basis`` images by ``(g, label)``, as
-    ``Vec.int_items``; a label is never a ``Gen``, so the keys cannot meet.
-    """
-    if memo is None:
-        memo = {}
-    scale = lcm(spec.a.denominator, getattr(spec, "b", 1).denominator,
-                getattr(spec, "c", 1).denominator)
-
-    def image(g: Gen, label) -> tuple:
-        items = memo.get((g, label))
-        if items is None:
-            items = memo[g, label] = act_basis(spec, g, label).scaled(scale).int_items()
+    def __missing__(self, key) -> tuple:
+        a, b = key
+        vec = bracket_gens(a, b) if isinstance(b, Gen) else act_basis(self.spec, a, b)
+        items = self[key] = vec.scaled(self.scale).int_items()
         return items
 
-    br = memo.get((x, y))
-    if br is None:
-        br = memo[x, y] = bracket_gens(x, y).scaled(scale).int_items()
-    out = axiom_defect(image, br, x, y, v.int_items())
-    if not any(out.values()):
-        return Vec()
-    square = scale * scale
-    return Vec({label: Fraction(c, square) for label, c in out.items()})
+    def defect(self, bracket: tuple, x: Gen, y: Gen, v) -> Vec:
+        """``axiom_defect`` over this memo, divided by D^2; ``bracket`` is
+        ``self[x, y]`` and ``v`` the vector as ``(label, coeff)`` pairs."""
+        out = axiom_defect(self, bracket, x, y, v)
+        if not any(out.values()):
+            return Vec()
+        return Vec({label: Fraction(c, self.scale ** 2) for label, c in out.items()})
+
+
+def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
+                  memo: Optional[DefectMemo] = None) -> Vec:
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)) by
+    ``axiom_defect``; 0 iff the module axiom holds on this triple.  ``memo``
+    is an optional ``DefectMemo(spec)`` that the caller keeps for one sweep
+    (``avw module-check`` makes one per run and calls its ``defect``)."""
+    if memo is None:
+        memo = DefectMemo(spec)
+    return memo.defect(memo[x, y], x, y, v.int_items())
 
 
 def weight_of(spec: ModuleSpec, label) -> Tuple[Fraction, Fraction]:

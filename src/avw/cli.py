@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog as cat
@@ -172,26 +173,27 @@ def _cmd_jacobi(config: RunConfig) -> int:
             if not in_subalgebra(br, alg):
                 closure += 1
     # jacobi_defect runs once per cyclic orbit of index triples, on its least
-    # rotation, which the loop reaches first; the other rotations read the
-    # nonzero sums, kept by that rotation.  The memo keeps generator brackets;
-    # both live for this run only.
-    jac = 0
+    # rotation: (i, i, k) with k >= i, (i, j, k) with j, k > i.  The ordered
+    # walk over all triples, for the count and samples, runs only if some
+    # orbit sum is nonzero.  The memo keeps generator brackets for this run.
+    n, jac = len(gens), 0
     memo: dict = {}
     nonzero: dict = {}
     for i, x in enumerate(gens):
-        for j, y in enumerate(gens):
-            for k, z in enumerate(gens):
-                if i < j and i < k or i == j <= k:  # the least rotation
-                    dft = jacobi_defect(x, y, z, memo)
-                    if dft:
-                        nonzero[i, j, k] = dft
-                else:
-                    dft = nonzero and nonzero.get(min((j, k, i), (k, i, j)))
+        for j in range(i, n):
+            y = gens[j]
+            for k in range(i + (j > i), n):
+                dft = jacobi_defect(x, y, gens[k], memo)
                 if dft:
-                    jac += 1
-                    if len(defects) < 10:
-                        defects.append({"triple": [str(x), str(y), str(z)],
-                                        "defect": element_str(dft)})
+                    nonzero[i, j, k] = dft
+    triples = product(enumerate(gens), repeat=3) if nonzero else ()
+    for (i, x), (j, y), (k, z) in triples:
+        dft = nonzero.get(min((i, j, k), (j, k, i), (k, i, j)))
+        if dft:
+            jac += 1
+            if len(defects) < 10:
+                defects.append({"triple": [str(x), str(y), str(z)],
+                                "defect": element_str(dft)})
     payload = {
         "command": "jacobi",
         "algebra": alg.name,
@@ -224,14 +226,14 @@ def _cmd_module_check(config: RunConfig) -> int:
     _bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
     gens = list(alg.generators(lo, hi))
     labels = _module_labels(spec, lab_lo, lab_hi)
-    vectors = [(lab, Vec.basis(lab)) for lab in labels]
     n_defects = 0
     samples: List[dict] = []
-    memo: dict = {}  # brackets and act_basis images of this run; dropped on return
+    memo = cat.DefectMemo(spec)  # this run's brackets and images; dropped on return
     for x in gens:
         for y in gens:
-            for lab, v in vectors:
-                dft = cat.module_defect(spec, x, y, v, memo)
+            br = memo[x, y]
+            for lab in labels:
+                dft = memo.defect(br, x, y, ((lab, 1),))
                 if dft:
                     n_defects += 1
                     if len(samples) < 10:
@@ -394,8 +396,8 @@ def _cmd_verma(config: RunConfig) -> int:
         "basis_size": module.basis_size,
         "dims_csv": config.emit,
         "cartan_diagonal": cartan,
-        "singular_vectors": (_singular_section(module, sing_depth)
-                             if module.depth_bound >= 2 else []),
+        "singular_vectors": ([] if config.singular_depth is None and module.depth_bound < 2
+                             else _singular_section(module, sing_depth)),
     }
     if not config.emit:
         payload["dims"] = [{"depth": n, "charge": s, "dim": dim}

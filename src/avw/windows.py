@@ -640,16 +640,34 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
 
 # --- bracket consistency ----------------------------------------------------
 
+class _KnownColumns(dict):
+    """``axiom_defect``'s ``image`` over a window for one run: ``(g, (k, j))``
+    maps to column j of g's block from offset k as ``((k + deg g, row), coeff)``
+    pairs (C to ``wm.central``), or None if unknown; computed on a miss, kept."""
+
+    def __init__(self, wm: WindowedModule):
+        super().__init__()
+        self.wm = wm
+
+    def __missing__(self, key) -> Optional[tuple]:
+        g, (k, j) = key
+        m, wm, col = g.degree, self.wm, None
+        if g.family == "C":
+            col = ((j, wm.central),)
+        elif wm.has_block(g.family, m, k):
+            col = wm.block(g.family, m, k)[j]
+        out = self[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
+        return out
+
+
 def bracket_consistency_defects(wm: WindowedModule,
                                 degree_limit: Optional[int] = None) -> List[dict]:
     """Check matrix([x,y]) = [matrix(x), matrix(y)] on all fully-contained
     compositions; returns one record per failing (x, y, offset, column).
 
     Each basis vector goes through ``catalog.axiom_defect``, the check that
-    ``catalog.module_defect`` makes.  The action on label (k, j) is column j
-    of block (family, degree, k) as ``((k + degree, row), coeff)`` pairs,
-    read once per run; C acts by ``wm.central``.  A column that is None or
-    a block the window lacks is unknown, and a vector whose sum needs one is
+    ``catalog.module_defect`` makes, over the window's columns read once per
+    run (``_KnownColumns``); a vector whose sum needs an unknown one is
     skipped.
     """
     p, q = wm.window
@@ -657,20 +675,7 @@ def bracket_consistency_defects(wm: WindowedModule,
     degs = sorted({m for (_, m, _) in wm.blocks})
     if degree_limit is not None:
         degs = [m for m in degs if abs(m) <= degree_limit]
-    known: Dict[Tuple[Gen, Tuple[int, int]], Optional[tuple]] = {}
-
-    def image(g: Gen, label: Tuple[int, int]) -> Optional[tuple]:
-        key = (g, label)
-        if key not in known:
-            (k, j), m = label, g.degree
-            col = None
-            if g.family == "C":
-                col = ((j, wm.central),)
-            elif wm.has_block(g.family, m, k):
-                col = wm.block(g.family, m, k)[j]
-            known[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
-        return known[key]
-
+    known = _KnownColumns(wm)
     defects: List[dict] = []
     for f1 in fams:
         for m1 in degs:
@@ -683,7 +688,7 @@ def bracket_consistency_defects(wm: WindowedModule,
                                 and p <= k + m1 + m2 <= q):
                             continue
                         for j in range(wm.dim(k)):
-                            dft = axiom_defect(image, br, x, y, (((k, j), 1),))
+                            dft = axiom_defect(known, br, x, y, (((k, j), 1),))
                             if dft is not None and any(dft.values()):
                                 defects.append({
                                     "x": f"{f1}_{m1}", "y": f"{f2}_{m2}",

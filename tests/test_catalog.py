@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
-from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
+from avw.catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          _sl2_image, act, act_basis, acting_algebra,
                          canonicalize, is_simple, label_str, module_defect,
                          sl2_irrep, spec_text, structure_report, weight_of)
@@ -263,7 +263,7 @@ ORACLE_SPECS = [
 def test_module_defect_matches_oracle(spec, deg):
     gens = list(acting_algebra(spec).generators(-deg, deg))
     labels = _labels(spec, -3, 3)
-    memo = {}
+    memo = DefectMemo(spec)
     nonzero = 0
     for x in gens:
         for y in gens:
@@ -287,7 +287,7 @@ def test_module_defect_memo_keys():
     # (generator, label), both scaled by D = lcm(2, 3), the lcm of the
     # parameter denominators; labels never collide with generators
     spec = LoopMod(1, F(1, 2), F(1, 3))
-    memo = {}
+    memo = DefectMemo(spec)
     module_defect(spec, e(1), f(-1), Vec.basis((0, 2)), memo)
     assert dict(memo[e(1), f(-1)]) == bracket_gens(e(1), f(-1)).scaled(6).terms
     assert dict(memo[f(-1), (0, 2)]) == act_basis(spec, f(-1), (0, 2)).scaled(6).terms

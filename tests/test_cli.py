@@ -206,6 +206,101 @@ def test_jacobi_defect_runs_once_per_cyclic_orbit(monkeypatch, capsys):
     assert len(orbits) == len(calls)
 
 
+def _off_degree(real):
+    # [x, y] gains d_{deg x + deg y + 1}, one degree too high, when x has degree 1
+    def broken(x, y):
+        out = real(x, y)
+        if x.degree == 1:
+            return out + Vec({avw.algebra.d(x.degree + y.degree + 1): 1})
+        return out
+    return broken
+
+
+def _adds_e(real):
+    # [d_i, d_j] gains e_{i+j} for i < j, a term outside the Virasoro algebra
+    def broken(x, y):
+        out = real(x, y)
+        if x.family == y.family == "d" and x.degree < y.degree:
+            return out + Vec({e(x.degree + y.degree): 1})
+        return out
+    return broken
+
+
+@pytest.mark.parametrize("patch, algebra", [(_off_degree, "L"), (_adds_e, "Vir")])
+def test_jacobi_pair_counters_match_all_pairs_oracle(patch, algebra, monkeypatch, capsys):
+    # negative control for the pair checks, which read avw.cli.bracket_gens:
+    # the grading count is one per term of the wrong degree, the closure
+    # count one per pair with a term outside the algebra
+    broken = patch(avw.cli.bracket_gens)
+    monkeypatch.setattr(avw.cli, "bracket_gens", broken)
+    alg = avw.algebra.ALGEBRAS[algebra]
+    gens = list(alg.generators(-2, 2))
+    grading = closure = 0
+    for x in gens:
+        for y in gens:
+            terms = [g for g, _ in broken(x, y)]
+            grading += sum(g.degree != x.degree + y.degree for g in terms)
+            closure += not all(alg.contains(g) for g in terms)
+    assert (grading > 0) == (patch is _off_degree) and (closure > 0) == (patch is _adds_e)
+    assert run(["jacobi", f"--algebra={algebra}", "--range=-2..2"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["grading_defects"], payload["closure_defects"]) == (grading, closure)
+    # the Jacobi sums read avw.algebra.bracket_gens, which is untouched
+    assert payload["jacobi_defects"] == 0
+
+
+def test_module_check_matches_all_triples_oracle_on_a_defective_spec(capsys):
+    # the command sums each basis vector over one per-run memo; the oracle
+    # builds one Vec per action on every triple, in the report's order
+    from test_catalog import oracle_module_defect
+    spec = T2Corrupt(F(1, 3), F(2, 5), F(1, 7))
+    labels = range(-1, 3)
+    count, samples = 0, []
+    for x in avw.algebra.T2.generators(-2, 1):
+        for y in avw.algebra.T2.generators(-2, 1):
+            for lab in labels:
+                dft = oracle_module_defect(spec, x, y, Vec.basis(lab))
+                if dft:
+                    count += 1
+                    if len(samples) < 10:
+                        samples.append({"x": str(x), "y": str(y), "vector": f"v_{lab}",
+                                        "defect": {f"v_{k}": str(c) for k, c in sorted(
+                                            dft.terms.items(), key=lambda kv: f"v_{kv[0]}")}})
+    assert count > 10
+    assert run(["module-check", f"--module={avw.catalog.spec_text(spec)}",
+                "--deg-range=-2..1", "--label-range=-1..2"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["defects"] == count
+    assert payload["defect_samples"] == samples
+
+
+def _pinned_sweeps():
+    for algebra in sorted(avw.algebra.ALGEBRAS):
+        for lo_hi in ("-3..3", "1..4", "-4..-1", "0..0"):
+            yield ["jacobi", f"--algebra={algebra}", f"--range={lo_hi}"]
+    for spec in ("A:a=1/3,b=-2/5", "A2:a=-1/3", "B:a=4/3", "H:a=-1/3,b=3/5,c=2/7",
+                 "T2:a=5/3,b=1/5,c=-4/7", "T2corrupt:a=1/3,b=2/5,c=1/7",
+                 "loop:lambda=1,a=-1/3,b=3/5"):
+        yield ["module-check", f"--module={spec}", "--deg-range=-2..3", "--label-range=-3..1"]
+    for spec in ("loop:lambda=0,a=1/3,b=2/5", "loop:lambda=1,a=1/3,b=2/5",
+                 "loop:lambda=2,a=-2/3,b=1/5", "A:a=1/2,b=1/3", "H:a=1/3,b=2/5,c=1/7",
+                 "T2:a=-1/3,b=1/5,c=2/7"):
+        yield ["catalog", f"--module={spec}", "--window=-2..2", "--matrices"]
+
+
+def test_sweep_reports_are_pinned(capsys):
+    # one sha256 over the exit code, stdout and stderr of each sweep, computed
+    # before the sweeps read their memos by subscript and walked only the
+    # least rotation of each cyclic orbit
+    digest = hashlib.sha256()
+    for args in _pinned_sweeps():
+        code = run(args)
+        out, err = capsys.readouterr()
+        digest.update(f"{args}\n{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+    assert digest.hexdigest() == (
+        "ead86735fd0cdbb7f679b050f644ee3ba1497bd1980b4397921641a48ddc9343")
+
+
 def _calls_per_run(monkeypatch, owner, name, args, keep=lambda call: True):
     """The recorded calls of owner.name in each of two runs of args."""
     calls = []
@@ -224,14 +319,13 @@ def _assert_memo_scoped_to_one_run(runs):
     # the second run recomputes everything: no entry survived the first
     assert len(second) == len(first) > 0
     # and within one run the memo computes each argument tuple about once
-    # (bracket_gens also calls itself for the reversed pair)
     assert len(first) <= 2 * len(set(first))
 
 
 def test_jacobi_memo_lives_for_one_execute(monkeypatch, capsys):
-    # the pair checks also reach avw.algebra.bracket_gens, but only on the
-    # window's generators; a pair with a degree outside -2..2 comes from
-    # the memo of jacobi_defect
+    # the pair checks read avw.cli.bracket_gens, and only on the window's
+    # generators; a pair with a degree outside -2..2 comes from the memo of
+    # jacobi_defect
     runs = _calls_per_run(monkeypatch, avw.algebra, "bracket_gens", ["jacobi", "--range=-2..2"],
                           keep=lambda pair: max(abs(g.degree) for g in pair) > 2)
     capsys.readouterr()
@@ -382,6 +476,23 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, args):
     assert run(args + [str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
     assert issubclass(UnwritablePath, AvwError) and issubclass(UnwritablePath, OSError)
+
+
+@pytest.mark.parametrize("depth, max_depth, message", [
+    (1, -1, "max_depth must be >= 0"),
+    (1, 5, "max_depth 5 needs depth bound >= 7 so kill-set images stay inside the truncation"),
+    (0, 0, "max_depth 0 needs depth bound >= 2 so kill-set images stay inside the truncation"),
+])
+def test_verma_checks_an_explicit_singular_depth_below_depth_2(depth, max_depth, message,
+                                                               capsys):
+    hw = ["--lamd=1/2", "--mu=2", "--c=0", f"--depth={depth}"]
+    for args in (["verma", *hw, f"--singular-depth={max_depth}"],
+                 ["singular", *hw, f"--max-depth={max_depth}"]):
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # without the flag a truncation this shallow has no singular search
+    assert run(["verma", *hw]) == 0
+    assert json.loads(capsys.readouterr().out)["singular_vectors"] == []
 
 
 def test_negative_depth_exits_2(capsys):

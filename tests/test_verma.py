@@ -616,7 +616,7 @@ def test_each_module_computes_its_own_brackets(monkeypatch):
     real = avw.algebra.bracket_gens
     calls, nested = [], [0]
 
-    def spy(x, y):  # records outer calls only: bracket_gens calls itself
+    def spy(x, y):  # records outer calls only, should bracket_gens call itself
         if not nested[0]:
             calls.append((x, y))
         nested[0] += 1
