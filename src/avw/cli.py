@@ -155,7 +155,7 @@ def _bound_sweep(count: int, what: str) -> None:
                             f"raise {MAX_SWEEP_ENV} or narrow the ranges")
 
 
-def _cmd_jacobi(config: RunConfig) -> int:
+def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     alg = algebra_by_name(config.algebra)
     lo, hi = config.deg_range
     _bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
@@ -207,8 +207,7 @@ def _cmd_jacobi(config: RunConfig) -> int:
         "jacobi_defects": jac,
         "defects": defects,
     }
-    _write_report(config, payload)
-    return 0 if not (anti or grading or closure or jac) else 1
+    return payload, 0 if not (anti or grading or closure or jac) else 1
 
 
 def _module_labels(spec: ModuleSpec, lo: int, hi: int) -> list:
@@ -217,7 +216,7 @@ def _module_labels(spec: ModuleSpec, lo: int, hi: int) -> list:
     return list(range(lo, hi + 1))
 
 
-def _cmd_module_check(config: RunConfig) -> int:
+def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     alg = acting_algebra(spec)
     lo, hi = config.deg_range
@@ -253,8 +252,7 @@ def _cmd_module_check(config: RunConfig) -> int:
         "defects": n_defects,
         "defect_samples": samples,
     }
-    _write_report(config, payload)
-    return 0 if n_defects == 0 else 1
+    return payload, 0 if n_defects == 0 else 1
 
 
 def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
@@ -277,7 +275,7 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
     return payload
 
 
-def _cmd_catalog(config: RunConfig) -> int:
+def _cmd_catalog(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     wm = win.from_catalog(spec, config.window)
     defects = win.bracket_consistency_defects(wm, degree_limit=2)
@@ -295,27 +293,25 @@ def _cmd_catalog(config: RunConfig) -> int:
             "f": [[str(x) for x in row] for row in rep.f_mat],
             "h": [[str(x) for x in row] for row in rep.h_mat],
         }
-    _write_report(config, payload)
-    return 0 if not defects else 1
+    return payload, 0 if not defects else 1
 
 
-def _cmd_simple(config: RunConfig) -> int:
+def _cmd_simple(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     verdict = cat.is_simple(spec)
-    _write_report(config, {
+    return {
         "command": "simple",
         "module": spec_text(spec),
         "canonical": spec_text(cat.canonicalize(spec)),
         "simple": verdict.simple,
         "reason": verdict.reason,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_structure(config: RunConfig) -> int:
+def _cmd_structure(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     rep = cat.structure_report(spec)
-    _write_report(config, {
+    return {
         "command": "structure",
         "module": spec_text(spec),
         "simple": rep.simple,
@@ -323,11 +319,10 @@ def _cmd_structure(config: RunConfig) -> int:
         "line_role": rep.line_role,
         "simple_subquotient": rep.simple_subquotient,
         "detail": rep.detail,
-    })
-    return 0
+    }, 0
 
 
-def _cmd_loop_dims(config: RunConfig) -> int:
+def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     if not isinstance(spec, LoopMod):
         raise SpecParseError("loop-dims needs a loop:... module spec", 0)
@@ -335,7 +330,7 @@ def _cmd_loop_dims(config: RunConfig) -> int:
     expected = spec.lam + 1
     rows = [{"offset": k, "dim": wm.dim(k)} for k in wm.offsets()]
     violations = [r for r in rows if r["dim"] != expected]
-    _write_report(config, {
+    return {
         "command": "loop-dims",
         "module": spec_text(spec),
         "window": list(config.window),
@@ -343,8 +338,7 @@ def _cmd_loop_dims(config: RunConfig) -> int:
         "rows": rows,
         "violations": violations,
         "support": win.support_json(wm)["support"],
-    })
-    return 0 if not violations else 1
+    }, 0 if not violations else 1
 
 
 def _require_hw(config: RunConfig) -> vm.HighestWeight:
@@ -374,19 +368,21 @@ def _cartan_check(module: vm.TruncatedModule) -> dict:
     return {"checked": checked, "failures": failures}
 
 
-def _singular_section(module: vm.TruncatedModule, max_depth: int) -> list:
-    return vm.singular_vectors_json(module.find_singular_vectors(max_depth))
+def _singular_depth(config: RunConfig, module: vm.TruncatedModule) -> int:
+    """The singular search depth: the flag's, by default N - 2 (at least 0)."""
+    if config.singular_depth is None:
+        return max(module.depth_bound - 2, 0)
+    return config.singular_depth
 
 
-def _cmd_verma(config: RunConfig) -> int:
+def _cmd_verma(config: RunConfig) -> Tuple[dict, int]:
     module = _build_module(config)
     if config.emit:
         with _open_for_writing(config.emit, newline="") as fh:
             vm.write_dims_csv(module, fh)
-    sing_depth = config.singular_depth
-    if sing_depth is None:
-        sing_depth = max(module.depth_bound - 2, 0)
     cartan = _cartan_check(module)
+    singular = ([] if config.singular_depth is None and module.depth_bound < 2
+                else module.find_singular_vectors(_singular_depth(config, module)))
     payload = {
         "command": "verma",
         "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
@@ -396,30 +392,24 @@ def _cmd_verma(config: RunConfig) -> int:
         "basis_size": module.basis_size,
         "dims_csv": config.emit,
         "cartan_diagonal": cartan,
-        "singular_vectors": ([] if config.singular_depth is None and module.depth_bound < 2
-                             else _singular_section(module, sing_depth)),
+        "singular_vectors": vm.singular_vectors_json(singular),
     }
     if not config.emit:
         payload["dims"] = [{"depth": n, "charge": s, "dim": dim}
                            for n, s, dim in vm.dims_rows(module)]
-    _write_report(config, payload)
-    return 0 if not cartan["failures"] else 1
+    return payload, 0 if not cartan["failures"] else 1
 
 
-def _cmd_singular(config: RunConfig) -> int:
+def _cmd_singular(config: RunConfig) -> Tuple[dict, int]:
     module = _build_module(config)
-    sing_depth = config.singular_depth
-    if sing_depth is None:
-        sing_depth = max(module.depth_bound - 2, 0)
-    payload = {
+    sing_depth = _singular_depth(config, module)
+    return {
         "command": "singular",
         "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
                            "c": str(module.hw.c)},
         "max_depth": sing_depth,
-        "singular_vectors": _singular_section(module, sing_depth),
-    }
-    _write_report(config, payload)
-    return 0
+        "singular_vectors": vm.singular_vectors_json(module.find_singular_vectors(sing_depth)),
+    }, 0
 
 
 def _analysis_window(config: RunConfig,
@@ -432,16 +422,14 @@ def _analysis_window(config: RunConfig,
                           degrees=degrees)
 
 
-def _cmd_injectivity(config: RunConfig) -> int:
+def _cmd_injectivity(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config, (config.i, config.i + 1))
     report = win.stacked_shift_injectivity(wm, config.k, config.i)
-    payload = {"command": "injectivity", "module": wm.description,
-               **win.injectivity_json(report)}
-    _write_report(config, payload)
-    return 0
+    return {"command": "injectivity", "module": wm.description,
+            **win.injectivity_json(report)}, 0
 
 
-def _cmd_witness(config: RunConfig) -> int:
+def _cmd_witness(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
     payload = {"command": "witness", "module": wm.description,
                **win.witness_json(win.submodule_witness(wm))}
@@ -459,27 +447,22 @@ def _cmd_witness(config: RunConfig) -> int:
              "vector": {lab.name: str(cf) for lab, cf in zip(v.labels, v.coefficients) if cf}}
             for v in vecs]
     payload["extremal_vectors"] = extremal
-    _write_report(config, payload)
-    return 0
+    return payload, 0
 
 
-def _cmd_match(config: RunConfig) -> int:
+def _cmd_match(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
     if config.scramble_seed is not None:
         wm = win.scramble_window(wm, config.scramble_seed)
-    payload = {"command": "match", "module": wm.description,
-               "scramble_seed": config.scramble_seed,
-               **win.match_json(win.catalog_match(wm))}
-    _write_report(config, payload)
-    return 0
+    return {"command": "match", "module": wm.description,
+            "scramble_seed": config.scramble_seed,
+            **win.match_json(win.catalog_match(wm))}, 0
 
 
-def _cmd_support(config: RunConfig) -> int:
+def _cmd_support(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
-    payload = {"command": "support", "module": wm.description,
-               "window": list(wm.window), **win.support_json(wm)}
-    _write_report(config, payload)
-    return 0
+    return {"command": "support", "module": wm.description,
+            "window": list(wm.window), **win.support_json(wm)}, 0
 
 
 _COMMANDS = {
@@ -611,7 +594,9 @@ def execute(config: RunConfig) -> int:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
-        return handler(config)
+        payload, code = handler(config)
+        _write_report(config, payload)
+        return code
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

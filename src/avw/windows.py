@@ -23,10 +23,13 @@ that it has no kernel there; the rest go to one exact ``nullspace`` each.
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
-Exports of a truncated highest-weight module carry only the block degrees
-their caller names, and are lazy: an offset's basis is enumerated, a block
-made and a column computed the first time each is read, and kept from then
-on, so an analysis pays only for what it reads, however wide the window.
+Both exporters make a block on first read and keep it, so an analysis pays
+for the blocks it reads, however wide the window.  A catalog window
+(``from_catalog``) builds a block whole when it is first looked up.  An
+export of a truncated highest-weight module (``from_verma``) carries only
+the block degrees its caller names and is lazier still: an offset's basis
+is enumerated, a block made and a column computed the first time each is
+read, and kept from then on.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Gen, bracket_gens
 from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
@@ -43,7 +46,7 @@ from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
                       weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, WindowTooNarrow, ZeroShift)
-from .linalg import Vec, full_rank_mod_p, nullspace, stack_columns
+from .linalg import full_rank_mod_p, nullspace, stack_columns
 from .verma import RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, image_pairs, mono_str
 
 Column = Optional[Pairs]
@@ -62,7 +65,7 @@ class WindowedModule:
     def __init__(self, window: Tuple[int, int], families: frozenset,
                  central: Fraction,
                  basis: Dict[int, Tuple[BasisLabel, ...]],
-                 blocks: Dict[Tuple[str, int, int], Sequence[Column]],
+                 blocks: Mapping[Tuple[str, int, int], Sequence[Column]],
                  description: str = ""):
         self.window = window
         self.families = families
@@ -93,14 +96,6 @@ class WindowedModule:
                 f"inside window {self.window}") from None
 
 
-def _window_action(spec: ModuleSpec, g: Gen, label) -> Vec:
-    # Vir-only catalog modules extend to the full algebra by letting the
-    # loop part act as zero (valid because C already acts as zero).
-    if isinstance(spec, (IntAB, IntA, IntB)) and g.family in ("e", "f", "h"):
-        return Vec.zero()
-    return act_basis(spec, g, label)
-
-
 def _window_families(spec: ModuleSpec) -> frozenset:
     alg = acting_algebra(spec).name
     if alg in ("Vir", "L"):
@@ -121,7 +116,14 @@ def _block_keys(families: frozenset, degrees: Sequence[int],
 
 
 def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
-    """Materialize a catalog module's actions as exact matrices."""
+    """Export a catalog module's window with its actions as exact matrices.
+
+    The blocks are those of every degree inside the window (``_block_keys``)
+    and, as in ``from_verma``, each is made on first read and kept: block
+    (family, m, k) is built whole, one ``act_basis`` column per basis vector
+    of offset k, the first time it is looked up.  So a query pays for the
+    blocks it reads, not for the O(W^2) blocks of a half-width-W window.
+    """
     if isinstance(spec, T2Corrupt):
         raise NotAModule("T2Corrupt violates the module axiom; it has no "
                          "consistent window")
@@ -129,20 +131,25 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     if q < p:
         raise WindowTooNarrow(f"empty window {window}")
     loop = isinstance(spec, LoopMod)
-    basis: Dict[int, Tuple[BasisLabel, ...]] = {}
-    raw_labels: Dict[int, list] = {}
-    for k in range(p, q + 1):
-        labs = [(j, k) for j in range(spec.lam + 1)] if loop else [k]
-        raw_labels[k] = labs
-        basis[k] = tuple(
-            BasisLabel(label_str(spec, lab), *weight_of(spec, lab)) for lab in labs)
-    index: Dict[int, Dict] = {k: {lab: i for i, lab in enumerate(raw_labels[k])}
-                              for k in range(p, q + 1)}
+    raw_labels = {k: [(j, k) for j in range(spec.lam + 1)] if loop else [k]
+                  for k in range(p, q + 1)}
+    basis = {k: tuple(BasisLabel(label_str(spec, lab), *weight_of(spec, lab)) for lab in labs)
+             for k, labs in raw_labels.items()}
+    index = {k: {lab: i for i, lab in enumerate(labs)} for k, labs in raw_labels.items()}
+    # Vir-only catalog modules extend to the full algebra by letting the
+    # loop part act as zero (valid because C already acts as zero)
+    vir_only = isinstance(spec, (IntAB, IntA, IntB))
+
+    def block(key) -> List[Column]:
+        fam, m, k = key
+        if vir_only and fam in ("e", "f", "h"):
+            return [()] * len(raw_labels[k])
+        g, target = Gen(fam, m), index[k + m]
+        return [image_pairs(act_basis(spec, g, lab).terms, target) for lab in raw_labels[k]]
+
     families = _window_families(spec)
-    blocks = {(fam, m, k): [image_pairs(_window_action(spec, Gen(fam, m), lab).terms, index[k + m])
-                            for lab in raw_labels[k]]
-              for fam, m, k in _block_keys(families, range(p - q, q - p + 1), window)}
-    return WindowedModule(window, families, Fraction(0), basis, blocks,
+    return WindowedModule(window, families, Fraction(0), basis,
+                          _LazyMap(_block_keys(families, range(p - q, q - p + 1), window), block),
                           description=spec_text(spec))
 
 
@@ -184,8 +191,9 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     to the block's vectors asserted so far, has full rank mod p
     (``full_rank_mod_p``).  That op is then injective on their span and on
     every subspace of it, so the stacked map is too, and the block's kernel
-    is {0} whichever of those vectors later ops leave asserted.  ``whole``
-    still reads every column.  The label check covers the columns read, and
+    is {0} whichever of those vectors later ops leave asserted.  Once every
+    block is certified, no later op's block is looked up.  ``whole`` still
+    reads every column.  The label check covers the columns read, and
     each surviving block's whole stack goes to ``nullspace``.  The
     union of the blocks' kernels, ordered by each vector's free (last
     nonzero) coordinate, is the canonical basis of the whole-offset stack."""
@@ -197,6 +205,8 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     live = range(len(blocks))  # the blocks no op has certified yet
     read: List[Dict[int, Column]] = []  # per op, the columns read
     for fam, m in ops:
+        if not (whole or live):
+            break  # every block is certified: no later op can change the kernel
         block = wm.block(fam, m, k)
         cols: Dict[int, Column] = {}
         for b in (range(len(blocks)) if whole else live):
@@ -337,7 +347,6 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 
-KILL_HIGHEST = RAISING_KILL_SET
 KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("f", -1), ("h", -1), ("d", -2))
 
 
@@ -356,7 +365,7 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
     """
     if direction not in ("highest", "lowest"):
         raise InvalidArgument(f"direction must be 'highest' or 'lowest', not {direction!r}")
-    kill = KILL_HIGHEST if direction == "highest" else KILL_LOWEST
+    kill = RAISING_KILL_SET if direction == "highest" else KILL_LOWEST
     missing = [fam for fam in "defh" if fam not in wm.families]
     if missing:
         raise GeneratorOutsideAlgebra(

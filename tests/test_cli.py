@@ -672,6 +672,26 @@ def test_injectivity_at_a_huge_shift_stays_small():
 
 
 @pytest.mark.parametrize("args", [
+    ["witness", "--module=A:a=1/2,b=1/3"],
+    ["injectivity", "--module=loop:lambda=2,a=1/2,b=1/3", "--k=0", "--i=1"],
+], ids=["witness", "injectivity"])
+def test_wide_catalog_windows_build_only_the_blocks_they_read(args):
+    # a catalog window makes a block when a query first reads it, so at
+    # half-width 200 these read a few blocks per offset and stay under
+    # 200 MB; the O(W^2) list of block keys (about 90 MB here) remains
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    code = ("import resource, sys; from avw.cli import main; status = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+            "sys.exit(status)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args, "--window=-200..200"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == args[0]
+    assert int(done.stderr) < 200 * 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize("args", [
     ["verma", "--lamd=0", "--mu=0", "--c=0", "--depth=1000000"],
     ["singular", "--lamd=0", "--mu=0", "--c=0", "--depth=2", "--charge=1000000000"],
 ], ids=["depth", "charge"])

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avw.windows
 from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          spec_text)
 from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, InvalidArgument,
                         NotAModule, OutOfWindow, WindowTooNarrow, ZeroShift)
 from avw.linalg import nullspace
-from avw.verma import HighestWeight, build_verma
-from avw.windows import (KILL_HIGHEST, KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
+from avw.verma import RAISING_KILL_SET, HighestWeight, build_verma
+from avw.windows import (KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
                          _rational_roots, _VermaColumns, _verify_match,
                          bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
@@ -498,6 +499,21 @@ def test_injectivity_builds_only_the_blocks_it_stacks():
         mono for s in range(0, m.charge_bound) for mono in m.cells[(0, s)])
 
 
+def test_catalog_window_builds_only_the_blocks_it_stacks(monkeypatch):
+    # a catalog window makes a block the first time it is read: a wide one
+    # calls act_basis for nothing until injectivity reads its five blocks
+    calls = []
+    real = avw.windows.act_basis
+    monkeypatch.setattr(avw.windows, "act_basis",
+                        lambda spec, g, label: calls.append((g, label)) or real(spec, g, label))
+    wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-50, 50))
+    assert calls == []
+    stacked_shift_injectivity(wm, 0, 1)
+    read = [("d", 1), ("d", 2), ("e", 1), ("f", 1), ("h", 1)]
+    assert len(calls) == 5 * wm.dim(0)
+    assert set(calls) == {(Gen(fam, m), (j, 0)) for fam, m in read for j in range(wm.dim(0))}
+
+
 def test_lazy_export_equals_eager_build():
     m = build_verma(HighestWeight.of(F(1, 3), F(1), F(3)), 2)
     wm = from_verma(m)
@@ -689,7 +705,7 @@ def nullspace_stacks(wm, ops, k, cols):
 
 
 def reference_extremal(wm, direction, record):
-    kill = KILL_HIGHEST if direction == "highest" else KILL_LOWEST
+    kill = RAISING_KILL_SET if direction == "highest" else KILL_LOWEST
     p, q = wm.window
     offs = [k for k in wm.offsets() if all(p <= k + m <= q for _, m in kill)]
     if not offs:
@@ -1119,8 +1135,11 @@ def test_bracket_consistency_of_corrupted_windows_matches_oracle():
 
 def test_bracket_consistency_skips_vectors_that_need_an_unknown_image():
     # one unasserted column and one missing block in a module's window: a
-    # vector whose sum needs either is skipped, never reported as a defect
-    wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2))
+    # vector whose sum needs either is skipped, never reported as a defect;
+    # the blocks go to a plain dict, since an export's block map is read-only
+    lazy = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2))
+    wm = WindowedModule(lazy.window, lazy.families, lazy.central, lazy.basis,
+                        dict(lazy.blocks))
     wm.blocks[("d", 1, 0)][1] = None
     del wm.blocks[("e", 2, -1)]
     assert bracket_consistency_defects(wm) == reference_bracket_consistency_defects(wm) == []
