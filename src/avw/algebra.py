@@ -65,9 +65,6 @@ def d(i: int) -> Gen:
 
 C = Gen("C", 0)
 
-# A LieElement is a Vec keyed by Gen.
-LieElement = Vec
-
 
 def as_element(x: Union[Gen, Vec]) -> Vec:
     return Vec.basis(x) if isinstance(x, Gen) else x

@@ -20,7 +20,8 @@ variant of T2Mod with e_n v_i = v_{n+i}; it violates the module axiom and
 exists as a negative control for the defect harness.
 
 Module vectors are ``Vec`` objects keyed by ``int`` labels (v_i) for rank-one
-kinds and by ``(k, i)`` pairs (u_k x t^i) for the loop kind.
+kinds and by ``(k, i)`` pairs (u_k x t^i) for the loop kind; ``offset_labels``
+lists the labels of one offset.
 """
 
 from __future__ import annotations
@@ -295,6 +296,14 @@ def label_str(spec: ModuleSpec, label) -> str:
         k, i = label
         return f"u{k}*t^{i}"
     return f"v_{label}"
+
+
+def offset_labels(spec: ModuleSpec, i: int) -> list:
+    """The basis labels at offset i: u_k x t^i for 0 <= k <= lam on a loop
+    module, v_i on a rank-one one."""
+    if isinstance(spec, LoopMod):
+        return [(k, i) for k in range(spec.lam + 1)]
+    return [i]
 
 
 def canonicalize(spec: ModuleSpec) -> ModuleSpec:

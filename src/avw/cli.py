@@ -26,14 +26,10 @@ from . import verma as vm
 from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
 from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec_keys, spec_text
-from .errors import (AvwError, InternalError, MissingParameter, ResourceBound, SpecParseError,
-                     UnknownKind, UnwritablePath)
+from .errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
+                     UnwritablePath)
 from .linalg import Vec
-
-# jacobi sweeps gens^3 triples and module-check gens^2 x labels checks; a
-# sweep over this many exits 2 before it starts (--range=-20..20 of L is 4.5M)
-DEFAULT_MAX_SWEEP = 5_000_000
-MAX_SWEEP_ENV = "AVW_MAX_SWEEP"
+from .windows import DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV  # noqa: F401  (the sweep cap)
 
 
 def _parse_rational(text: str, pos: int) -> Fraction:
@@ -148,17 +144,10 @@ def _write_report(config: RunConfig, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _bound_sweep(count: int, what: str) -> None:
-    cap = vm.cap_from_env(MAX_SWEEP_ENV, DEFAULT_MAX_SWEEP)
-    if count > cap:
-        raise ResourceBound(f"the sweep has {count} {what}, over the cap {cap}; "
-                            f"raise {MAX_SWEEP_ENV} or narrow the ranges")
-
-
 def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     alg = algebra_by_name(config.algebra)
     lo, hi = config.deg_range
-    _bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
+    win.bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
     gens = list(alg.generators(lo, hi))
     defects: List[dict] = []
     anti = grading = closure = 0
@@ -210,21 +199,15 @@ def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     return payload, 0 if not (anti or grading or closure or jac) else 1
 
 
-def _module_labels(spec: ModuleSpec, lo: int, hi: int) -> list:
-    if isinstance(spec, LoopMod):
-        return [(k, i) for i in range(lo, hi + 1) for k in range(spec.lam + 1)]
-    return list(range(lo, hi + 1))
-
-
 def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     alg = acting_algebra(spec)
     lo, hi = config.deg_range
     lab_lo, lab_hi = config.label_range
-    n_labels = (lab_hi - lab_lo + 1) * (spec.lam + 1 if isinstance(spec, LoopMod) else 1)
-    _bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
+    n_labels = (lab_hi - lab_lo + 1) * len(cat.offset_labels(spec, lab_lo))
+    win.bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
     gens = list(alg.generators(lo, hi))
-    labels = _module_labels(spec, lab_lo, lab_hi)
+    labels = [lab for i in range(lab_lo, lab_hi + 1) for lab in cat.offset_labels(spec, i)]
     n_defects = 0
     samples: List[dict] = []
     memo = cat.DefectMemo(spec)  # this run's brackets and images; dropped on return
@@ -442,10 +425,7 @@ def _cmd_witness(config: RunConfig) -> Tuple[dict, int]:
         except AvwError as exc:
             extremal[direction] = {"not_searchable": str(exc)}
             continue
-        extremal[direction] = [
-            {"offset": v.offset,
-             "vector": {lab.name: str(cf) for lab, cf in zip(v.labels, v.coefficients) if cf}}
-            for v in vecs]
+        extremal[direction] = [win.vector_json(v) for v in vecs]
     payload["extremal_vectors"] = extremal
     return payload, 0
 

@@ -40,16 +40,29 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Gen, bracket_gens
-from .catalog import (IntA, IntAB, IntB, LoopMod, ModuleSpec, T2Corrupt,
-                      acting_algebra, act_basis, axiom_defect, label_str, spec_text,
-                      weight_of)
+from .algebra import VIR, Gen, bracket_gens
+from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis, axiom_defect,
+                      label_str, offset_labels, spec_text, weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
-                     OutOfWindow, WindowTooNarrow, ZeroShift)
+                     OutOfWindow, ResourceBound, WindowTooNarrow, ZeroShift)
 from .linalg import full_rank_mod_p, nullspace, stack_columns
-from .verma import RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, image_pairs, mono_str
+from .verma import (RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, cap_from_env,
+                    image_pairs, mono_str)
 
 Column = Optional[Pairs]
+
+# jacobi sweeps gens^3 triples, module-check gens^2 x labels checks and a
+# catalog window families x width^2 blocks; over this many exits 2 before it
+# starts (--range=-20..20 of L is 4.5M triples)
+DEFAULT_MAX_SWEEP = 5_000_000
+MAX_SWEEP_ENV = "AVW_MAX_SWEEP"
+
+
+def bound_sweep(count: int, what: str) -> None:
+    cap = cap_from_env(MAX_SWEEP_ENV, DEFAULT_MAX_SWEEP)
+    if count > cap:
+        raise ResourceBound(f"the sweep has {count} {what}, over the cap {cap}; "
+                            f"raise {MAX_SWEEP_ENV} or narrow the ranges")
 
 
 @dataclass(frozen=True)
@@ -96,15 +109,6 @@ class WindowedModule:
                 f"inside window {self.window}") from None
 
 
-def _window_families(spec: ModuleSpec) -> frozenset:
-    alg = acting_algebra(spec).name
-    if alg in ("Vir", "L"):
-        return frozenset("defh")
-    if alg == "D":
-        return frozenset("dh")
-    return frozenset("dhe")  # T2
-
-
 def _block_keys(families: frozenset, degrees: Sequence[int],
                 window: Tuple[int, int]) -> Dict[Tuple[str, int, int], None]:
     """The block keys (family, degree m, offset k) of every family and given
@@ -122,7 +126,8 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     and, as in ``from_verma``, each is made on first read and kept: block
     (family, m, k) is built whole, one ``act_basis`` column per basis vector
     of offset k, the first time it is looked up.  So a query pays for the
-    blocks it reads, not for the O(W^2) blocks of a half-width-W window.
+    blocks it reads, not for the O(W^2) blocks of a half-width-W window; a
+    window of more blocks than the ``AVW_MAX_SWEEP`` cap raises ResourceBound.
     """
     if isinstance(spec, T2Corrupt):
         raise NotAModule("T2Corrupt violates the module axiom; it has no "
@@ -130,15 +135,16 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     p, q = window
     if q < p:
         raise WindowTooNarrow(f"empty window {window}")
-    loop = isinstance(spec, LoopMod)
-    raw_labels = {k: [(j, k) for j in range(spec.lam + 1)] if loop else [k]
-                  for k in range(p, q + 1)}
+    # Vir-only catalog modules extend to the full algebra by letting the
+    # loop part act as zero (valid because C already acts as zero)
+    alg = acting_algebra(spec)
+    vir_only = alg is VIR
+    families = frozenset("defh" if vir_only else (fam for fam, _ in alg.families))
+    bound_sweep(len(families) * (q - p + 1) ** 2, "window blocks")
+    raw_labels = {k: offset_labels(spec, k) for k in range(p, q + 1)}
     basis = {k: tuple(BasisLabel(label_str(spec, lab), *weight_of(spec, lab)) for lab in labs)
              for k, labs in raw_labels.items()}
     index = {k: {lab: i for i, lab in enumerate(labs)} for k, labs in raw_labels.items()}
-    # Vir-only catalog modules extend to the full algebra by letting the
-    # loop part act as zero (valid because C already acts as zero)
-    vir_only = isinstance(spec, (IntAB, IntA, IntB))
 
     def block(key) -> List[Column]:
         fam, m, k = key
@@ -147,7 +153,6 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
         g, target = Gen(fam, m), index[k + m]
         return [image_pairs(act_basis(spec, g, lab).terms, target) for lab in raw_labels[k]]
 
-    families = _window_families(spec)
     return WindowedModule(window, families, Fraction(0), basis,
                           _LazyMap(_block_keys(families, range(p - q, q - p + 1), window), block),
                           description=spec_text(spec))
@@ -352,6 +357,9 @@ KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("f", -1), ("h", -1), ("d", -2))
 
 @dataclass(frozen=True)
 class ExtremalVector:
+    """One kernel vector of a search at one offset, over that offset's basis:
+    an extremal vector or a submodule witness."""
+
     offset: int
     coefficients: Tuple[Fraction, ...]
     labels: Tuple[BasisLabel, ...]
@@ -386,16 +394,8 @@ def support(wm: WindowedModule) -> List[Tuple[Fraction, Fraction]]:
 
 
 @dataclass(frozen=True)
-class Witness:
-    offset: int
-    coefficients: Tuple[Fraction, ...]
-    labels: Tuple[BasisLabel, ...]
-    verdict: str
-
-
-@dataclass(frozen=True)
 class WitnessReport:
-    witnesses: Tuple[Witness, ...]
+    witnesses: Tuple[ExtremalVector, ...]
     verdict: str
 
 
@@ -408,7 +408,7 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
     finite window; when nothing is found the verdict says so explicitly.
     """
     p, q = wm.window
-    witnesses: List[Witness] = []
+    witnesses: List[ExtremalVector] = []
     for k in wm.offsets():
         if not wm.dim(k):
             continue
@@ -425,9 +425,7 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
         labels = wm.labels(k)
         kernel = sorted(_joint_kernel(wm, ops, k),
                         key=lambda v: next(labels[j].h0 for j, x in enumerate(v) if x))
-        witnesses.extend(
-            Witness(k, v, labels, "annihilated by every in-window weight-moving operator")
-            for v in kernel)
+        witnesses.extend(ExtremalVector(k, v, labels) for v in kernel)
     if witnesses:
         verdict = f"{len(witnesses)} finitely-supported submodule witness(es) in window"
     else:
@@ -718,18 +716,15 @@ def injectivity_json(report: InjectivityReport) -> dict:
     }
 
 
+def vector_json(v: ExtremalVector) -> dict:
+    return {"offset": v.offset,
+            "vector": {lab.name: str(c) for lab, c in zip(v.labels, v.coefficients) if c}}
+
+
 def witness_json(report: WitnessReport) -> dict:
-    return {
-        "witnesses": [
-            {
-                "offset": w.offset,
-                "vector": {lab.name: str(c) for lab, c in zip(w.labels, w.coefficients) if c},
-                "verdict": w.verdict,
-            }
-            for w in report.witnesses
-        ],
-        "verdict": report.verdict,
-    }
+    each = "annihilated by every in-window weight-moving operator"
+    return {"witnesses": [{**vector_json(w), "verdict": each} for w in report.witnesses],
+            "verdict": report.verdict}
 
 
 def match_json(result: MatchResult) -> dict:

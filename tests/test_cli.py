@@ -691,6 +691,26 @@ def test_wide_catalog_windows_build_only_the_blocks_they_read(args):
     assert int(done.stderr) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
+def test_catalog_window_over_the_sweep_cap_exits_2_before_listing_blocks():
+    # 4 families x 200001^2 block keys: counted, not listed, so the window
+    # exits 2 within 1 GiB of address space instead of exhausting memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != MAX_SWEEP_ENV}
+    code = "import sys; from avw.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "witness", "--module=A:a=1/2,b=1/3",
+         "--window=-100000..100000"],
+        env={**env, "PYTHONPATH": src}, preexec_fn=limit,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{4 * 200001 ** 2} window blocks, over the cap {DEFAULT_MAX_SWEEP}" in done.stderr
+    assert MAX_SWEEP_ENV in done.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["verma", "--lamd=0", "--mu=0", "--c=0", "--depth=1000000"],
     ["singular", "--lamd=0", "--mu=0", "--c=0", "--depth=2", "--charge=1000000000"],
@@ -743,6 +763,35 @@ def test_highest_weight_exports_are_pinned(capsys):
         digest.update(f"{code}\n{captured.out}\n{captured.err}\n".encode())
     assert digest.hexdigest() == (
         "5833f7c824536a81f2f72c2706eeb0bc5e440469922dbe4318946a1cdb876f96")
+
+
+CATALOG_SWEEP_SPECS = (
+    "A:a=1/2,b=1/3", "A:a=0,b=1", "A2:a=1/2", "A2:a=0", "B:a=2/3", "B:a=-1",
+    "H:a=1/3,b=1/2,c=2", "H:a=0,b=0,c=0", "T2:a=1/2,b=2/3,c=1", "T2:a=0,b=1,c=0",
+    "T2corrupt:a=1/2,b=1/3,c=1", "loop:lambda=0,a=1/3,b=6/5",
+    "loop:lambda=1,a=0,b=0", "loop:lambda=2,a=1/2,b=1/3")
+
+
+def test_catalog_windows_are_pinned(capsys):
+    # one sha256 over the exit code, stdout and stderr of 140 catalog-window
+    # commands, every kind through every window command; computed while the
+    # window families were still a second table keyed by the algebra's name
+    # and witnesses were a result type of their own
+    commands = []
+    for spec in CATALOG_SWEEP_SPECS:
+        m = f"--module={spec}"
+        commands += [["catalog", m], ["catalog", m, "--matrices"], ["witness", m],
+                     ["support", m], ["loop-dims", m], ["injectivity", m],
+                     ["injectivity", m, "--k=1", "--i=-2"], ["match", m],
+                     ["match", m, "--scramble-seed=5"], ["module-check", m]]
+    assert len(commands) == 140
+    digest = hashlib.sha256()
+    for args in commands:
+        code = main(args)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}\n{captured.err}\n".encode())
+    assert digest.hexdigest() == (
+        "c23ed0a9015d0d609670c261c6804113a410a5cb7c6e8c8294a801233679dc79")
 
 
 def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 import avw.windows
 from avw.algebra import Gen
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
-                         spec_text)
+                         acting_algebra, label_str, offset_labels, spec_text)
+from avw.cli import main
 from avw.errors import (AvwError, GeneratorOutsideAlgebra, InternalError, InvalidArgument,
                         NotAModule, OutOfWindow, WindowTooNarrow, ZeroShift)
-from avw.linalg import nullspace
+from avw.linalg import nullspace, rank, stack_columns
 from avw.verma import RAISING_KILL_SET, HighestWeight, build_verma
 from avw.windows import (KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
                          _rational_roots, _VermaColumns, _verify_match,
@@ -45,6 +47,28 @@ def test_from_catalog_t2_e_matrices_zero():
         for k in wm.offsets():
             if wm.has_block("e", m, k):
                 assert all(col == () for col in wm.block("e", m, k))
+
+
+@pytest.mark.parametrize("spec, families", [
+    (IntAB(F(1, 2), F(1, 3)), "defh"), (IntA(F(1, 2)), "defh"), (IntB(F(2, 3)), "defh"),
+    (HVirABC(F(1, 3), F(1, 2), F(2)), "dh"), (T2Mod(F(0), F(1), F(1)), "deh"),
+    (LoopMod(0, F(1, 3), F(6, 5)), "defh"), (LoopMod(2, F(1, 2), F(1, 3)), "defh"),
+], ids=lambda x: spec_text(x) if not isinstance(x, str) else x)
+def test_catalog_window_follows_its_kind(spec, families, capsys):
+    # the families are the acting algebra's (Vir-only kinds extend by zero to
+    # all four), the labels those of offset_labels, and module-check sweeps
+    # the same basis over the same range
+    wm = from_catalog(spec, (-2, 2))
+    assert wm.families == frozenset(families)
+    if not isinstance(spec, (IntAB, IntA, IntB)):
+        assert wm.families == frozenset(fam for fam, _ in acting_algebra(spec).families)
+    for k in wm.offsets():
+        assert [lab.name for lab in wm.labels(k)] == [
+            label_str(spec, lab) for lab in offset_labels(spec, k)]
+    assert main(["module-check", f"--module={spec_text(spec)}", "--deg-range=-1..1",
+                 "--label-range=-2..2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["basis_vectors"] == sum(wm.dim(k) for k in wm.offsets())
 
 
 def test_from_catalog_rejects_corrupt():
@@ -528,6 +552,28 @@ def test_lazy_export_equals_eager_build():
     eager_scrambled = scramble_window(eager_wm, seed=11)
     assert lazy_scrambled.basis == eager_scrambled.basis
     assert lazy_scrambled.blocks == eager_scrambled.blocks
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("hw", [(F(1, 3), F(2), F(3)), (F(-2, 3), F(3, 5), F(-4, 7))],
+                         ids=["integral", "generic"])
+def test_lowering_blocks_of_a_highest_weight_export_are_injective(hw, depth):
+    # free-module oracle: the truncated module is U(n-) v, free of rank one,
+    # and U(n-) has no zero divisors, so every lowering operator (degree < 0,
+    # or f_0) is injective on the asserted vectors of each kept weight space
+    wm = from_verma(build_verma(HighestWeight.of(*hw), depth))
+    checked = 0
+    for fam, m, k in wm.blocks:
+        if not (m < 0 or (fam, m) == ("f", 0)) or not wm.dim(k):
+            continue
+        block = wm.block(fam, m, k)
+        cols = [col for col in (block[j] for j in range(len(block))) if col is not None]
+        rows = stack_columns([cols])
+        assert nullspace(rows, ncols=len(cols)) == [], (fam, m, k)
+        assert rank(rows, ncols=len(cols)) == len(cols), (fam, m, k)  # no mod-p shortcut
+        checked += 1
+    # d, e, f, h at degrees -1..-3 from each offset they stay inside, and f_0
+    assert checked == 4 * sum(min(3, depth - n) for n in range(depth)) + depth + 1
 
 
 def test_export_keys_match_the_eager_loop_at_any_width():
