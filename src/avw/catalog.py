@@ -21,14 +21,13 @@ exists as a negative control for the defect harness.
 
 Module vectors are ``Vec`` objects keyed by ``int`` labels (v_i) for rank-one
 kinds and by ``(k, i)`` pairs (u_k x t^i) for the loop kind; ``offset_labels``
-lists the labels of one offset.
+lists the labels of one offset and ``offset_dim`` counts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import floor, lcm
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -124,33 +123,29 @@ class Sl2Irrep(NamedTuple):
     h_mat: tuple
 
 
-@lru_cache(maxsize=None)
 def sl2_irrep(lam: int) -> Sl2Irrep:
     if lam < 0 or int(lam) != lam:
         raise NegativeHighestWeight(f"highest weight must be a nonnegative integer, got {lam}")
-    n = lam + 1
-    e_mat = [[Fraction(0)] * n for _ in range(n)]
-    f_mat = [[Fraction(0)] * n for _ in range(n)]
-    h_mat = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        h_mat[k][k] = Fraction(lam - 2 * k)
-        if k + 1 < n:
-            f_mat[k + 1][k] = Fraction(1)
-        if k >= 1:
-            e_mat[k - 1][k] = Fraction(k * (lam - k + 1))
-    freeze = lambda m: tuple(tuple(row) for row in m)
-    return Sl2Irrep(lam, freeze(e_mat), freeze(f_mat), freeze(h_mat))
+    spec, n = LoopMod(lam, Fraction(0), Fraction(0)), lam + 1
+    mats = {fam: [[Fraction(0)] * n for _ in range(n)] for fam in "efh"}
+    for fam in "efh":
+        for k in range(n):
+            target, coeff = _sl2_image(spec, fam, k)
+            if coeff:
+                mats[fam][target][k] = Fraction(coeff)
+    return Sl2Irrep(lam, *(tuple(map(tuple, mats[fam])) for fam in "efh"))
 
 
-def _sl2_image(spec: LoopMod, family: str, k: int) -> Tuple[Optional[int], Fraction]:
-    """(target u-index, coefficient) of x.u_k in the fixed normalization."""
+def _sl2_image(spec: LoopMod, family: str, k: int) -> Tuple[int, int]:
+    """(target u-index, coefficient) of x.u_k in the fixed normalization;
+    x.u_k = 0 when the coefficient is 0."""
     lam = spec.lam
     if family == "h":
-        return k, Fraction(lam - 2 * k)
+        return k, lam - 2 * k
     if family == "f":
-        return (k + 1, Fraction(1)) if k + 1 <= lam else (None, Fraction(0))
+        return k + 1, 1 if k < lam else 0
     if family == "e":
-        return (k - 1, Fraction(sl2_irrep(lam).e_mat[k - 1][k])) if k >= 1 else (None, Fraction(0))
+        return k - 1, k * (lam - k + 1)
     raise InternalError(f"{family}_m is not an sl2 generator")
 
 
@@ -298,11 +293,16 @@ def label_str(spec: ModuleSpec, label) -> str:
     return f"v_{label}"
 
 
+def offset_dim(spec: ModuleSpec) -> int:
+    """The number of labels at each offset: lam + 1 on a loop module, else 1."""
+    return spec.lam + 1 if isinstance(spec, LoopMod) else 1
+
+
 def offset_labels(spec: ModuleSpec, i: int) -> list:
     """The basis labels at offset i: u_k x t^i for 0 <= k <= lam on a loop
     module, v_i on a rank-one one."""
     if isinstance(spec, LoopMod):
-        return [(k, i) for k in range(spec.lam + 1)]
+        return [(k, i) for k in range(offset_dim(spec))]
     return [i]
 
 
@@ -320,36 +320,43 @@ class SimplicityVerdict(NamedTuple):
     reason: str
 
 
-def is_simple(spec: ModuleSpec) -> SimplicityVerdict:
-    """Decide simplicity from the intermediate-series criteria.
+def _classify(spec: ModuleSpec) -> Tuple[bool, str, Optional[str], Optional[str]]:
+    """(simple, reason, trivial line, its role) by the intermediate-series
+    criteria; line and role are None on a simple module.
 
     Rank-one d-action families are simple iff a is not an integer or
     b is outside {0, 1}; a nonzero h-central parameter c also forces
     simplicity; a loop module over a nontrivial sl2 irrep is always simple.
+    The verdict reads a only through its denominator, so it is the same on
+    ``canonicalize(spec)``; the line is where a + i = 0 for the a given.
     """
     if isinstance(spec, T2Corrupt):
         raise NotAModule("T2Corrupt is not a module; simplicity is undefined")
-    spec = canonicalize(spec)
     if isinstance(spec, IntA):
-        return SimplicityVerdict(False, "the span of v_0 is a quotient; the complement is a proper submodule")
+        return (False, "the span of v_0 is a quotient; the complement is a proper submodule",
+                "v_0", "quotient")
     if isinstance(spec, IntB):
-        return SimplicityVerdict(False, "the span of v_0 is a proper submodule")
+        return False, "the span of v_0 is a proper submodule", "v_0", "submodule"
     if isinstance(spec, LoopMod) and spec.lam >= 1:
-        return SimplicityVerdict(True, f"loop module over a nontrivial {spec.lam + 1}-dimensional sl2 irrep")
+        return True, f"loop module over a nontrivial {spec.lam + 1}-dimensional sl2 irrep", None, None
     a, b = spec.a, spec.b
     if a.denominator != 1:
-        return SimplicityVerdict(True, "a is not an integer")
+        return True, "a is not an integer", None, None
     if b not in (0, 1):
-        return SimplicityVerdict(True, "b is outside {0, 1}")
-    if isinstance(spec, (HVirABC, T2Mod)) and spec.c != 0:
-        return SimplicityVerdict(True, "h-central parameter c is nonzero")
-    conds = ["a integral", "b in {0,1}"]
-    if isinstance(spec, (HVirABC, T2Mod)):
-        conds.append("c = 0")
-    if isinstance(spec, LoopMod):
-        conds.insert(0, "trivial sl2 part (lambda = 0)")
+        return True, "b is outside {0, 1}", None, None
+    central = isinstance(spec, (HVirABC, T2Mod))
+    if central and spec.c != 0:
+        return True, "h-central parameter c is nonzero", None, None
+    loop = isinstance(spec, LoopMod)
+    conds = ["trivial sl2 part (lambda = 0)"] * loop + ["a integral", "b in {0,1}"] + ["c = 0"] * central
     role = "submodule" if b == 0 else "quotient"
-    return SimplicityVerdict(False, ", ".join(conds) + f"; the trivial line is a {role}")
+    line = label_str(spec, (0, -int(a)) if loop else -int(a))
+    return False, ", ".join(conds) + f"; the trivial line is a {role}", line, role
+
+
+def is_simple(spec: ModuleSpec) -> SimplicityVerdict:
+    """Decide simplicity from the intermediate-series criteria (``_classify``)."""
+    return SimplicityVerdict(*_classify(spec)[:2])
 
 
 class StructureReport(NamedTuple):
@@ -368,23 +375,9 @@ def structure_report(spec: ModuleSpec) -> StructureReport:
     module: the quotient (or submodule) on the labels away from the trivial
     line, written A'(0,0).
     """
-    verdict = is_simple(spec)
-    if verdict.simple:
-        return StructureReport(spec, True, None, None, None, "simple: " + verdict.reason)
-    subq = "A'(0,0)"
-    if isinstance(spec, IntA):
-        line, role = "v_0", "quotient"
-    elif isinstance(spec, IntB):
-        line, role = "v_0", "submodule"
-    elif isinstance(spec, LoopMod):
-        # lam = 0 and a integral, b in {0,1}: the line sits where a + i = 0
-        i0 = -int(spec.a)
-        line = f"u0*t^{i0}"
-        role = "submodule" if spec.b == 0 else "quotient"
-    else:
-        i0 = -int(spec.a)
-        line = f"v_{i0}"
-        role = "submodule" if spec.b == 0 else "quotient"
-    other = "quotient" if role == "submodule" else "submodule"
+    simple, reason, line, role = _classify(spec)
+    if simple:
+        return StructureReport(spec, True, None, None, None, "simple: " + reason)
+    subq, other = "A'(0,0)", "quotient" if role == "submodule" else "submodule"
     return StructureReport(spec, False, line, role, subq,
                            f"the span of {line} is a {role}; the {other} is isomorphic to {subq}")

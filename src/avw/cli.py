@@ -204,7 +204,7 @@ def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
     alg = acting_algebra(spec)
     lo, hi = config.deg_range
     lab_lo, lab_hi = config.label_range
-    n_labels = (lab_hi - lab_lo + 1) * len(cat.offset_labels(spec, lab_lo))
+    n_labels = (lab_hi - lab_lo + 1) * cat.offset_dim(spec)
     win.bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
     gens = list(alg.generators(lo, hi))
     labels = [lab for i in range(lab_lo, lab_hi + 1) for lab in cat.offset_labels(spec, i)]
@@ -261,6 +261,9 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
 def _cmd_catalog(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     wm = win.from_catalog(spec, config.window)
+    # dense printouts: 3 dim^2 sl2 entries on a loop module, dim^2 per block with --matrices
+    n_mats = 3 * isinstance(spec, LoopMod) + config.matrices * len(wm.blocks)
+    win.bound_sweep(n_mats * cat.offset_dim(spec) ** 2, "printed entries")
     defects = win.bracket_consistency_defects(wm, degree_limit=2)
     payload = {
         "command": "catalog",

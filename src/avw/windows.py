@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VIR, Gen, bracket_gens
 from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis, axiom_defect,
-                      label_str, offset_labels, spec_text, weight_of)
+                      label_str, offset_dim, offset_labels, spec_text, weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, ResourceBound, WindowTooNarrow, ZeroShift)
 from .linalg import full_rank_mod_p, nullspace, stack_columns
@@ -51,9 +51,9 @@ from .verma import (RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, cap_from
 
 Column = Optional[Pairs]
 
-# jacobi sweeps gens^3 triples, module-check gens^2 x labels checks and a
-# catalog window families x width^2 blocks; over this many exits 2 before it
-# starts (--range=-20..20 of L is 4.5M triples)
+# jacobi sweeps gens^3 triples, module-check gens^2 x labels checks, a catalog
+# window families x width^2 blocks and width x offset_dim basis vectors; over
+# this many exits 2 before it starts (--range=-20..20 of L is 4.5M triples)
 DEFAULT_MAX_SWEEP = 5_000_000
 MAX_SWEEP_ENV = "AVW_MAX_SWEEP"
 
@@ -127,7 +127,7 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     (family, m, k) is built whole, one ``act_basis`` column per basis vector
     of offset k, the first time it is looked up.  So a query pays for the
     blocks it reads, not for the O(W^2) blocks of a half-width-W window; a
-    window of more blocks than the ``AVW_MAX_SWEEP`` cap raises ResourceBound.
+    window over ``AVW_MAX_SWEEP`` blocks or basis vectors raises ResourceBound.
     """
     if isinstance(spec, T2Corrupt):
         raise NotAModule("T2Corrupt violates the module axiom; it has no "
@@ -141,6 +141,7 @@ def from_catalog(spec: ModuleSpec, window: Tuple[int, int]) -> WindowedModule:
     vir_only = alg is VIR
     families = frozenset("defh" if vir_only else (fam for fam, _ in alg.families))
     bound_sweep(len(families) * (q - p + 1) ** 2, "window blocks")
+    bound_sweep((q - p + 1) * offset_dim(spec), "basis vectors")
     raw_labels = {k: offset_labels(spec, k) for k in range(p, q + 1)}
     basis = {k: tuple(BasisLabel(label_str(spec, lab), *weight_of(spec, lab)) for lab in labs)
              for k, labs in raw_labels.items()}

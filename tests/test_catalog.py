@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          _sl2_image, act, act_basis, acting_algebra,
-                         canonicalize, is_simple, label_str, module_defect,
-                         sl2_irrep, spec_text, structure_report, weight_of)
+                         canonicalize, is_simple, label_str, module_defect, offset_dim,
+                         offset_labels, sl2_irrep, spec_text, structure_report, weight_of)
 from avw.errors import (GeneratorOutsideAlgebra, InternalError,
                         NegativeHighestWeight)
 from avw.linalg import Vec
@@ -226,6 +226,28 @@ def test_sl2_image_rejects_non_sl2_family():
     with pytest.raises(InternalError) as err:
         _sl2_image(LoopMod(1, F(0), F(0)), "d", 0)
     assert not isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("lam", [0, 1, 4])
+def test_sl2_image_is_the_irrep_in_closed_form(lam):
+    # x.u_k is one term: e.u_0 and f.u_lam have coefficient 0, so act_basis
+    # gives the zero vector there
+    spec = LoopMod(lam, F(0), F(0))
+    assert _sl2_image(spec, "e", 0) == (-1, 0)
+    assert _sl2_image(spec, "f", lam) == (lam + 1, 0)
+    for g in (e(3), f(3)):
+        assert act_basis(spec, g, (0 if g.family == "e" else lam, 2)) == Vec.zero()
+    for k in range(lam + 1):
+        for fam in "efh":
+            target, coeff = _sl2_image(spec, fam, k)
+            assert type(coeff) is int
+            assert act_basis(spec, Gen(fam, 1), (k, 0)) == (
+                Vec({(target, 1): coeff}) if coeff else Vec.zero())
+
+
+@pytest.mark.parametrize("spec", ALL_TEST_SPECS, ids=spec_text)
+def test_offset_dim_counts_the_labels_of_an_offset(spec):
+    assert offset_dim(spec) == len(offset_labels(spec, -2)) == len(offset_labels(spec, 5))
 
 
 # Oracle: the Vec-based module_defect that builds one Vec per action, kept as

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,36 @@ def test_sweep_reports_are_pinned(capsys):
         digest.update(f"{args}\n{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
     assert digest.hexdigest() == (
         "ead86735fd0cdbb7f679b050f644ee3ba1497bd1980b4397921641a48ddc9343")
+
+
+def _classification_grid():
+    """simple and structure on every kind over a grid of parameters (378
+    specs), plus the sl2 printout of catalog on the loop specs with a = 1/2."""
+    values = {"a": ("0", "1", "-3", "7", "1/2", "-3/2", "2/3"), "b": ("0", "1", "2", "1/3"),
+              "c": ("0", "5", "1/7"), "lambda": ("0", "1", "2")}
+    for kind, cls in avw.catalog.KINDS.items():
+        keys = avw.catalog.spec_keys(cls)
+        for combo in product(*(values[key] for key in keys)):
+            spec = f"{kind}:" + ",".join(f"{key}={v}" for key, v in zip(keys, combo))
+            for command in ("simple", "structure"):
+                yield [command, f"--module={spec}"]
+    for lam, b in product(values["lambda"], values["b"]):
+        yield ["catalog", f"--module=loop:lambda={lam},a=1/2,b={b}", "--window=-1..1"]
+
+
+def test_classification_reports_are_pinned(capsys):
+    # one sha256 over the exit code, stdout and stderr of each of the 768
+    # commands, computed before is_simple and structure_report shared one
+    # classification and the sl2 action was written in closed form
+    digest, count = hashlib.sha256(), 0
+    for args in _classification_grid():
+        code = run(args)
+        out, err = capsys.readouterr()
+        digest.update(f"{args}\n{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+        count += 1
+    assert count == 768
+    assert digest.hexdigest() == (
+        "d4065505b7ea7c2a24bb97c84f1132169a3ab799e03e9248d1df72859da05a6c")
 
 
 def _calls_per_run(monkeypatch, owner, name, args, keep=lambda call: True):
@@ -709,6 +740,49 @@ def test_catalog_window_over_the_sweep_cap_exits_2_before_listing_blocks():
     assert "Traceback" not in done.stderr
     assert f"{4 * 200001 ** 2} window blocks, over the cap {DEFAULT_MAX_SWEEP}" in done.stderr
     assert MAX_SWEEP_ENV in done.stderr
+
+
+def _run_limited(args, address_space, timeout=60):
+    """Run the CLI on args in a child limited to address_space bytes, with
+    the default sweep cap."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != MAX_SWEEP_ENV}
+    code = "import sys; from avw.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *args], env={**env, "PYTHONPATH": src},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("args", [
+    ["module-check", "--module=loop:lambda=1000000000,a=0,b=0", "--deg-range=0..0",
+     "--label-range=0..0"],
+    ["support", "--module=loop:lambda=100000000,a=0,b=0", "--window=0..0"],
+    ["loop-dims", "--module=loop:lambda=100000000,a=0,b=0", "--window=0..0"],
+    ["catalog", "--module=loop:lambda=1500,a=0,b=0", "--window=0..0"],
+], ids=["module-check", "support", "loop-dims", "catalog"])
+def test_huge_loop_lambda_is_counted_not_listed(args):
+    # the labels per offset (catalog.offset_dim), a window's basis and the
+    # dense sl2 printout are counted against the sweep cap before any is
+    # listed, so each exits 2 within 1 GiB of address space
+    done = _run_limited(args, 2 ** 30)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert MAX_SWEEP_ENV in done.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["witness", "--module=loop:lambda=10000,a=0,b=0", "--window=0..0"],
+    ["module-check", "--module=loop:lambda=3000,a=0,b=0", "--deg-range=0..0",
+     "--label-range=0..0"],
+], ids=["witness", "module-check"])
+def test_loop_action_holds_no_dense_sl2_matrices(args):
+    # act_basis reads each sl2 coefficient in closed form, so a large lambda
+    # costs O(lambda) state, not three (lambda+1)^2 matrices, within 256 MB
+    done = _run_limited(args, 256 * 2 ** 20)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == args[0]
 
 
 @pytest.mark.parametrize("args", [

@@ -9,7 +9,7 @@ import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
-from avw.linalg import Vec, nullspace
+from avw.linalg import Vec, full_rank_mod_p, nullspace
 import avw.verma
 from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
                        HighestWeight, TruncatedModule, _cell_dims,
@@ -839,6 +839,51 @@ def test_kac_kazhdan_singular_vectors_at_depth_6(hw):
         assert Vec.basis(mono) in found, (mono, found)
         for g in RAISING_KILL_SET:
             assert m.act(g, Vec.basis(mono)).is_zero(), (mono, g)
+
+
+# -- Shapovalov form: an oracle for the singular search -------------------------
+
+def _sigma(g):
+    """The anti-involution e_i -> f_-i, f_i -> e_-i, h_i -> h_-i, d_i -> d_-i,
+    C -> C; it reverses every defining bracket, central terms included."""
+    return Gen({"e": "f", "f": "e"}.get(g.family, g.family), -g.degree)
+
+
+def _shapovalov_gram(module, cell, memo):
+    """The Shapovalov form on one cell as sparse rows: <u.v, w.v> is the
+    coefficient of v in sigma(u) w . v (Shapovalov, Funct. Anal. Appl. 6,
+    1972; Kac-Kazhdan, Adv. Math. 34, 1979)."""
+    basis, rows = module.cells[cell], []
+    for u in basis:
+        su = tuple(map(_sigma, reversed(u)))
+        row = {j: pbw_straighten(su + w, module.hw, memo).get((), 0) for j, w in enumerate(basis)}
+        rows.append({j: c for j, c in row.items() if c})
+    return rows
+
+
+@pytest.mark.parametrize("hw", [HighestWeight.of(F(1, 2), 2, 0),
+                                HighestWeight.of(F(1, 3), 1, 2)], ids=_hw_id)
+def test_singular_vectors_lie_in_the_shapovalov_radical(hw):
+    # a singular vector off the highest-weight line generates a proper
+    # submodule, so the form pairs it to 0 with its whole weight space
+    m, memo = build_verma(hw, 5), {}
+    svs = [sv for sv in m.find_singular_vectors(3) if (sv.depth, sv.charge) != (0, 0)]
+    assert len(svs) == 3
+    for sv in svs:
+        gram = _shapovalov_gram(m, (sv.depth, sv.charge), memo)
+        for j in range(len(sv.basis)):
+            assert sum(c * gram[i].get(j, 0) for i, c in enumerate(sv.coefficients)) == 0
+
+
+def test_shapovalov_form_is_nondegenerate_at_a_generic_weight():
+    # with prime denominators the form has full rank mod p on every searched
+    # cell, so no cell has a radical and only the highest-weight line is found
+    m, memo = build_verma(HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7)), 5), {}
+    cells = [(n, s) for n in range(4) for s in range(-n, m.charge_bound)]
+    assert len(cells) == 42
+    for cell in cells:
+        assert full_rank_mod_p(_shapovalov_gram(m, cell, memo), len(m.cells[cell])), cell
+    assert [(sv.depth, sv.charge) for sv in m.find_singular_vectors(3)] == [(0, 0)]
 
 
 # -- lazy cells: counts at construction, a cell enumerated on first read ------
