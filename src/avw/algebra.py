@@ -171,11 +171,13 @@ class AlgebraSpec(NamedTuple):
                                      for _, degs in self.families)
 
     def generators(self, lo: int, hi: int) -> Iterator[Gen]:
-        """Basis generators with degree in [lo, hi], C last if present."""
+        """Basis generators with degree in [lo, hi], C last if present.  A
+        family with finitely many degrees lists those, not the range."""
         for fam, degs in self.families:
-            for k in range(lo, hi + 1):
-                if degs == "all" or k in degs:
-                    yield Gen(fam, k)
+            degrees = (range(lo, hi + 1) if degs == "all"
+                       else sorted(k for k in degs if lo <= k <= hi))
+            for k in degrees:
+                yield Gen(fam, k)
         if self.has_center:
             yield C
 

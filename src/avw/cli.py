@@ -29,7 +29,6 @@ from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec
 from .errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
                      UnwritablePath)
 from .linalg import Vec
-from .windows import DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV  # noqa: F401  (the sweep cap)
 
 
 def _parse_rational(text: str, pos: int) -> Fraction:
@@ -184,7 +183,6 @@ def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
                 defects.append({"triple": [str(x), str(y), str(z)],
                                 "defect": element_str(dft)})
     payload = {
-        "command": "jacobi",
         "algebra": alg.name,
         "range": list(config.deg_range),
         "generators": len(gens),
@@ -225,7 +223,6 @@ def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
                             "defect": _vec_json(spec, dft),
                         })
     payload = {
-        "command": "module-check",
         "module": spec_text(spec),
         "deg_range": list(config.deg_range),
         "label_range": list(config.label_range),
@@ -266,7 +263,6 @@ def _cmd_catalog(config: RunConfig) -> Tuple[dict, int]:
     win.bound_sweep(n_mats * cat.offset_dim(spec) ** 2, "printed entries")
     defects = win.bracket_consistency_defects(wm, degree_limit=2)
     payload = {
-        "command": "catalog",
         "module": spec_text(spec),
         **_window_payload(wm, config.matrices),
         "bracket_consistency_defects": defects,
@@ -286,7 +282,6 @@ def _cmd_simple(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     verdict = cat.is_simple(spec)
     return {
-        "command": "simple",
         "module": spec_text(spec),
         "canonical": spec_text(cat.canonicalize(spec)),
         "simple": verdict.simple,
@@ -298,7 +293,6 @@ def _cmd_structure(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     rep = cat.structure_report(spec)
     return {
-        "command": "structure",
         "module": spec_text(spec),
         "simple": rep.simple,
         "trivial_line": rep.trivial_line,
@@ -317,7 +311,6 @@ def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
     rows = [{"offset": k, "dim": wm.dim(k)} for k in wm.offsets()]
     violations = [r for r in rows if r["dim"] != expected]
     return {
-        "command": "loop-dims",
         "module": spec_text(spec),
         "window": list(config.window),
         "expected_dim": expected,
@@ -327,14 +320,11 @@ def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
     }, 0 if not violations else 1
 
 
-def _require_hw(config: RunConfig) -> vm.HighestWeight:
+def _build_module(config: RunConfig) -> vm.TruncatedModule:
     if config.lamd is None or config.mu is None or config.c is None:
         raise SpecParseError("--lamd, --mu and --c are all required", 0)
-    return vm.HighestWeight(config.lamd, config.mu, config.c)
-
-
-def _build_module(config: RunConfig) -> vm.TruncatedModule:
-    return vm.build_verma(_require_hw(config), config.depth, config.charge)
+    hw = vm.HighestWeight(config.lamd, config.mu, config.c)
+    return vm.build_verma(hw, config.depth, config.charge)
 
 
 def _cartan_check(module: vm.TruncatedModule) -> dict:
@@ -370,7 +360,6 @@ def _cmd_verma(config: RunConfig) -> Tuple[dict, int]:
     singular = ([] if config.singular_depth is None and module.depth_bound < 2
                 else module.find_singular_vectors(_singular_depth(config, module)))
     payload = {
-        "command": "verma",
         "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
                            "c": str(module.hw.c)},
         "depth_bound": module.depth_bound,
@@ -390,7 +379,6 @@ def _cmd_singular(config: RunConfig) -> Tuple[dict, int]:
     module = _build_module(config)
     sing_depth = _singular_depth(config, module)
     return {
-        "command": "singular",
         "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
                            "c": str(module.hw.c)},
         "max_depth": sing_depth,
@@ -411,14 +399,12 @@ def _analysis_window(config: RunConfig,
 def _cmd_injectivity(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config, (config.i, config.i + 1))
     report = win.stacked_shift_injectivity(wm, config.k, config.i)
-    return {"command": "injectivity", "module": wm.description,
-            **win.injectivity_json(report)}, 0
+    return {"module": wm.description, **win.injectivity_json(report)}, 0
 
 
 def _cmd_witness(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
-    payload = {"command": "witness", "module": wm.description,
-               **win.witness_json(win.submodule_witness(wm))}
+    payload = {"module": wm.description, **win.witness_json(win.submodule_witness(wm))}
     extremal: Dict[str, object] = {}
     for direction in ("highest", "lowest"):
         try:
@@ -437,15 +423,13 @@ def _cmd_match(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
     if config.scramble_seed is not None:
         wm = win.scramble_window(wm, config.scramble_seed)
-    return {"command": "match", "module": wm.description,
-            "scramble_seed": config.scramble_seed,
+    return {"module": wm.description, "scramble_seed": config.scramble_seed,
             **win.match_json(win.catalog_match(wm))}, 0
 
 
 def _cmd_support(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
-    return {"command": "support", "module": wm.description,
-            "window": list(wm.window), **win.support_json(wm)}, 0
+    return {"module": wm.description, "window": list(wm.window), **win.support_json(wm)}, 0
 
 
 _COMMANDS = {
@@ -470,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for the affine-Virasoro algebra of type A1")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", help="write the JSON report to this path")
-
     def add_module(p, required=True):
         p.add_argument("--module", required=required,
                        help="module spec, e.g. A:a=1/2,b=1/3 or loop:lambda=1,a=0,b=0")
@@ -489,11 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--charge", type=int, default=None,
                        help="charge bound S (default N+4)")
 
+    def add_analysis(p, window="-3..3"):
+        """The inputs of a window analysis: a catalog module or a highest weight."""
+        add_module(p, required=False)
+        add_hw(p)
+        add_window(p, window)
+
     p = sub.add_parser("jacobi", help="sweep Jacobi/antisymmetry/grading/closure")
     p.add_argument("--algebra", default="L", choices=sorted(ALGEBRAS))
     p.add_argument("--range", dest="deg_range", type=_range_arg,
                    default=_range_arg("-3..3"), help="degree range lo..hi")
-    add_common(p)
 
     p = sub.add_parser("module-check", help="exhaustive module-axiom defect sweep")
     add_module(p)
@@ -501,65 +487,49 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_range_arg("-3..3"))
     p.add_argument("--label-range", dest="label_range", type=_range_arg,
                    default=_range_arg("-3..3"))
-    add_common(p)
 
     p = sub.add_parser("catalog", help="materialize a module window as matrices")
     add_module(p)
     add_window(p)
     p.add_argument("--matrices", action="store_true", help="include all blocks")
-    add_common(p)
 
     p = sub.add_parser("simple", help="simplicity verdict with the matched criterion")
     add_module(p)
-    add_common(p)
 
     p = sub.add_parser("structure", help="distinguished submodule/quotient report")
     add_module(p)
-    add_common(p)
 
     p = sub.add_parser("loop-dims", help="weight-space dimensions of a loop module")
     add_module(p)
     add_window(p, "-4..4")
-    add_common(p)
 
     p = sub.add_parser("verma", help="build a truncated highest-weight module")
     add_hw(p)
     p.add_argument("--emit", help="write the depth,charge,dim CSV to this path")
     p.add_argument("--singular-depth", dest="singular_depth", type=int, default=None)
-    add_common(p)
 
     p = sub.add_parser("singular", help="singular vectors of a truncation")
     add_hw(p)
     p.add_argument("--max-depth", dest="singular_depth", type=int, default=None)
-    add_common(p)
 
     p = sub.add_parser("injectivity", help="kernel of the stacked degree-shift map")
-    add_module(p, required=False)
-    add_hw(p)
-    add_window(p, "-4..4")
+    add_analysis(p, "-4..4")
     p.add_argument("--k", type=int, default=0, help="source offset")
     p.add_argument("--i", type=int, default=1, help="nonzero shift")
-    add_common(p)
 
     p = sub.add_parser("witness", help="search for finitely-supported submodules")
-    add_module(p, required=False)
-    add_hw(p)
-    add_window(p)
-    add_common(p)
+    add_analysis(p)
 
     p = sub.add_parser("match", help="identify a window as a loop module")
-    add_module(p, required=False)
-    add_hw(p)
-    add_window(p)
+    add_analysis(p)
     p.add_argument("--scramble-seed", dest="scramble_seed", type=int, default=None,
                    help="disguise the basis with this seed before matching")
-    add_common(p)
 
     p = sub.add_parser("support", help="weight labels of the nonzero slices")
-    add_module(p, required=False)
-    add_hw(p)
-    add_window(p)
-    add_common(p)
+    add_analysis(p)
+
+    for p in sub.choices.values():  # every command's last option
+        p.add_argument("--out", help="write the JSON report to this path")
 
     return parser
 
@@ -578,7 +548,7 @@ def execute(config: RunConfig) -> int:
         return 2
     try:
         payload, code = handler(config)
-        _write_report(config, payload)
+        _write_report(config, {"command": config.command, **payload})
         return code
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -18,11 +18,11 @@ import avw.verma
 import avw.windows
 from avw.algebra import C, bracket, e, element_str, h
 from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
-from avw.cli import (DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV, RunConfig, build_parser,
-                     config_from_args, execute, main, parse_spec)
+from avw.cli import RunConfig, build_parser, config_from_args, execute, main, parse_spec
 from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
                         UnwritablePath)
 from avw.linalg import Vec
+from avw.windows import DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV
 
 
 def test_parse_spec_examples():
@@ -894,3 +894,26 @@ def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, caps
     assert main(["singular", "--lamd=1/2", "--mu=2", "--depth=2"]) == 2
     assert capsys.readouterr().err == (
         "error: --lamd, --mu and --c are all required (at position 0)\n")
+
+
+def test_sl2_sweep_lists_only_its_degrees():
+    # Sl2's families hold degree 0 alone, so the generators are listed from
+    # those degrees, not by walking the range: a range of 2 * 10^12 + 1
+    # degrees sweeps 27 triples at once
+    done = _run_limited(["jacobi", "--algebra=Sl2", "--range=-1000000000000..1000000000000"],
+                        512 * 2 ** 20, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["generators"] == 3
+
+
+def test_help_text_is_pinned(monkeypatch):
+    # one sha256 over the help text of avw and of its 12 commands at 80
+    # columns (Python 3.11's argparse layout), computed before the options
+    # and report header shared by several commands were each declared once
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert len(commands) == 12
+    texts = [parser.format_help()] + [p.format_help() for p in commands.values()]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "7d2e2dac7b63f80d2c9c217c5db7cb28935b8ece26d2a7cb47db3235ad532ccf")

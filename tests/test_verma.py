@@ -9,14 +9,14 @@ import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
-from avw.linalg import Vec, full_rank_mod_p, nullspace
+from avw.linalg import Vec, full_rank_mod_p, nullspace, rank
 import avw.verma
 from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
                        HighestWeight, TruncatedModule, _cell_dims,
                        _enumerate_cell, build_verma,
                        charge_of, charge_shift, depth_of, dims_rows, mono_str,
                        pbw_straighten, singular_vectors_json, write_dims_csv)
-from avw.windows import from_verma
+from avw.windows import find_extremal_vectors, from_verma
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -884,6 +884,62 @@ def test_shapovalov_form_is_nondegenerate_at_a_generic_weight():
     for cell in cells:
         assert full_rank_mod_p(_shapovalov_gram(m, cell, memo), len(m.cells[cell])), cell
     assert [(sv.depth, sv.charge) for sv in m.find_singular_vectors(3)] == [(0, 0)]
+
+
+@pytest.mark.parametrize("hw, cells", [
+    (HighestWeight.of(F(1, 2), 2, 0), [(0, 3), (2, -1)]),
+    (HighestWeight.of(F(1, 2), 0, 0), [(0, 1), (1, -1)]),
+], ids=["1/2,2,0", "1/2,0,0"])
+def test_shapovalov_radical_is_spanned_by_the_singular_vectors(hw, cells):
+    # the radical is a submodule, so where a kill-set operator carries a
+    # cell only into cells with a zero radical (weight-empty ones included),
+    # the cell's radical is killed by the whole kill set: its dimension is
+    # the number of singular vectors found there
+    m, memo, radical = build_verma(hw, 5), {}, {}
+
+    def radical_dim(n, s):
+        if (n, s) not in radical:
+            size = len(m.cells[(n, s)]) if n >= 0 and s >= -n else 0
+            gram = _shapovalov_gram(m, (n, s), memo) if size else []
+            radical[(n, s)] = size - rank(gram, size)
+        return radical[(n, s)]
+
+    svs = m.find_singular_vectors(3)
+    checked = []
+    for n in range(4):
+        for s in range(-n, m.charge_bound):
+            if radical_dim(n, s) and not any(
+                    radical_dim(n - g.degree, s + charge_shift(g)) for g in RAISING_KILL_SET):
+                found = [sv for sv in svs if (sv.depth, sv.charge) == (n, s)]
+                assert radical_dim(n, s) == len(found), (n, s)
+                checked.append((n, s))
+    assert checked == cells
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("hw", [HighestWeight.of(F(1, 2), 2, 0), HighestWeight.of(F(1, 2), 0, 0),
+                                HighestWeight.of(0, 0, 0),
+                                HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7))], ids=_hw_id)
+def test_window_and_cell_kill_set_searches_agree(hw, N):
+    # the highest-weight search of a from_verma export, restricted to a cell,
+    # finds exactly the singular search's vectors there, in the same order,
+    # on every cell both search whole: depth <= N - 2 and charge <= S - 2
+    # (the export leaves f_1 unasserted on charge S - 1)
+    m = build_verma(hw, N)
+    svs = m.find_singular_vectors(N - 2)
+    extremal = find_extremal_vectors(from_verma(m), "highest")
+    compared = []
+    for n in range(N - 1):
+        start = 0
+        for s in range(-n, m.charge_bound - 1):
+            stop = start + len(m.cells[(n, s)])
+            restricted = [ev.coefficients[start:stop] for ev in extremal
+                          if ev.offset == -n and any(ev.coefficients[start:stop])]
+            assert restricted == [sv.coefficients for sv in svs
+                                  if (sv.depth, sv.charge) == (n, s)], (n, s)
+            compared.append((n, s))
+            start = stop
+    assert (0, 0) in compared and len(compared) > 1
 
 
 # -- lazy cells: counts at construction, a cell enumerated on first read ------
