@@ -480,52 +480,33 @@ class MatchResult:
     evidence: dict
 
 
-def _label_index_maps(wm: WindowedModule):
-    """Per offset, map (d0, h0) -> basis index; None if labels collide."""
-    maps = {}
-    for k in wm.offsets():
-        m: Dict[Tuple[Fraction, Fraction], int] = {}
-        for j, lab in enumerate(wm.labels(k)):
-            key = (lab.d0, lab.h0)
-            if key in m:
-                return None
-            m[key] = j
-        maps[k] = m
-    return maps
-
-
 def _verify_match(wm: WindowedModule, spec: LoopMod) -> bool:
-    """Does the observed window equal the reference one up to per-vector
-    rescaling?  Labels pair the bases; a scale factor is propagated along
-    nonzero entries and every entry is checked for consistency.  A column's
-    nonzeros must sit exactly where the reference column's do."""
-    ref = from_catalog(spec, wm.window)
-    if set(ref.blocks) != set(wm.blocks):
+    """Does the observed window present ``spec`` up to per-vector rescaling?
+    Weights pair each basis vector with the spec label of its (d0, h0); a
+    scale factor is propagated along nonzero entries and every entry is
+    checked for consistency.  A column's nonzeros must sit exactly where the
+    terms of its ``act_basis`` image do."""
+    p, q = wm.window
+    if set(wm.blocks) != set(_block_keys(frozenset("defh"), range(p - q, q - p + 1), wm.window)):
         return False
-    obs_maps = _label_index_maps(wm)
-    ref_maps = _label_index_maps(ref)
-    if obs_maps is None or ref_maps is None:
-        return False
-    to_ref: Dict[int, List[int]] = {}
+    labels: Dict[int, list] = {}  # offset -> the spec label of each basis vector
     for k in wm.offsets():
-        if set(obs_maps[k]) != set(ref_maps[k]):
-            return False
-        arr = [0] * wm.dim(k)
-        for key, j in obs_maps[k].items():
-            arr[j] = ref_maps[k][key]
-        to_ref[k] = arr
+        by_weight = {weight_of(spec, lab): lab for lab in offset_labels(spec, k)}
+        labels[k] = [by_weight.pop((lab.d0, lab.h0), None) for lab in wm.labels(k)]
+        if by_weight or None in labels[k]:
+            return False  # a foreign, repeated or missing label
     # gather scale constraints theta_target * alpha = theta_source * beta
     constraints: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], Fraction]]] = {}
     for (fam, m, k), cols in sorted(wm.blocks.items()):
-        ref_cols = ref.blocks[(fam, m, k)]
+        g, rows = Gen(fam, m), labels[k + m]
         for j, col in enumerate(cols):
             if col is None:
                 continue
-            ref_col = dict(ref_cols[to_ref[k][j]])
-            if len(col) != len(ref_col):
-                return False  # the bijection to_ref then misses a nonzero
+            image = act_basis(spec, g, labels[k][j]).terms
+            if len(col) != len(image):
+                return False  # the pairing then misses a nonzero
             for r, alpha in col:
-                beta = ref_col.get(to_ref[k + m][r])
+                beta = image.get(rows[r])
                 if beta is None:
                     return False
                 u, w = (k, j), (k + m, r)
@@ -556,7 +537,9 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
     lam comes from the h0-spectrum, a from the d0-labels; b is read off the
     h/d ladder entries when lam >= 1 and otherwise pinned as a common rational
     root of scale-invariant polynomial constraints on the d-entries.  Every
-    candidate is verified entrywise up to per-vector rescaling.
+    candidate is verified entrywise up to per-vector rescaling against the
+    catalog action itself (``_verify_match``), so each observed block is
+    read once and no second window is built.
     """
     p, q = wm.window
     if q - p + 1 < 3:
@@ -595,19 +578,15 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
     evidence["a"] = str(a)
     candidates: List[Fraction] = []
     if lam >= 1:
-        maps = _label_index_maps(wm)
-        if maps is None:
-            evidence["reason"] = "weight labels are not multiplicity-free"
-            return MatchResult(None, evidence)
-        k0 = p
-        j_src = maps[k0][(a + k0, Fraction(lam))]
-        r_tgt = maps[k0 + 1][(a + k0 + 1, Fraction(lam))]
-        o_h = dict(wm.block("h", 1, k0)[j_src]).get(r_tgt, 0)
-        o_d = dict(wm.block("d", 1, k0)[j_src]).get(r_tgt, 0)
+        # the highest line's basis vectors at offsets p and p + 1
+        j_src, r_tgt = (next(j for j, lab in enumerate(wm.labels(k)) if lab.h0 == lam)
+                        for k in (p, p + 1))
+        o_h = dict(wm.block("h", 1, p)[j_src]).get(r_tgt, 0)
+        o_d = dict(wm.block("d", 1, p)[j_src]).get(r_tgt, 0)
         if o_h == 0:
             evidence["reason"] = "h-action does not ladder on the highest line"
             return MatchResult(None, evidence)
-        candidates.append(lam * o_d / o_h - a - k0)
+        candidates.append(lam * o_d / o_h - a - p)
     else:
         o1 = {k: dict(wm.block("d", 1, k)[0]).get(0, 0) for k in range(p, q)}
         o2 = {k: dict(wm.block("d", 2, k)[0]).get(0, 0) for k in range(p, q - 1)}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import avw.catalog
 import avw.verma
 import avw.windows
 from avw.algebra import C, bracket, e, element_str, h
-from avw.catalog import HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod
+from avw.catalog import KINDS, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod, spec_keys
 from avw.cli import RunConfig, build_parser, config_from_args, execute, main, parse_spec
 from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
                         UnwritablePath)
@@ -815,7 +816,27 @@ def test_huge_depth_or_charge_meets_the_factor_cap_at_once(args):
     # (row, coeff) pairs
     (["catalog", "--module=loop:lambda=2,a=1/2,b=1/3", "--window=-2..2", "--matrices"],
      "52d9ced763ac050e55e05baa37a966db04987ee995a44261b9fd0c402bcf8332"),
-], ids=["singular-depth-6", "catalog-matrices"])
+    # match built a reference window per candidate and paired its basis
+    # with the observed one before it checked candidates against the action
+    (["match", "--module=loop:lambda=0,a=1/3,b=6/5", "--window=-12..12", "--scramble-seed=3"],
+     "41e59fcf15081031c5234a195252a7453c61ba04d8ae9738ddf942ef5c18f761"),
+    (["match", "--module=loop:lambda=2,a=1/2,b=1/3", "--window=-10..10", "--scramble-seed=3"],
+     "fe3c7f6f558cb115d9acdd278fd8ee173880e1348d2e28f87ec4868ae01fa67f"),
+    (["match", "--module=loop:lambda=0,a=0,b=0", "--window=-5..5"],
+     "cdc2e30dc03c041bb31dd9c1f4daebc21c585f9282c44d3855585be689db6b32"),
+    (["match", "--module=loop:lambda=0,a=0,b=1", "--window=-5..5"],
+     "e1f3892a35db4d86d9552fd3243449db23536104de5ceebc0834073cb2de7061"),
+    (["match", "--module=loop:lambda=0,a=1/2,b=0", "--window=-5..5"],
+     "7e0786e6555a8e6a359db9c1d884506c3ae733c7870b41ec828fb4dd01bde21a"),
+    (["match", "--module=loop:lambda=0,a=1/2,b=1", "--window=-5..5", "--scramble-seed=2"],
+     "f10c79b13ea787c1362d89ece534dbf6e6dbff4958243a926988c226629ff058"),
+    (["match", "--module=A:a=0,b=0", "--scramble-seed=5"],
+     "b7d2148bce1df5b482956b426e00cb3a327b31f5715ed634868e697a04f56d10"),
+    (["match", "--module=B:a=3", "--window=-4..4"],
+     "b9dd31eb3be2eb72ad96a70ae5e3125137f96d313410416de34d9602930a8086"),
+], ids=["singular-depth-6", "catalog-matrices", "match-lambda-0-wide", "match-lambda-2-wide",
+        "match-b-0", "match-b-1", "match-several-verify", "match-several-verify-scrambled",
+        "match-vir-only", "match-no-match"])
 def test_reports_across_the_column_shape_change_are_pinned(tmp_path, args, digest):
     out = tmp_path / "report.json"
     assert main(args + ["--out", str(out)]) == 0
@@ -866,6 +887,44 @@ def test_catalog_windows_are_pinned(capsys):
         digest.update(f"{code}\n{captured.out}\n{captured.err}\n".encode())
     assert digest.hexdigest() == (
         "c23ed0a9015d0d609670c261c6804113a410a5cb7c6e8c8294a801233679dc79")
+
+
+def _fuzz_command(rng):
+    """A random command line of one catalog-window command, and its window's
+    width (q - p + 1, from -1 to 8)."""
+    tag = rng.choice(sorted(KINDS))
+    values = ",".join(
+        f"{key}={rng.randint(-1, 3) if key == 'lambda' else F(rng.randint(-4, 4), rng.randint(1, 3))}"
+        for key in spec_keys(KINDS[tag]))
+    cmd = rng.choice(("match", "witness", "support", "injectivity", "catalog", "loop-dims"))
+    width, p = rng.randint(-1, 8), rng.randint(-4, 4)
+    args = [cmd, f"--module={tag}:{values}", f"--window={p}..{p + width - 1}"]
+    if cmd == "match" and rng.random() < 0.5:
+        args.append(f"--scramble-seed={rng.randint(0, 99)}")
+    if cmd == "injectivity":
+        args += [f"--k={rng.randint(-5, 5)}", f"--i={rng.randint(-3, 3)}"]
+    if cmd == "catalog" and rng.random() < 0.5:
+        args.append("--matrices")
+    return args, width
+
+
+def test_catalog_window_commands_survive_a_seeded_fuzz(capsys):
+    # random specs of every kind, windows, scramble seeds and (k, i): each
+    # command exits 0, 1 or 2 with no exception, and exit 2 says why on
+    # stderr; the parser refuses an empty window as a usage error
+    rng = random.Random(0)
+    for _ in range(300):
+        args, width = _fuzz_command(rng)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            assert width < 1, args
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (args, err)
+        if code == 2:
+            assert err.startswith("error: ") or (
+                width < 1 and "error: argument --window: empty range" in err), (args, err)
 
 
 def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, capsys):

@@ -1238,6 +1238,12 @@ def test_verify_match_needs_every_nonzero_where_the_reference_has_one():
     assert not _verify_match(wm, spec)
     bump(wm, ("d", 1, 0), 0, r, -x)  # as many nonzeros, one in the wrong row
     assert not _verify_match(wm, spec)
+    # with no column asserted only the labels decide: a spec whose labels
+    # cover the window's with some left over does not verify
+    unasserted = WindowedModule(wm.window, wm.families, wm.central, wm.basis,
+                                {key: [None] * len(cols) for key, cols in wm.blocks.items()})
+    assert _verify_match(unasserted, spec)
+    assert not _verify_match(unasserted, LoopMod(3, spec.a, spec.b))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -1254,3 +1260,71 @@ def test_scramble_match_round_trip_property(lam, a, b, seed):
     scrambled = scramble_window(wm, seed)
     spec = catalog_match(scrambled).spec
     assert spec == plain and _verify_match(scrambled, spec)
+    # every candidate's verdict agrees with the reference-window oracle, on
+    # the plain window, the scrambled one and the scrambled one altered once
+    bumped = scramble_window(wm, seed)
+    bump(bumped, ("d", 1, 0), 0, 0, F(1, 7))
+    for window in (wm, scrambled, bumped):
+        for cand in (b, F(0), F(1), b + 1):
+            spec = LoopMod(lam, a, cand)
+            assert _verify_match(window, spec) == reference_verify_match(window, spec)
+
+
+def reference_verify_match(wm, spec):
+    """Does the window equal ``from_catalog(spec, wm.window)`` up to
+    per-vector rescaling?  Weight labels pair the two bases; a scale factor
+    is propagated along nonzero entries and must agree wherever it meets
+    itself."""
+    ref = from_catalog(spec, wm.window)
+    if set(ref.blocks) != set(wm.blocks):
+        return False
+    to_ref = {}
+    for k in wm.offsets():
+        obs = [(lab.d0, lab.h0) for lab in wm.labels(k)]
+        ref_index = {(lab.d0, lab.h0): i for i, lab in enumerate(ref.labels(k))}
+        if len(set(obs)) != len(obs) or set(obs) != set(ref_index):
+            return False
+        to_ref[k] = [ref_index[key] for key in obs]
+    ratios = {}  # (offset, index) -> [(neighbour, theta_neighbour / theta)]
+    for (fam, m, k), cols in wm.blocks.items():
+        for j, col in enumerate(cols):
+            if col is None:
+                continue
+            ref_col = dict(ref.blocks[(fam, m, k)][to_ref[k][j]])
+            if len(col) != len(ref_col):
+                return False
+            for r, alpha in col:
+                beta = ref_col.get(to_ref[k + m][r])
+                if beta is None:
+                    return False
+                ratios.setdefault((k, j), []).append(((k + m, r), beta / alpha))
+                ratios.setdefault((k + m, r), []).append(((k, j), alpha / beta))
+    theta = {}
+    for start in ratios:
+        if start in theta:
+            continue
+        theta[start], queue = F(1), [start]
+        while queue:
+            u = queue.pop()
+            for w, ratio in ratios[u]:
+                val = theta[u] * ratio
+                if w not in theta:
+                    theta[w] = val
+                    queue.append(w)
+                elif theta[w] != val:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("lam", [0, 2])
+def test_catalog_match_builds_no_second_window(monkeypatch, lam):
+    # each candidate is checked against the catalog action itself, so the
+    # match recovers the spec with no reference window to compare against
+    spec = LoopMod(lam, F(1, 2), F(1, 3))
+    wm = from_catalog(spec, (-3, 3))
+
+    def no_window(*args):
+        raise AssertionError("catalog_match built a second window")
+
+    monkeypatch.setattr(avw.windows, "from_catalog", no_window)
+    assert catalog_match(scramble_window(wm, 6)).spec == spec
