@@ -316,8 +316,12 @@ def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
         "expected_dim": expected,
         "rows": rows,
         "violations": violations,
-        "support": win.support_json(wm)["support"],
+        "support": _support_json(wm),
     }, 0 if not violations else 1
+
+
+def _support_json(wm: win.WindowedModule) -> List[List[str]]:
+    return [[str(d0), str(h0)] for d0, h0 in win.support(wm)]
 
 
 def _build_module(config: RunConfig) -> vm.TruncatedModule:
@@ -351,23 +355,34 @@ def _singular_depth(config: RunConfig, module: vm.TruncatedModule) -> int:
     return config.singular_depth
 
 
+def _highest_weight_json(module: vm.TruncatedModule) -> Dict[str, str]:
+    return {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu), "c": str(module.hw.c)}
+
+
+def _singular_json(vectors: List[vm.SingularVector]) -> List[dict]:
+    return [{"depth": sv.depth, "charge": sv.charge,
+             "coefficients": [str(c) for c in sv.coefficients],
+             "basis": [vm.mono_str(m) for m in sv.basis]} for sv in vectors]
+
+
 def _cmd_verma(config: RunConfig) -> Tuple[dict, int]:
     module = _build_module(config)
     if config.emit:
         with _open_for_writing(config.emit, newline="") as fh:
-            vm.write_dims_csv(module, fh)
+            fh.write("depth,charge,dim\n")
+            for n, s, dim in vm.dims_rows(module):
+                fh.write(f"{n},{s},{dim}\n")
     cartan = _cartan_check(module)
     singular = ([] if config.singular_depth is None and module.depth_bound < 2
                 else module.find_singular_vectors(_singular_depth(config, module)))
     payload = {
-        "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
-                           "c": str(module.hw.c)},
+        "highest_weight": _highest_weight_json(module),
         "depth_bound": module.depth_bound,
         "charge_bound": module.charge_bound,
         "basis_size": module.basis_size,
         "dims_csv": config.emit,
         "cartan_diagonal": cartan,
-        "singular_vectors": vm.singular_vectors_json(singular),
+        "singular_vectors": _singular_json(singular),
     }
     if not config.emit:
         payload["dims"] = [{"depth": n, "charge": s, "dim": dim}
@@ -379,10 +394,9 @@ def _cmd_singular(config: RunConfig) -> Tuple[dict, int]:
     module = _build_module(config)
     sing_depth = _singular_depth(config, module)
     return {
-        "highest_weight": {"lamd": str(module.hw.lam_d), "mu": str(module.hw.mu),
-                           "c": str(module.hw.c)},
+        "highest_weight": _highest_weight_json(module),
         "max_depth": sing_depth,
-        "singular_vectors": vm.singular_vectors_json(module.find_singular_vectors(sing_depth)),
+        "singular_vectors": _singular_json(module.find_singular_vectors(sing_depth)),
     }, 0
 
 
@@ -399,12 +413,23 @@ def _analysis_window(config: RunConfig,
 def _cmd_injectivity(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config, (config.i, config.i + 1))
     report = win.stacked_shift_injectivity(wm, config.k, config.i)
-    return {"module": wm.description, **win.injectivity_json(report)}, 0
+    return {"module": wm.description, "k": report.k, "i": report.i,
+            "dimV_k": report.dim_source, "kernel_dim": report.kernel_dim,
+            "kernel_basis": [[str(x) for x in v] for v in report.kernel_basis]}, 0
+
+
+def _extremal_json(v: win.ExtremalVector) -> dict:
+    return {"offset": v.offset,
+            "vector": {lab.name: str(c) for lab, c in zip(v.labels, v.coefficients) if c}}
 
 
 def _cmd_witness(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
-    payload = {"module": wm.description, **win.witness_json(win.submodule_witness(wm))}
+    report = win.submodule_witness(wm)
+    each = "annihilated by every in-window weight-moving operator"
+    payload = {"module": wm.description,
+               "witnesses": [{**_extremal_json(w), "verdict": each} for w in report.witnesses],
+               "verdict": report.verdict}
     extremal: Dict[str, object] = {}
     for direction in ("highest", "lowest"):
         try:
@@ -414,7 +439,7 @@ def _cmd_witness(config: RunConfig) -> Tuple[dict, int]:
         except AvwError as exc:
             extremal[direction] = {"not_searchable": str(exc)}
             continue
-        extremal[direction] = [win.vector_json(v) for v in vecs]
+        extremal[direction] = [_extremal_json(v) for v in vecs]
     payload["extremal_vectors"] = extremal
     return payload, 0
 
@@ -423,13 +448,15 @@ def _cmd_match(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
     if config.scramble_seed is not None:
         wm = win.scramble_window(wm, config.scramble_seed)
+    result = win.catalog_match(wm)
     return {"module": wm.description, "scramble_seed": config.scramble_seed,
-            **win.match_json(win.catalog_match(wm))}, 0
+            "spec": "NoMatch" if result.spec is None else spec_text(result.spec),
+            "evidence": result.evidence}, 0
 
 
 def _cmd_support(config: RunConfig) -> Tuple[dict, int]:
     wm = _analysis_window(config)
-    return {"module": wm.description, "window": list(wm.window), **win.support_json(wm)}, 0
+    return {"module": wm.description, "window": list(wm.window), "support": _support_json(wm)}, 0
 
 
 _COMMANDS = {

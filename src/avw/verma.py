@@ -43,7 +43,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
 # unused here, but perfbench/tracer.py counts bracket_gens calls by wrapping
@@ -443,22 +443,24 @@ class TruncatedModule:
     def find_singular_vectors(self, max_depth: int) -> List[SingularVector]:
         """Joint kernels of the raising kill set, cell by cell.
 
-        Searches cells with depth <= max_depth and charge <= S-1 (the top
-        charge slice is excluded because the f_1 image would leave the kept
-        cells).  A cell is one weight space, and its kill-set operators are
-        read one at a time: once one operator's ``cell_matrix`` alone has
-        full rank mod p (``full_rank_mod_p``), it is injective on the cell,
-        so the joint kernel is {0} and the rest of the kill set is never
-        built.  A cell that no single operator certifies gets the whole
-        ``stack_columns`` stack to ``nullspace``.  The highest-weight line
-        itself always appears at (0, 0).
+        Searches cells with depth <= max_depth <= N and charge <= S-1 (the
+        top charge slice is excluded because the f_1 image would leave the
+        kept cells).  Every kill-set operator has degree 0, 1 or 2, so its
+        image from cell (n, s) has depth n, n - 1 or n - 2 and charge at
+        most s + 1: kept for every searched cell, so any max_depth up to
+        the depth bound is answered.  A cell is one weight space, and its
+        kill-set operators are read one at a time: once one operator's
+        ``cell_matrix`` alone has full rank mod p (``full_rank_mod_p``), it
+        is injective on the cell, so the joint kernel is {0} and the rest
+        of the kill set is never built.  A cell that no single operator
+        certifies gets the whole ``stack_columns`` stack to ``nullspace``.
+        The highest-weight line itself always appears at (0, 0).
         """
         if max_depth < 0:
             raise InvalidBound("max_depth must be >= 0")
-        if max_depth > self.depth_bound - 2:
+        if max_depth > self.depth_bound:
             raise OutOfWindow(
-                f"max_depth {max_depth} needs depth bound >= {max_depth + 2} "
-                f"so kill-set images stay inside the truncation")
+                f"max_depth {max_depth} exceeds the depth bound {self.depth_bound}")
         results: List[SingularVector] = []
         for n in range(max_depth + 1):
             for s in range(-n, self.charge_bound):
@@ -499,21 +501,3 @@ def dims_rows(module: TruncatedModule) -> List[Tuple[int, int, int]]:
         for s in range(-n, module.charge_bound + 1):
             rows.append((n, s, module.weight_space_dim(n, s)))
     return rows
-
-
-def write_dims_csv(module: TruncatedModule, fileobj) -> None:
-    fileobj.write("depth,charge,dim\n")
-    for n, s, dim in dims_rows(module):
-        fileobj.write(f"{n},{s},{dim}\n")
-
-
-def singular_vectors_json(vectors: Iterable[SingularVector]) -> List[dict]:
-    out = []
-    for sv in vectors:
-        out.append({
-            "depth": sv.depth,
-            "charge": sv.charge,
-            "coefficients": [str(c) for c in sv.coefficients],
-            "basis": [mono_str(m) for m in sv.basis],
-        })
-    return out

@@ -682,37 +682,3 @@ def bracket_consistency_defects(wm: WindowedModule,
                                     "offset": k, "column": j,
                                 })
     return defects
-
-
-# --- JSON report helpers ----------------------------------------------------
-
-def injectivity_json(report: InjectivityReport) -> dict:
-    return {
-        "k": report.k,
-        "i": report.i,
-        "dimV_k": report.dim_source,
-        "kernel_dim": report.kernel_dim,
-        "kernel_basis": [[str(x) for x in v] for v in report.kernel_basis],
-    }
-
-
-def vector_json(v: ExtremalVector) -> dict:
-    return {"offset": v.offset,
-            "vector": {lab.name: str(c) for lab, c in zip(v.labels, v.coefficients) if c}}
-
-
-def witness_json(report: WitnessReport) -> dict:
-    each = "annihilated by every in-window weight-moving operator"
-    return {"witnesses": [{**vector_json(w), "verdict": each} for w in report.witnesses],
-            "verdict": report.verdict}
-
-
-def match_json(result: MatchResult) -> dict:
-    return {
-        "spec": spec_text(result.spec) if result.spec is not None else "NoMatch",
-        "evidence": result.evidence,
-    }
-
-
-def support_json(wm: WindowedModule) -> dict:
-    return {"support": [[str(d0), str(h0)] for d0, h0 in support(wm)]}

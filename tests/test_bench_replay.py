@@ -4,11 +4,13 @@ Every job of one seed-0 pass of each workload in ``perfbench/workloads.py``
 runs through ``avw.cli.execute`` and must pass ``perfbench/checks.check``:
 its exit code and the sha256 of its report as in ``perfbench/expected.json``,
 and the workload's invariants.  So a change to a report byte of these
-passes fails here, not only in the benchmark.  Nothing under ``perfbench/``
-is written.
+passes fails here, not only in the benchmark.  The seed 1 and 2 passes are
+pinned by one digest over their exit codes, stdout and stderr.  Nothing
+under ``perfbench/`` is written.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -34,13 +36,19 @@ def expected():
     return load_expected()
 
 
-def replay(job, expected):
+def run_job(job):
+    """Exit code, stdout and stderr of one job run in process."""
     config = config_from_args(build_parser().parse_args(list(job)))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = execute(config)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def replay(job, expected):
+    rc, out, err = run_job(job)
     assert command_line(job) in expected
-    assert check(job, rc, out.getvalue().encode("utf-8"), expected) is None, err.getvalue()
+    assert check(job, rc, out.encode("utf-8"), expected) is None, err
 
 
 @pytest.mark.parametrize("job", JOBS["catalog_sweep"],
@@ -53,3 +61,19 @@ def test_catalog_sweep_job_matches_expected(job, expected):
                          ids=[f"{workload}-{n}-{job[0]}" for workload, n, job in HW_JOBS])
 def test_highest_weight_job_matches_expected(job, expected):
     replay(job, expected)
+
+
+def test_seed_1_and_2_passes_are_pinned():
+    # one sha256 over the command line, exit code, stdout and stderr of each
+    # of the 70 jobs, computed while avw.verma and avw.windows still wrote
+    # report JSON
+    digest, count = hashlib.sha256(), 0
+    for seed in (1, 2):
+        for workload in WORKLOADS:
+            for job in jobs_for(workload, seed):
+                rc, out, err = run_job(job)
+                digest.update(f"{command_line(job)}\n{rc}\n{out}\n{err}\n".encode())
+                count += 1
+    assert count == 70
+    assert digest.hexdigest() == (
+        "ef8133724488a559f9c850532217ab09b39e98a7335a8ab8e6c585e990d543c2")

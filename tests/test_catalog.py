@@ -337,7 +337,7 @@ def _catalog_spec(draw):
     return LoopMod(draw(st.integers(0, 2)), a, b)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_module_axiom_property(data):
     spec = data.draw(_catalog_spec())

@@ -512,19 +512,41 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("depth, max_depth, message", [
     (1, -1, "max_depth must be >= 0"),
-    (1, 5, "max_depth 5 needs depth bound >= 7 so kill-set images stay inside the truncation"),
-    (0, 0, "max_depth 0 needs depth bound >= 2 so kill-set images stay inside the truncation"),
+    (1, 5, "max_depth 5 exceeds the depth bound 1"),
+    (0, 0, None),  # answered: a search may reach the depth bound itself
 ])
 def test_verma_checks_an_explicit_singular_depth_below_depth_2(depth, max_depth, message,
                                                                capsys):
     hw = ["--lamd=1/2", "--mu=2", "--c=0", f"--depth={depth}"]
     for args in (["verma", *hw, f"--singular-depth={max_depth}"],
                  ["singular", *hw, f"--max-depth={max_depth}"]):
-        assert run(args) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        if message is None:
+            assert run(args) == 0
+            found = json.loads(capsys.readouterr().out)["singular_vectors"]
+            assert found[0] == {"depth": 0, "charge": 0, "coefficients": ["1"], "basis": ["1"]}
+        else:
+            assert run(args) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
     # without the flag a truncation this shallow has no singular search
     assert run(["verma", *hw]) == 0
     assert json.loads(capsys.readouterr().out)["singular_vectors"] == []
+
+
+@pytest.mark.parametrize("depth, digest", [
+    (0, "fd78d71d5c6e1c13fb2c987ecf8bb9aa46f43381c3dc76fcb16a89e8b6f192bf"),
+    (1, "b35535ab2c550dc9b1a1d43a1d8c243ab5b3268ed9511133eaec75ea55077ead"),
+    (3, "6398181b7d0809f5e76bce77880f748d347e588ebf1cd7f9722fa42f0ff133f7"),
+    (4, "e69dc24adbe067cc83970987c1a9482a5347b366a1d8828963d7bf35c295cca0"),
+])
+def test_verma_emit_is_pinned(tmp_path, monkeypatch, capsys, depth, digest):
+    # one sha256 over the exit code, stdout, stderr and the CSV's bytes,
+    # computed while avw.verma still wrote the CSV; the relative path keeps
+    # the report's dims_csv the same in every run
+    monkeypatch.chdir(tmp_path)
+    code = main(["verma", "--lamd=1/2", "--mu=2", "--c=0", f"--depth={depth}", "--emit=dims.csv"])
+    out, err = capsys.readouterr()
+    csv = (tmp_path / "dims.csv").read_bytes()
+    assert hashlib.sha256(f"{code}\n{out}\n{err}\n".encode() + csv).hexdigest() == digest
 
 
 def test_negative_depth_exits_2(capsys):

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import sys
 import weakref
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
+from avw.cli import main
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec, full_rank_mod_p, nullspace, rank
 import avw.verma
@@ -15,7 +17,7 @@ from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
                        HighestWeight, TruncatedModule, _cell_dims,
                        _enumerate_cell, build_verma,
                        charge_of, charge_shift, depth_of, dims_rows, mono_str,
-                       pbw_straighten, singular_vectors_json, write_dims_csv)
+                       pbw_straighten)
 from avw.windows import find_extremal_vectors, from_verma
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
@@ -247,10 +249,23 @@ def test_out_of_window_errors():
         m.weight_space_dim(0, 3)
     assert m.weight_space_dim(2, -2) == 1  # the e_-1^2 line
     assert m.weight_space_dim(2, -3) == 0  # in-window but weight-empty
-    with pytest.raises(OutOfWindow):
-        m.find_singular_vectors(1)  # needs depth bound >= 3
+    with pytest.raises(OutOfWindow, match="max_depth 3 exceeds the depth bound 2"):
+        m.find_singular_vectors(3)
     with pytest.raises(InvalidBound, match="max_depth must be >= 0"):
         m.find_singular_vectors(-1)  # the highest-weight line is at depth 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("hw", [HighestWeight.of(F(1, 2), 1, 2), HighestWeight.of(0, 0, 0),
+                                GENERIC, HighestWeight.of(F(-2, 3), F(3, 5), F(-4, 7))],
+                         ids=lambda hw: f"{hw.lam_d},{hw.mu},{hw.c}")
+def test_singular_search_to_the_depth_bound_matches_a_deeper_truncation(hw, N):
+    # every kill-set image of a searched cell is kept at any depth bound, so
+    # the search needs no room below max_depth: two more depths change nothing
+    S = N + 2
+    found = build_verma(hw, N, S).find_singular_vectors(N)
+    assert found == build_verma(hw, N + 2, S).find_singular_vectors(N)
+    assert (found[0].depth, found[0].charge) == (0, 0)
 
 
 def test_lowering_out_the_bottom_raises():
@@ -386,16 +401,17 @@ def test_dims_rows_and_csv(tmp_path):
     rows = dims_rows(m)
     assert (1, 0, 3) in rows and (0, 0, 1) in rows
     out = tmp_path / "dims.csv"
-    with open(out, "w", newline="") as fh:
-        write_dims_csv(m, fh)
+    assert main(["verma", "--lamd=1/2", "--mu=1/3", "--c=7/5", "--depth=2", "--charge=2",
+                 f"--emit={out}"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "depth,charge,dim"
     assert f"1,0,3" in lines
 
 
-def test_singular_vectors_json_schema():
-    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(7, 5)), 2)
-    payload = singular_vectors_json(m.find_singular_vectors(0))
+def test_singular_vectors_json_schema(capsys):
+    assert main(["singular", "--lamd=1/2", "--mu=2", "--c=7/5", "--depth=2",
+                 "--max-depth=0"]) == 0
+    payload = json.loads(capsys.readouterr().out)["singular_vectors"]
     assert {"depth", "charge", "coefficients", "basis"} <= set(payload[0])
     assert all(isinstance(c, str) for c in payload[0]["coefficients"])
 

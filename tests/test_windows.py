@@ -20,9 +20,8 @@ from avw.windows import (KILL_LOWEST, BasisLabel, WindowedModule, _joint_kernel,
                          _rational_roots, _VermaColumns, _verify_match,
                          bracket_consistency_defects,
                          catalog_match, stacked_shift_injectivity, find_extremal_vectors,
-                         from_catalog, from_verma, injectivity_json, match_json,
-                         scramble_window, submodule_witness, support,
-                         support_json, witness_json)
+                         from_catalog, from_verma, scramble_window, submodule_witness,
+                         support)
 
 
 def test_from_catalog_intab_window():
@@ -390,16 +389,20 @@ def test_scramble_is_deterministic_per_seed():
     assert c.blocks != a.blocks
 
 
-def test_json_report_shapes():
-    wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 5))
-    rep = injectivity_json(stacked_shift_injectivity(wm, 0, 1))
-    assert set(rep) == {"k", "i", "dimV_k", "kernel_dim", "kernel_basis"}
-    wrep = witness_json(submodule_witness(from_catalog(IntAB(F(0), F(0)), (-3, 3))))
+def test_json_report_shapes(capsys):
+    def report(*args):
+        assert main(list(args)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    loop = ("--module=loop:lambda=1,a=1/2,b=1/3", "--window=-2..5")
+    rep = report("injectivity", *loop, "--k=0", "--i=1")
+    assert list(rep) == ["command", "module", "k", "i", "dimV_k", "kernel_dim", "kernel_basis"]
+    wrep = report("witness", "--module=A:a=0,b=0", "--window=-3..3")
     assert wrep["witnesses"][0]["offset"] == 0
     assert wrep["witnesses"][0]["vector"] == {"v_0": "1"}
-    mrep = match_json(catalog_match(from_catalog(LoopMod(0, F(0), F(0)), (-3, 3))))
+    mrep = report("match", "--module=loop:lambda=0,a=0,b=0", "--window=-3..3")
     assert mrep["spec"] == "loop:lambda=0,a=0,b=0"
-    srep = support_json(wm)
+    srep = report("support", *loop)
     assert ["1/2", "1"] in srep["support"]
 
 
