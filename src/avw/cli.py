@@ -26,8 +26,8 @@ from . import verma as vm
 from . import windows as win
 from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
 from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec_keys, spec_text
-from .errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
-                     UnwritablePath)
+from .errors import (AvwError, InternalError, InvalidArgument, MissingParameter, SpecParseError,
+                     UnknownKind, UnwritablePath)
 from .linalg import Vec
 
 
@@ -90,7 +90,7 @@ class RunConfig:
     algebra: str = "L"
     deg_range: Tuple[int, int] = (-3, 3)
     label_range: Tuple[int, int] = (-3, 3)
-    window: Tuple[int, int] = (-3, 3)
+    window: Optional[Tuple[int, int]] = None  # None: the command's default (_window)
     k: int = 0
     i: int = 1
     lamd: Optional[Fraction] = None
@@ -113,6 +113,15 @@ def _range_arg(text: str) -> Tuple[int, int]:
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+# each command's --window when none is given; -3..3 for the others
+_DEFAULT_WINDOWS = {"loop-dims": "-4..4", "injectivity": "-4..4"}
+
+
+def _window(config: RunConfig) -> Tuple[int, int]:
+    """The --window of the run, or its command's default."""
+    return config.window or _range_arg(_DEFAULT_WINDOWS.get(config.command, "-3..3"))
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -257,7 +266,7 @@ def _window_payload(wm: win.WindowedModule, matrices: bool) -> dict:
 
 def _cmd_catalog(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
-    wm = win.from_catalog(spec, config.window)
+    wm = win.from_catalog(spec, _window(config))
     # dense printouts: 3 dim^2 sl2 entries on a loop module, dim^2 per block with --matrices
     n_mats = 3 * isinstance(spec, LoopMod) + config.matrices * len(wm.blocks)
     win.bound_sweep(n_mats * cat.offset_dim(spec) ** 2, "printed entries")
@@ -306,13 +315,14 @@ def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     if not isinstance(spec, LoopMod):
         raise SpecParseError("loop-dims needs a loop:... module spec", 0)
-    wm = win.from_catalog(spec, config.window)
+    window = _window(config)
+    wm = win.from_catalog(spec, window)
     expected = spec.lam + 1
     rows = [{"offset": k, "dim": wm.dim(k)} for k in wm.offsets()]
     violations = [r for r in rows if r["dim"] != expected]
     return {
         "module": spec_text(spec),
-        "window": list(config.window),
+        "window": list(window),
         "expected_dim": expected,
         "rows": rows,
         "violations": violations,
@@ -403,9 +413,17 @@ def _cmd_singular(config: RunConfig) -> Tuple[dict, int]:
 def _analysis_window(config: RunConfig,
                      degrees: Sequence[int] = range(-3, 4)) -> win.WindowedModule:
     """Shared input path: --module picks a catalog window, --lamd/--mu/--c a
-    truncated highest-weight export with blocks of the given degrees."""
+    truncated highest-weight export with blocks of the given degrees.  The
+    export's window follows from --depth, so --window goes with --module
+    only; a mix of the two inputs raises InvalidArgument."""
+    hw_given = any(x is not None for x in (config.lamd, config.mu, config.c))
     if config.module:
-        return win.from_catalog(parse_spec(config.module), config.window)
+        if hw_given:
+            raise InvalidArgument("--module and --lamd/--mu/--c name two modules; give one")
+        return win.from_catalog(parse_spec(config.module), _window(config))
+    if hw_given and config.window is not None:
+        raise InvalidArgument("--window applies to --module only; a highest-weight "
+                              "window follows from --depth")
     return win.from_verma(_build_module(config), pad_top=max(abs(config.i) + 1, 3),
                           degrees=degrees)
 
@@ -485,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--module", required=required,
                        help="module spec, e.g. A:a=1/2,b=1/3 or loop:lambda=1,a=0,b=0")
 
-    def add_window(p, default="-3..3"):
-        p.add_argument("--window", type=_range_arg, default=_range_arg(default),
+    def add_window(p, command):
+        default = _DEFAULT_WINDOWS.get(command, "-3..3")
+        p.add_argument("--window", type=_range_arg,
                        help=f"inclusive offset window lo..hi (default {default})")
 
     def add_hw(p):
@@ -497,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--charge", type=int, default=None,
                        help="charge bound S (default N+4)")
 
-    def add_analysis(p, window="-3..3"):
+    def add_analysis(p, command):
         """The inputs of a window analysis: a catalog module or a highest weight."""
         add_module(p, required=False)
         add_hw(p)
-        add_window(p, window)
+        add_window(p, command)
 
     p = sub.add_parser("jacobi", help="sweep Jacobi/antisymmetry/grading/closure")
     p.add_argument("--algebra", default="L", choices=sorted(ALGEBRAS))
@@ -517,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="materialize a module window as matrices")
     add_module(p)
-    add_window(p)
+    add_window(p, "catalog")
     p.add_argument("--matrices", action="store_true", help="include all blocks")
 
     p = sub.add_parser("simple", help="simplicity verdict with the matched criterion")
@@ -528,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop-dims", help="weight-space dimensions of a loop module")
     add_module(p)
-    add_window(p, "-4..4")
+    add_window(p, "loop-dims")
 
     p = sub.add_parser("verma", help="build a truncated highest-weight module")
     add_hw(p)
@@ -540,20 +559,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", dest="singular_depth", type=int, default=None)
 
     p = sub.add_parser("injectivity", help="kernel of the stacked degree-shift map")
-    add_analysis(p, "-4..4")
+    add_analysis(p, "injectivity")
     p.add_argument("--k", type=int, default=0, help="source offset")
     p.add_argument("--i", type=int, default=1, help="nonzero shift")
 
     p = sub.add_parser("witness", help="search for finitely-supported submodules")
-    add_analysis(p)
+    add_analysis(p, "witness")
 
     p = sub.add_parser("match", help="identify a window as a loop module")
-    add_analysis(p)
+    add_analysis(p, "match")
     p.add_argument("--scramble-seed", dest="scramble_seed", type=int, default=None,
                    help="disguise the basis with this seed before matching")
 
     p = sub.add_parser("support", help="weight labels of the nonzero slices")
-    add_analysis(p)
+    add_analysis(p, "support")
 
     for p in sub.choices.values():  # every command's last option
         p.add_argument("--out", help="write the JSON report to this path")

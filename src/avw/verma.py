@@ -58,9 +58,10 @@ DEFAULT_MAX_FACTORS = 24
 DEFAULT_MAX_BASIS = 100_000
 MAX_BASIS_ENV = "AVW_MAX_BASIS"
 
-# the raising kill set: generates everything of positive degree together
-# with e_0 (degree-1 brackets reach e_2, f_2, h_2 but never d_2)
-RAISING_KILL_SET = (e(0), d(1), e(1), f(1), h(1), d(2))
+# the raising kill set: generates everything of positive degree as a Lie
+# algebra ([e_0, f_1] = h_1, [h_1, e_0] = 2e_1; no bracket of degree-1
+# generators reaches d_2), and a vector killed by x and y is killed by [x, y]
+RAISING_KILL_SET = (e(0), d(1), f(1), d(2))
 
 Coeff = Union[int, Fraction]
 # a matrix column: its nonzero (row, coeff) pairs in ascending row order
@@ -443,6 +444,8 @@ class TruncatedModule:
     def find_singular_vectors(self, max_depth: int) -> List[SingularVector]:
         """Joint kernels of the raising kill set, cell by cell.
 
+        The kill set generates everything of positive degree, so its joint
+        kernel on a cell is the cell's singular vectors.
         Searches cells with depth <= max_depth <= N and charge <= S-1 (the
         top charge slice is excluded because the f_1 image would leave the
         kept cells).  Every kill-set operator has degree 0, 1 or 2, so its

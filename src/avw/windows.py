@@ -20,6 +20,12 @@ h0 up to the order of rows and columns; a row that takes columns of two h0
 labels shows labels that disagree with the action and raises NotAModule.  A
 label's block leaves the search as soon as one op alone certifies, mod p,
 that it has no kernel there; the rest go to one exact ``nullspace`` each.
+Two facts about the algebra settle kernels with no elimination.  A vector
+killed by x and y is killed by [x, y], so a kill set names only generators
+of the positive (negative) part.  And a highest-weight module is free over
+the lowering subalgebra, which has no zero divisors, so each lowering
+operator is injective on it: ``_joint_kernel`` answers {0} for any op set
+that lowers on a window that ``from_verma`` marks ``free_lowering``.
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
@@ -79,13 +85,15 @@ class WindowedModule:
                  central: Fraction,
                  basis: Dict[int, Tuple[BasisLabel, ...]],
                  blocks: Mapping[Tuple[str, int, int], Sequence[Column]],
-                 description: str = ""):
+                 description: str = "", *, free_lowering: bool = False):
         self.window = window
         self.families = families
         self.central = central
         self.basis = basis
         self.blocks = blocks
         self.description = description
+        # set by an exporter whose lowering operators are all injective
+        self.free_lowering = free_lowering
 
     def offsets(self):
         p, q = self.window
@@ -190,7 +198,11 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     ``whole``, an op with an unasserted column raises OutOfWindow instead,
     checked op by op.
 
-    The basis splits into one block per h0 label, in ascending order (see
+    On a ``free_lowering`` window, without ``whole``, an op set with a
+    lowering op (degree < 0, or f_0) has kernel {0}, since that op is
+    injective on every span of its asserted vectors: [] with no block read.
+
+    Otherwise the basis splits into one block per h0 label, in ascending order (see
     the module docstring), and the ops are read one at a time.  Each column
     is read once, and not at all once an earlier op leaves it unasserted or
     its block is certified: a block is dropped once one op alone, restricted
@@ -203,6 +215,9 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     each surviving block's whole stack goes to ``nullspace``.  The
     union of the blocks' kernels, ordered by each vector's free (last
     nonzero) coordinate, is the canonical basis of the whole-offset stack."""
+    if wm.free_lowering and not whole and any(
+            m < 0 or (fam == "f" and not m) for fam, m in ops):
+        return []
     n, labels = wm.dim(k), wm.labels(k)
     by_h0: Dict[Fraction, List[int]] = {}
     for j in range(n):
@@ -262,7 +277,9 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     computed the first time it is read, as the ``(row, coeff)`` pairs of
     ``verma.image_pairs`` with the memo's coefficients (``int`` when
     integral), and kept.  So a query pays for what it reads, however high
-    ``pad_top`` puts the window top.
+    ``pad_top`` puts the window top.  The export is marked
+    ``free_lowering``, so ``submodule_witness`` and the lowest extremal
+    search, whose op sets lower, read no column.
     """
     n_max = module.depth_bound
     window = (-n_max, pad_top)
@@ -286,7 +303,8 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     return WindowedModule(window, families, hw.c, _LazyMap(kept, labels),
                           _LazyMap(_block_keys(families, degrees, window), block),
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"
-                                      f"N={module.depth_bound},S={module.charge_bound}")
+                                      f"N={module.depth_bound},S={module.charge_bound}",
+                          free_lowering=True)
 
 
 def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:
@@ -353,7 +371,9 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
 
 
-KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("f", -1), ("h", -1), ("d", -2))
+# generates the negative part as RAISING_KILL_SET does the positive one:
+# [f_0, e_-1] = -h_-1, [h_-1, f_0] = -2f_-1
+KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("d", -2))
 
 
 @dataclass(frozen=True)
@@ -371,6 +391,9 @@ def find_extremal_vectors(wm: WindowedModule, direction: str = "highest") -> Lis
 
     Only offsets whose kill-set images all land inside the window are
     searched, and only basis directions on which every operator is asserted.
+    Each kill set generates the positive (negative) part as a Lie algebra,
+    so its joint kernel is that of every raising (lowering) operator; the
+    ones it leaves out (e_1, h_1; f_-1, h_-1) are asserted wherever it is.
     """
     if direction not in ("highest", "lowest"):
         raise InvalidArgument(f"direction must be 'highest' or 'lowest', not {direction!r}")

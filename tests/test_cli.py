@@ -451,6 +451,47 @@ def test_witness_command(capsys):
         {"offset": 0, "vector": {"v_0": "1"}}]
 
 
+def test_catalog_witness_keeps_its_trivial_line(capsys):
+    # a catalog window is not marked free over the lowering operators, so
+    # the witness search still finds A(2, 0)'s trivial line at offset -2
+    assert run(["witness", "--module=A:a=2,b=0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [(w["offset"], w["vector"]) for w in payload["witnesses"]] == [(-2, {"v_-2": "1"})]
+    assert payload["verdict"] == "1 finitely-supported submodule witness(es) in window"
+    assert payload["extremal_vectors"]["highest"] == [{"offset": -2, "vector": {"v_-2": "1"}}]
+
+
+@pytest.mark.parametrize("command", ["injectivity", "witness", "match", "support"])
+@pytest.mark.parametrize("args, message", [
+    (["--lamd=1/2", "--mu=2", "--c=0", "--depth=2", "--window=5..9"],
+     "--window applies to --module only; a highest-weight window follows from --depth"),
+    (["--mu=2", "--window=-3..3"],
+     "--window applies to --module only; a highest-weight window follows from --depth"),
+    (["--module=A:a=2,b=0", "--lamd=1/2", "--mu=2", "--c=0"],
+     "--module and --lamd/--mu/--c name two modules; give one"),
+    (["--module=A:a=2,b=0", "--c=0", "--window=-1..1"],
+     "--module and --lamd/--mu/--c name two modules; give one"),
+], ids=["hw-window", "partial-hw-default-window", "module-hw", "module-c-window"])
+def test_mixed_analysis_inputs_exit_2(command, args, message, capsys):
+    # each input path ignores the other's options, so a mix is refused
+    # rather than answered for one of them
+    assert main([command, *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_window_defaults_apply_without_a_window(capsys):
+    for command, window in (("support", [-3, 3]), ("loop-dims", [-4, 4]), ("catalog", [-3, 3])):
+        assert main([command, "--module=loop:lambda=0,a=0,b=0"]) == 0
+        assert json.loads(capsys.readouterr().out)["window"] == window
+    # offset -4 lies in injectivity's default window only
+    assert main(["injectivity", "--module=loop:lambda=0,a=0,b=0", "--k=-4"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == -4
+    # a config built without the parser takes its command's default too
+    assert RunConfig("catalog", module="A:a=0,b=0").window is None
+    assert execute(RunConfig("catalog", module="A:a=0,b=0")) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == [-3, 3]
+
+
 def test_witness_command_without_loop_families(capsys):
     assert run(["witness", "--module", "H:a=0,b=0,c=5", "--window", "-3..3"]) == 0
     payload = json.loads(capsys.readouterr().out)

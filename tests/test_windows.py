@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avw.windows
-from avw.algebra import Gen
+from avw.algebra import Gen, bracket_gens
 from avw.catalog import (HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod,
                          acting_algebra, label_str, offset_labels, spec_text)
 from avw.cli import main
@@ -579,6 +579,82 @@ def test_lowering_blocks_of_a_highest_weight_export_are_injective(hw, depth):
     assert checked == 4 * sum(min(3, depth - n) for n in range(depth)) + depth + 1
 
 
+def _closure(gens, lo, hi):
+    """The generators spanned by the Lie closure of gens in degrees lo..hi,
+    found by bracketing; each bracket of two such generators is one
+    generator times a nonzero scalar, so the span is closed."""
+    found = set(gens)
+    while True:
+        new = set()
+        for x in found:
+            for y in found:
+                terms = list(bracket_gens(x, y))
+                if terms and lo <= terms[0][0].degree <= hi:
+                    assert len(terms) == 1, (x, y, terms)
+                    new.add(terms[0][0])
+        if new <= found:
+            return found
+        found |= new
+
+
+def test_kill_sets_generate_the_raising_and_lowering_parts():
+    # a vector killed by x and y is killed by [x, y], so a kill set needs only
+    # to generate n+ (n-) as a Lie algebra
+    def one_term(x, y, z):
+        terms = list(bracket_gens(x, y))
+        return len(terms) == 1 and terms[0][0] == z and terms[0][1] != 0
+
+    assert one_term(Gen("e", 0), Gen("f", 1), Gen("h", 1))
+    assert one_term(Gen("h", 1), Gen("e", 0), Gen("e", 1))
+    assert one_term(Gen("f", 0), Gen("e", -1), Gen("h", -1))
+    assert one_term(Gen("h", -1), Gen("f", 0), Gen("f", -1))
+    top = 6
+    raising = {Gen(fam, m) for fam in "defh" for m in range(1, top + 1)} | {Gen("e", 0)}
+    lowering = {Gen(fam, -m) for fam in "defh" for m in range(1, top + 1)} | {Gen("f", 0)}
+    assert _closure(RAISING_KILL_SET, 0, top) == raising
+    assert _closure({Gen(fam, m) for fam, m in KILL_LOWEST}, -top, 0) == lowering
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("hw", [(F(1, 3), F(2), F(3)), (F(-2, 3), F(3, 5), F(-4, 7))],
+                         ids=["integral", "generic"])
+def test_free_lowering_answers_what_elimination_answers(hw, depth):
+    # on every offset the marked export answers the witness and lowest
+    # searches' op sets with [] and no column read, and an unmarked window
+    # over the same basis and blocks finds the same [] by elimination
+    m = build_verma(HighestWeight.of(*hw), depth)
+    calls = _count_apply_gen(m)
+    wm = from_verma(m)
+    plain = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)
+    assert wm.free_lowering and not plain.free_lowering
+    p, q = wm.window
+    op_sets = []
+    for k in wm.offsets():
+        op_sets.append((k, [(fam, deg) for fam in sorted(wm.families)
+                            for deg in range(p - k, q - k + 1)
+                            if not (deg == 0 and fam in "dh") and wm.has_block(fam, deg, k)]))
+        if all(p <= k + deg <= q for _, deg in KILL_LOWEST):
+            op_sets.append((k, KILL_LOWEST))
+    assert [_joint_kernel(wm, ops, k) for k, ops in op_sets] == [[]] * len(op_sets)
+    assert calls == []
+    assert [_joint_kernel(plain, ops, k) for k, ops in op_sets] == [[]] * len(op_sets)
+    assert calls
+
+
+def test_only_the_highest_weight_export_is_marked_free():
+    wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 2))
+    assert wm.free_lowering
+    # a scrambled copy is rebuilt without the mark, as is any window built
+    # directly or from the catalog: they take the exact path
+    assert not scramble_window(wm, 3).free_lowering
+    assert not from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2)).free_lowering
+    assert not WindowedModule(wm.window, wm.families, wm.central, wm.basis,
+                              wm.blocks).free_lowering
+    # whole=True still reads and checks every column
+    with pytest.raises(OutOfWindow, match="partially represented"):
+        _joint_kernel(wm, [("f", 0)], -1, whole=True)
+
+
 def test_export_keys_match_the_eager_loop_at_any_width():
     m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 2)
     for pad_top, degrees in ((3, range(-3, 4)), (2, range(-5, 6)), (0, (1, -1, 0)),
@@ -753,10 +829,19 @@ def nullspace_stacks(wm, ops, k, cols):
     return stacks
 
 
+# every raising (lowering) operator of degree 0..2 (-2..0) that moves the
+# weight: the kernels the kill sets must reproduce, independently of them
+SIX_RAISING = (("e", 0), ("d", 1), ("e", 1), ("f", 1), ("h", 1), ("d", 2))
+SIX_LOWERING = (("f", 0), ("d", -1), ("e", -1), ("f", -1), ("h", -1), ("d", -2))
+
+
 def reference_extremal(wm, direction, record):
+    # the stacks are those the search builds from its kill set; the kernel
+    # is that of all six operators
     kill = RAISING_KILL_SET if direction == "highest" else KILL_LOWEST
+    six = SIX_RAISING if direction == "highest" else SIX_LOWERING
     p, q = wm.window
-    offs = [k for k in wm.offsets() if all(p <= k + m <= q for _, m in kill)]
+    offs = [k for k in wm.offsets() if all(p <= k + m <= q for _, m in six)]
     if not offs:
         raise WindowTooNarrow("no offset with all kill-set images inside")
     results = []
@@ -764,12 +849,12 @@ def reference_extremal(wm, direction, record):
         if wm.dim(k) == 0:
             continue
         cols_ok = [j for j in range(wm.dim(k))
-                   if all(wm.block(fam, m, k)[j] is not None for fam, m in kill)]
+                   if all(wm.block(fam, m, k)[j] is not None for fam, m in six)]
         if not cols_ok:
             continue
         # the search splits by weight; the kernel is the whole-offset one
         record.extend(nullspace_stacks(wm, kill, k, range(wm.dim(k))))
-        for v in nullspace(dense_stack(wm, kill, k, cols_ok), ncols=len(cols_ok)):
+        for v in nullspace(dense_stack(wm, six, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
                 full[j] = v[idx]
@@ -933,15 +1018,23 @@ def test_each_column_is_read_once_per_analysis(monkeypatch):
     stacked_shift_injectivity(wm, 0, 1)
     assert len(reads) == len(set(reads)) == 5 * wm.dim(0)
     hw_wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4))
+
+    def lowest(w):
+        return find_extremal_vectors(w, "lowest")
+
     for window in (wm, hw_wm):
-        for search in (submodule_witness, lambda w: find_extremal_vectors(w, "highest"),
-                       lambda w: find_extremal_vectors(w, "lowest")):
+        for search in (submodule_witness, lambda w: find_extremal_vectors(w, "highest"), lowest):
             reads.clear()
             try:
                 search(window)
             except WindowTooNarrow:
                 continue
-            assert len(reads) == len(set(reads)) > 0
+            # a highest-weight export is free over the lowering operators, so
+            # the searches whose op sets lower read no column there
+            if window is hw_wm and search in (submodule_witness, lowest):
+                assert reads == []
+            else:
+                assert len(reads) == len(set(reads)) > 0
 
 
 class _UnreadColumn(list):
