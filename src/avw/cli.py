@@ -96,7 +96,7 @@ class RunConfig:
     lamd: Optional[Fraction] = None
     mu: Optional[Fraction] = None
     c: Optional[Fraction] = None
-    depth: int = 4
+    depth: Optional[int] = None  # None: 4 (_build_module)
     charge: Optional[int] = None
     singular_depth: Optional[int] = None
     scramble_seed: Optional[int] = None
@@ -338,7 +338,7 @@ def _build_module(config: RunConfig) -> vm.TruncatedModule:
     if config.lamd is None or config.mu is None or config.c is None:
         raise SpecParseError("--lamd, --mu and --c are all required", 0)
     hw = vm.HighestWeight(config.lamd, config.mu, config.c)
-    return vm.build_verma(hw, config.depth, config.charge)
+    return vm.build_verma(hw, 4 if config.depth is None else config.depth, config.charge)
 
 
 def _cartan_check(module: vm.TruncatedModule) -> dict:
@@ -413,13 +413,16 @@ def _cmd_singular(config: RunConfig) -> Tuple[dict, int]:
 def _analysis_window(config: RunConfig,
                      degrees: Sequence[int] = range(-3, 4)) -> win.WindowedModule:
     """Shared input path: --module picks a catalog window, --lamd/--mu/--c a
-    truncated highest-weight export with blocks of the given degrees.  The
-    export's window follows from --depth, so --window goes with --module
-    only; a mix of the two inputs raises InvalidArgument."""
+    truncated highest-weight export with blocks of the given degrees.  Each
+    input's own options (--window; --depth, --charge) go with it only; a mix
+    of the two inputs raises InvalidArgument."""
     hw_given = any(x is not None for x in (config.lamd, config.mu, config.c))
     if config.module:
         if hw_given:
             raise InvalidArgument("--module and --lamd/--mu/--c name two modules; give one")
+        if config.depth is not None or config.charge is not None:
+            raise InvalidArgument("--depth and --charge apply to --lamd/--mu/--c only; "
+                                  "a catalog window follows from --window")
         return win.from_catalog(parse_spec(config.module), _window(config))
     if hw_given and config.window is not None:
         raise InvalidArgument("--window applies to --module only; a highest-weight "
@@ -512,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lamd", type=_rational_arg, help="d0-eigenvalue of the highest weight")
         p.add_argument("--mu", type=_rational_arg, help="h0-eigenvalue of the highest weight")
         p.add_argument("--c", type=_rational_arg, help="central eigenvalue")
-        p.add_argument("--depth", type=int, default=4, help="depth bound N (default 4)")
+        p.add_argument("--depth", type=int, help="depth bound N (default 4)")
         p.add_argument("--charge", type=int, default=None,
                        help="charge bound S (default N+4)")
 

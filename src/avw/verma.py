@@ -62,6 +62,9 @@ MAX_BASIS_ENV = "AVW_MAX_BASIS"
 # algebra ([e_0, f_1] = h_1, [h_1, e_0] = 2e_1; no bracket of degree-1
 # generators reaches d_2), and a vector killed by x and y is killed by [x, y]
 RAISING_KILL_SET = (e(0), d(1), f(1), d(2))
+# the lowering kill set generates the negative part the same way:
+# [f_0, e_-1] = -h_-1, [h_-1, f_0] = -2f_-1
+KILL_LOWEST = (f(0), d(-1), e(-1), d(-2))
 
 Coeff = Union[int, Fraction]
 # a matrix column: its nonzero (row, coeff) pairs in ascending row order
@@ -212,7 +215,7 @@ def image_pairs(img: Mapping, target: Mapping) -> Pairs:
     return tuple(pairs)
 
 
-def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
+def _enumerate_cell(n: int, s: int) -> List[Mono]:
     """All canonical monomials with the given depth and charge."""
     found: List[Mono] = []
     f0 = f(0)
@@ -222,10 +225,6 @@ def _enumerate_cell(n: int, s: int, max_factors: int) -> List[Mono]:
             a0 = s - imbalance
             if a0 < 0:
                 return
-            if len(factors) + a0 > max_factors:
-                raise ResourceBound(
-                    f"monomial exceeds the factor cap {max_factors}; "
-                    f"raise max_factors to build this cell")
             found.append(factors + (f0,) * a0)
             return
         if not k:
@@ -348,7 +347,6 @@ class TruncatedModule:
         self.hw = hw
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound
-        self.max_factors = max_factors
         # the checks stop at the first cell over the factor cap, whose depth
         # and charge are at most max_factors + 1, so larger ones are not counted
         cap = max(max_factors, 0) + 1
@@ -367,10 +365,10 @@ class TruncatedModule:
                     f"{MAX_BASIS_ENV} or shrink the bounds")
         self.basis_size = total
         self._dims = dims
-        # the builders close over max_factors and cells, never over self, so
-        # reference counting alone frees the module
+        # the builders close over cells, never over self, so reference
+        # counting alone frees the module
         cells: Mapping[Tuple[int, int], Tuple[Mono, ...]] = _LazyMap(
-            dims, lambda cell: tuple(_enumerate_cell(cell[0], cell[1], max_factors)))
+            dims, lambda cell: tuple(_enumerate_cell(*cell)))
         self.cells = cells
         self.index: Mapping[Tuple[int, int], Dict[Mono, int]] = _LazyMap(
             dims, lambda cell: {m: i for i, m in enumerate(cells[cell])})
@@ -451,13 +449,13 @@ class TruncatedModule:
         kept cells).  Every kill-set operator has degree 0, 1 or 2, so its
         image from cell (n, s) has depth n, n - 1 or n - 2 and charge at
         most s + 1: kept for every searched cell, so any max_depth up to
-        the depth bound is answered.  A cell is one weight space, and its
-        kill-set operators are read one at a time: once one operator's
-        ``cell_matrix`` alone has full rank mod p (``full_rank_mod_p``), it
-        is injective on the cell, so the joint kernel is {0} and the rest
-        of the kill set is never built.  A cell that no single operator
-        certifies gets the whole ``stack_columns`` stack to ``nullspace``.
-        The highest-weight line itself always appears at (0, 0).
+        the depth bound is answered.  The cells, one weight space each, are
+        walked as ``windows._joint_kernel`` walks h0 blocks: once one
+        kill-set operator's ``cell_matrix`` alone has full rank mod p
+        (``full_rank_mod_p``), it is injective on the cell, so the joint
+        kernel is {0} and the rest of the kill set is never built.  A cell
+        that no single operator certifies gets its whole ``stack_columns``
+        stack to ``nullspace``.  The highest-weight line is always at (0, 0).
         """
         if max_depth < 0:
             raise InvalidBound("max_depth must be >= 0")

@@ -12,14 +12,15 @@ not representable inside the window (only at the charge boundary of
 truncated highest-weight exports).  Analyses quantify over asserted columns
 only, so every reported fact is an exact statement about the underlying
 infinite module.  The kernel searches (injectivity, witnesses, extremal
-vectors) go through ``_joint_kernel``: ``linalg.stack_columns`` turns the
-columns op by op into sparse rows ``{column: coeff}``, one stack per h0
-label.  The split is exact because each generator moves h0 by a fixed
-amount (e by +2, f by -2, d and h by 0), so every stack is block-diagonal by
-h0 up to the order of rows and columns; a row that takes columns of two h0
-labels shows labels that disagree with the action and raises NotAModule.  A
-label's block leaves the search as soon as one op alone certifies, mod p,
-that it has no kernel there; the rest go to one exact ``nullspace`` each.
+vectors) go through ``_joint_kernel``, which walks an offset one weight
+space (the block of one h0 label) at a time, as
+``TruncatedModule.find_singular_vectors`` walks cells.  The split is exact
+because each generator moves h0 by a fixed amount (e by +2, f by -2, d and
+h by 0), so the stacked map is block-diagonal by h0 up to the order of rows
+and columns; a row that takes columns of two h0 labels shows labels that
+disagree with the action and raises NotAModule.  A block leaves the search
+as soon as one op alone certifies, mod p, that it has no kernel there; the
+rest go to one exact ``nullspace`` each, on ``linalg.stack_columns`` rows.
 Two facts about the algebra settle kernels with no elimination.  A vector
 killed by x and y is killed by [x, y], so a kill set names only generators
 of the positive (negative) part.  And a highest-weight module is free over
@@ -52,8 +53,8 @@ from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis,
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, ResourceBound, WindowTooNarrow, ZeroShift)
 from .linalg import full_rank_mod_p, nullspace, stack_columns
-from .verma import (RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap, cap_from_env,
-                    image_pairs, mono_str)
+from .verma import (KILL_LOWEST, RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap,
+                    cap_from_env, image_pairs, mono_str)
 
 Column = Optional[Pairs]
 
@@ -195,70 +196,71 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
                   whole: bool = False) -> List[Tuple[Fraction, ...]]:
     """Common kernel of the ops on the span of those basis vectors of offset
     k on which every op is asserted, as vectors over the whole basis.  With
-    ``whole``, an op with an unasserted column raises OutOfWindow instead,
-    checked op by op.
+    ``whole``, an op with an unasserted column raises OutOfWindow instead:
+    every column is read first, op by op, whatever would certify.
 
     On a ``free_lowering`` window, without ``whole``, an op set with a
     lowering op (degree < 0, or f_0) has kernel {0}, since that op is
     injective on every span of its asserted vectors: [] with no block read.
 
-    Otherwise the basis splits into one block per h0 label, in ascending order (see
-    the module docstring), and the ops are read one at a time.  Each column
-    is read once, and not at all once an earlier op leaves it unasserted or
-    its block is certified: a block is dropped once one op alone, restricted
-    to the block's vectors asserted so far, has full rank mod p
-    (``full_rank_mod_p``).  That op is then injective on their span and on
-    every subspace of it, so the stacked map is too, and the block's kernel
-    is {0} whichever of those vectors later ops leave asserted.  Once every
-    block is certified, no later op's block is looked up.  ``whole`` still
-    reads every column.  The label check covers the columns read, and
-    each surviving block's whole stack goes to ``nullspace``.  The
-    union of the blocks' kernels, ordered by each vector's free (last
-    nonzero) coordinate, is the canonical basis of the whole-offset stack."""
+    Otherwise the h0 weight blocks (see the module docstring) are walked in
+    ascending order.  Each reads the ops one at a time on its vectors that
+    every earlier op asserts, label-checks each column it reads and drops
+    the vectors the op leaves unasserted.  It stops at the first op with
+    full rank mod p on the vectors left (``full_rank_mod_p``): that op is
+    injective on their span and on every subspace of it, so the block's
+    kernel is {0} whichever of them later ops would leave asserted.  So no
+    column is read twice, and an op's block is looked up only when a weight
+    block reaches it uncertified.  ``whole`` reads on past a certificate, so
+    the label check covers every column.  A block that no op certifies sends
+    its whole stack to ``nullspace``.  The union of the blocks' kernels,
+    ordered by each vector's free (last nonzero) coordinate, is the
+    canonical basis of the whole-offset stack."""
     if wm.free_lowering and not whole and any(
             m < 0 or (fam == "f" and not m) for fam, m in ops):
         return []
     n, labels = wm.dim(k), wm.labels(k)
+    op_blocks: List[Optional[Sequence[Column]]] = [None] * len(ops)  # looked up on first need
+    if whole:
+        for o, (fam, m) in enumerate(ops):
+            block = wm.block(fam, m, k)
+            op_blocks[o] = [block[j] for j in range(n)]
+            if None in op_blocks[o]:
+                raise OutOfWindow(
+                    f"{fam}-action of degree {m} from offset {k} is only "
+                    f"partially represented in the window")
     by_h0: Dict[Fraction, List[int]] = {}
     for j in range(n):
         by_h0.setdefault(labels[j].h0, []).append(j)
-    blocks = [by_h0[h0] for h0 in sorted(by_h0)]  # each block's asserted vectors
-    live = range(len(blocks))  # the blocks no op has certified yet
-    read: List[Dict[int, Column]] = []  # per op, the columns read
-    for fam, m in ops:
-        if not (whole or live):
-            break  # every block is certified: no later op can change the kernel
-        block = wm.block(fam, m, k)
-        cols: Dict[int, Column] = {}
-        for b in (range(len(blocks)) if whole else live):
-            for j in blocks[b]:
-                cols[j] = block[j]
-            blocks[b] = [j for j in blocks[b] if cols[j] is not None]
-        if whole and None in cols.values():
-            raise OutOfWindow(
-                f"{fam}-action of degree {m} from offset {k} is only "
-                f"partially represented in the window")
-        read.append(cols)
-        live = [b for b in live if blocks[b] and not full_rank_mod_p(
-            stack_columns([[cols[j] for j in blocks[b]]]), len(blocks[b]))]
-    for (fam, m), cols in zip(ops, read):
-        owner: Dict[int, int] = {}  # row -> the block of the columns it takes
-        for b, js in enumerate(blocks):
-            for j in js:
-                for r, _ in cols.get(j, ()):
+    owners: List[Dict[int, int]] = [{} for _ in ops]  # per op, row -> the weight block taking it
+    kernel = []
+    for b, h0 in enumerate(sorted(by_h0)):
+        js, read, certified = by_h0[h0], [], False  # js: the vectors asserted so far
+        for o, (fam, m) in enumerate(ops):
+            if certified and not whole:
+                break
+            block, owner, taken = op_blocks[o], owners[o], len(owners[o])
+            if block is None:
+                block = op_blocks[o] = wm.block(fam, m, k)
+            cols = {j: block[j] for j in js}
+            for col in cols.values():
+                for r, _ in col or ():
                     if owner.setdefault(r, b) != b:
                         raise NotAModule(
                             f"{fam}-action of degree {m} from offset {k} sends two h0 "
                             f"labels to row {r}: the labels disagree with the action")
-    kernel = []
-    for b in live:
-        js = blocks[b]
-        for v in nullspace(stack_columns([cols[j] for j in js] for cols in read),
-                           ncols=len(js)):
-            full = [Fraction(0)] * n
-            for idx, j in enumerate(js):
-                full[j] = v[idx]
-            kernel.append((js[max(idx for idx, x in enumerate(v) if x)], tuple(full)))
+            js = [j for j in js if cols[j] is not None]
+            read.append(cols)
+            # the op's stack has a row per row the label check took: too few, no rank
+            certified = certified or len(owner) - taken >= len(js) and full_rank_mod_p(
+                stack_columns([[cols[j] for j in js]]), len(js))
+        if not certified:
+            for v in nullspace(stack_columns([cols[j] for j in js] for cols in read),
+                               ncols=len(js)):
+                full = [Fraction(0)] * n
+                for idx, j in enumerate(js):
+                    full[j] = v[idx]
+                kernel.append((js[max(idx for idx, x in enumerate(v) if x)], tuple(full)))
     return [v for _, v in sorted(kernel)]  # free columns differ: vectors never compared
 
 
@@ -369,11 +371,6 @@ def stacked_shift_injectivity(wm: WindowedModule, k: int, i: int) -> Injectivity
     ops = (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i))
     kernel = _joint_kernel(wm, ops, k, whole=True)
     return InjectivityReport(k, i, wm.dim(k), len(kernel), tuple(kernel))
-
-
-# generates the negative part as RAISING_KILL_SET does the positive one:
-# [f_0, e_-1] = -h_-1, [h_-1, f_0] = -2f_-1
-KILL_LOWEST = (("f", 0), ("d", -1), ("e", -1), ("d", -2))
 
 
 @dataclass(frozen=True)

@@ -471,7 +471,14 @@ def test_catalog_witness_keeps_its_trivial_line(capsys):
      "--module and --lamd/--mu/--c name two modules; give one"),
     (["--module=A:a=2,b=0", "--c=0", "--window=-1..1"],
      "--module and --lamd/--mu/--c name two modules; give one"),
-], ids=["hw-window", "partial-hw-default-window", "module-hw", "module-c-window"])
+    (["--module=A:a=2,b=0", "--depth=9", "--charge=3"],
+     "--depth and --charge apply to --lamd/--mu/--c only; a catalog window follows from --window"),
+    (["--module=A:a=2,b=0", "--depth=4"],
+     "--depth and --charge apply to --lamd/--mu/--c only; a catalog window follows from --window"),
+    (["--module=A:a=2,b=0", "--charge=3", "--window=-1..1"],
+     "--depth and --charge apply to --lamd/--mu/--c only; a catalog window follows from --window"),
+], ids=["hw-window", "partial-hw-default-window", "module-hw", "module-c-window",
+        "module-depth-charge", "module-default-depth", "module-charge-window"])
 def test_mixed_analysis_inputs_exit_2(command, args, message, capsys):
     # each input path ignores the other's options, so a mix is refused
     # rather than answered for one of them

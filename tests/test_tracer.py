@@ -74,3 +74,14 @@ def test_traced_injectivity_at_a_huge_shift_finishes():
          "--c=0", "--depth=2", "--k=0", "--i=1000000000"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_smoke_passes():
+    # the smoke test runs one small job per workload under the tracer and
+    # asserts that it counts nullspace and pbw_straighten calls, which a
+    # catalog command alone never reaches
+    done = subprocess.run(
+        [sys.executable, str(TRACER_PATH.parent / "smoke.py")],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

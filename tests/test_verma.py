@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import random
@@ -554,17 +555,31 @@ def reference_enumerate_cell(n, s, max_factors):
     return found
 
 
-def _enumerates_like_oracle(n, s, cap):
-    """Both give the same monomials in the same order, or both raise the same
-    ResourceBound; returns whether they raised."""
+@functools.lru_cache(maxsize=None)
+def _oracle_cell(n, s, cap):
+    """The oracle's monomials of cell (n, s), or the text of its ResourceBound."""
     try:
-        expect = reference_enumerate_cell(n, s, cap)
+        return reference_enumerate_cell(n, s, cap)
     except ResourceBound as exc:
-        with pytest.raises(ResourceBound) as got:
-            _enumerate_cell(n, s, cap)
-        assert str(got.value) == str(exc)
+        return str(exc)
+
+
+def _enumerates_like_oracle(n, s, cap):
+    """The truncation of depth n and charge max(s, 0) keeps cell (n, s).  Built
+    at factor cap ``cap``, it raises the oracle's ResourceBound exactly when
+    the oracle's enumeration of one of its cells raises, and otherwise holds
+    the oracle's monomials in cell (n, s) in the same order; returns whether
+    it raised."""
+    S = max(s, 0)
+    errors = {out for n2 in range(n + 1) for s2 in range(-n2, S + 1)
+              for out in [_oracle_cell(n2, s2, cap)] if isinstance(out, str)}
+    try:
+        m = build_verma(GENERIC, n, S, max_factors=cap)
+    except ResourceBound as exc:
+        assert errors == {str(exc)}, (n, s, cap)
         return True
-    assert _enumerate_cell(n, s, cap) == expect, (n, s, cap)
+    assert not errors, (n, s, cap)
+    assert list(m.cells[(n, s)]) == _oracle_cell(n, s, cap), (n, s, cap)
     return False
 
 
@@ -968,7 +983,7 @@ def test_cell_counts_match_enumeration_to_depth_8():
     dims = _cell_dims(N, S)
     assert list(dims) == [(n, s) for n in range(N + 1) for s in range(-n, S + 1)]
     for (n, s), dim in dims.items():
-        assert dim == len(_enumerate_cell(n, s, 2 * N + S)), (n, s)
+        assert dim == len(_enumerate_cell(n, s)), (n, s)
 
 
 def test_cell_counts_match_generating_function_to_depth_10():
@@ -982,13 +997,18 @@ def test_cell_counts_match_generating_function_to_depth_10():
 
 
 def eager_build(depth_bound, charge_bound, max_factors, max_basis):
-    """The construction loop that enumerated and indexed every cell up front:
-    (cells, index, running basis totals), or the ResourceBound it raised."""
+    """The construction loop that enumerated and indexed every cell up front,
+    each cell checked against the factor cap as its enumeration did: (cells,
+    index, running basis totals), or the ResourceBound it raised."""
     cells, index, totals = {}, {}, []
     total = 0
     for n in range(depth_bound + 1):
         for s in range(-n, charge_bound + 1):
-            monos = _enumerate_cell(n, s, max_factors)
+            monos = _enumerate_cell(n, s)
+            if any(len(mono) > max_factors for mono in monos):
+                raise ResourceBound(
+                    f"monomial exceeds the factor cap {max_factors}; "
+                    f"raise max_factors to build this cell")
             total += len(monos)
             if total > max_basis:
                 raise ResourceBound(
@@ -1028,9 +1048,9 @@ def test_construction_raises_exactly_like_the_eager_loop(N, S):
 def test_construction_and_singular_search_enumerate_only_what_they_read(monkeypatch):
     seen = []
 
-    def spy(n, s, max_factors, real=_enumerate_cell):
+    def spy(n, s, real=_enumerate_cell):
         seen.append((n, s))
-        return real(n, s, max_factors)
+        return real(n, s)
 
     monkeypatch.setattr(avw.verma, "_enumerate_cell", spy)
     m = build_verma(HighestWeight.of(F(1, 2), 2, 0), 5)

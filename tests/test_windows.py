@@ -1135,6 +1135,25 @@ def test_labels_that_disagree_with_the_action_are_not_a_module():
     assert (rep.kernel_dim, rep.kernel_basis) == (1, ((F(-1), F(1)),))
 
 
+def test_whole_label_checks_the_columns_past_a_certificate():
+    # d_1 maps u and w to x and y: it alone certifies both h0 blocks of
+    # offset 0.  e_1 sends both to row 0, which no h0 action allows; the
+    # stacked map reads e_1 all the same and must see it, while the search
+    # that stops at the certificate reads no e_1 column
+    basis = {0: (BasisLabel("u", F(0), F(0)), BasisLabel("w", F(0), F(2))),
+             1: (BasisLabel("x", F(1), F(0)), BasisLabel("y", F(1), F(2))),
+             2: (BasisLabel("z", F(2), F(0)),)}
+    blocks = {key: [(), ()] for key in [("d", 2, 0), ("f", 1, 0), ("h", 1, 0)]}
+    blocks[("d", 1, 0)] = [((0, F(1)),), ((1, F(1)),)]
+    blocks[("e", 1, 0)] = [((0, F(1)),), ((0, F(1)),)]
+    wm = WindowedModule((0, 2), frozenset("defh"), F(0), basis, blocks)
+    with pytest.raises(NotAModule, match="e-action of degree 1 from offset 0 sends two h0"):
+        stacked_shift_injectivity(wm, 0, 1)
+    blocks[("e", 1, 0)] = _CertifiedColumns(blocks[("e", 1, 0)], unread={0, 1})
+    ops = (("d", 1), ("d", 2), ("e", 1), ("f", 1), ("h", 1))
+    assert _joint_kernel(wm, ops, 0) == []
+
+
 def test_full_matrix_of_a_block_without_columns_keeps_its_rows():
     wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 2), pad_top=2)
     assert wm.dim(1) == 0 and wm.dim(0) > 1 and wm.dim(-1) > wm.dim(0)
