@@ -15,7 +15,6 @@ from .algebra import (ALGEBRAS, C, FULL, HVIR, SL2, SL2LOOP, T2, VIR, Gen,
 from .catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, Sl2Irrep, T2Corrupt,
                       T2Mod, act, act_basis, canonicalize, is_simple,
                       module_defect, sl2_irrep, spec_text, structure_report)
-from .cli import RunConfig, execute, main, parse_spec
 from .errors import (AvwError, GeneratorOutsideAlgebra, MissingParameter,
                      NegativeHighestWeight, OutOfWindow, ResourceBound,
                      SpecParseError, UnknownKind, WindowTooNarrow, ZeroShift)

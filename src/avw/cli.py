@@ -615,15 +615,9 @@ _DASH_VALUE_FLAGS = {"--range", "--deg-range", "--label-range", "--window",
 
 def _merge_dash_values(argv: List[str]) -> List[str]:
     out: List[str] = []
-    skip = False
-    for idx, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _DASH_VALUE_FLAGS and idx + 1 < len(argv) \
-                and argv[idx + 1].startswith("-"):
-            out.append(f"{tok}={argv[idx + 1]}")
-            skip = True
+    for tok in argv:
+        if tok.startswith("-") and out and out[-1] in _DASH_VALUE_FLAGS:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

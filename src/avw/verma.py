@@ -216,39 +216,26 @@ def image_pairs(img: Mapping, target: Mapping) -> Pairs:
 
 
 def _enumerate_cell(n: int, s: int) -> List[Mono]:
-    """All canonical monomials with the given depth and charge."""
+    """All canonical monomials with the given depth and charge, in canonical
+    order: the walk takes factors in sorted generator order, two monomials of
+    one cell first differ at a negative factor (both negative parts have
+    depth n), and f_0 sorts after every negative generator."""
     found: List[Mono] = []
-    f0 = f(0)
+    gens = sorted((g(-k) for k in range(1, n + 1) for g in (d, h, f, e)),
+                  key=Gen.sort_key)
 
-    def rec(k: int, depth_left: int, factors: Mono, imbalance: int):
+    def rec(start: int, depth_left: int, factors: Mono, imbalance: int):
         if not depth_left:  # only f_0 powers are left to place
-            a0 = s - imbalance
-            if a0 < 0:
-                return
-            found.append(factors + (f0,) * a0)
+            if imbalance <= s:
+                found.append(factors + (f(0),) * (s - imbalance))
             return
-        if not k:
-            return
-        # canonical within-degree order: d, h, f, e; degrees ascend left to
-        # right, so the -k block follows everything already collected
-        dk, hk, fk, ek = d(-k), h(-k), f(-k), e(-k)
-        for total in range(depth_left // k + 1):
-            rest = depth_left - k * total
-            for nd in range(total + 1):
-                head = factors + (dk,) * nd
-                for nh in range(total - nd + 1):
-                    head_h = head + (hk,) * nh
-                    left = total - nd - nh
-                    for nf in range(left + 1):
-                        ne = left - nf
-                        rec(k - 1, rest, head_h + (fk,) * nf + (ek,) * ne,
-                            imbalance + nf - ne)
+        for i in range(start, len(gens)):
+            g = gens[i]
+            if -g.degree <= depth_left:
+                rec(i, depth_left + g.degree, factors + (g,),
+                    imbalance + charge_shift(g))
 
-    rec(n, n, (), 0)
-    # sort by the factors' sort keys, looked up once per generator
-    keys = {g: g.sort_key() for k in range(n + 1)
-            for g in (d(-k), h(-k), f(-k), e(-k))}
-    found.sort(key=lambda m: tuple(map(keys.__getitem__, m)))
+    rec(0, n, (), 0)
     return found
 
 
@@ -497,8 +484,4 @@ def build_verma(hw: HighestWeight, depth_bound: int,
 
 def dims_rows(module: TruncatedModule) -> List[Tuple[int, int, int]]:
     """(depth, charge, dim) rows for every kept cell, sorted."""
-    rows = []
-    for n in range(module.depth_bound + 1):
-        for s in range(-n, module.charge_bound + 1):
-            rows.append((n, s, module.weight_space_dim(n, s)))
-    return rows
+    return [(n, s, dim) for (n, s), dim in module._dims.items()]

@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VIR, Gen, bracket_gens
@@ -468,30 +468,23 @@ def _rational_roots(p: List[Fraction]) -> List[Fraction]:
 
     ``catalog_match`` only asks for roots of its quadratic and linear
     constraints, so they come in closed form (linear root or square
-    discriminant).
+    discriminant).  Coefficients may be ``int``; roots are ``Fraction``.
     """
     if not p:
         raise InvalidArgument("the zero polynomial has every number as a root")
     if len(p) > 3:
         raise InternalError(f"rational roots requested for degree {len(p) - 1} > 2")
-    mult = lcm(*(a.denominator for a in p))
-    ip = [a.numerator * (mult // a.denominator) for a in p]
-    roots: List[Fraction] = []
-    low = 0
-    while ip[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        ip = ip[low:]
-    if len(ip) == 2:
-        roots.append(Fraction(-ip[0], ip[1]))
-    elif len(ip) == 3:
-        c0, c1, c2 = ip
-        disc = c1 * c1 - 4 * c2 * c0
-        s = isqrt(disc) if disc >= 0 else -1
-        if s * s == disc:
-            roots.extend((Fraction(-c1 - s, 2 * c2), Fraction(-c1 + s, 2 * c2)))
-    return sorted(set(roots))
+    if len(p) < 3:
+        return [-Fraction(p[0]) / p[1]] if len(p) == 2 else []
+    c0, c1, c2 = map(Fraction, p)
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    root = Fraction(num, den)
+    return sorted({(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)})
 
 
 @dataclass(frozen=True)
@@ -625,11 +618,7 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
         candidates.extend((Fraction(0), Fraction(1)))
     tried = []
     verified: List[LoopMod] = []
-    seen = set()
-    for b in candidates:
-        if b in seen:
-            continue
-        seen.add(b)
+    for b in dict.fromkeys(candidates):
         spec = LoopMod(lam, a, b)
         ok = _verify_match(wm, spec)
         tried.append({"b": str(b), "verified": ok})

@@ -19,7 +19,8 @@ import avw.verma
 import avw.windows
 from avw.algebra import C, bracket, e, element_str, h
 from avw.catalog import KINDS, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod, spec_keys
-from avw.cli import RunConfig, build_parser, config_from_args, execute, main, parse_spec
+from avw.cli import (RunConfig, _merge_dash_values, build_parser, config_from_args, execute,
+                     main, parse_spec)
 from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
                         UnwritablePath)
 from avw.linalg import Vec
@@ -1046,3 +1047,25 @@ def test_help_text_is_pinned(monkeypatch):
     texts = [parser.format_help()] + [p.format_help() for p in commands.values()]
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
         "7d2e2dac7b63f80d2c9c217c5db7cb28935b8ece26d2a7cb47db3235ad532ccf")
+
+
+def test_python_m_avw_cli_writes_nothing_to_stderr():
+    # importing the package must not import avw.cli, or runpy warns that
+    # 'avw.cli' is already in sys.modules before running it as __main__
+    src = str(Path(avw.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "avw.cli", "support", "--module=A:a=1/2,b=1/3"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("argv, merged", [
+    (["jacobi", "--range", "-5..5"], ["jacobi", "--range=-5..5"]),
+    (["--k", "-1", "--i", "-2"], ["--k=-1", "--i=-2"]),
+    (["--lamd", "--mu", "-1"], ["--lamd=--mu", "-1"]),
+    (["verma", "--c", "0", "--mu"], ["verma", "--c", "0", "--mu"]),
+    (["witness", "--module", "-x"], ["witness", "--module", "-x"]),
+], ids=["range", "k-and-i", "flag-after-value-flag", "trailing-flag", "module"])
+def test_merge_dash_values_folds_dash_leading_values(argv, merged):
+    assert _merge_dash_values(argv) == merged
