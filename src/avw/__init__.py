@@ -10,7 +10,7 @@ Layers:
 """
 
 from .algebra import (ALGEBRAS, C, FULL, HVIR, SL2, SL2LOOP, T2, VIR, Gen,
-                      bracket, bracket_gens, d, degree, e, element_str, f, h,
+                      bracket, bracket_gens, d, e, element_str, f, h,
                       in_subalgebra, jacobi_defect)
 from .catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, Sl2Irrep, T2Corrupt,
                       T2Mod, act, act_basis, canonicalize, is_simple,

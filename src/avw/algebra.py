@@ -70,11 +70,6 @@ def as_element(x: Union[Gen, Vec]) -> Vec:
     return Vec.basis(x) if isinstance(x, Gen) else x
 
 
-def degree(g: Gen) -> int:
-    """Z-grading degree; the bracket adds degrees and C sits in degree 0."""
-    return g.degree
-
-
 def bracket_gens(x: Gen, y: Gen) -> Vec:
     """Bracket of two basis generators from the defining relations; a pair
     out of (d, h, f, e) order is swapped and its sign flipped."""
@@ -214,10 +209,10 @@ def in_subalgebra(x: Union[Gen, Vec], spec: AlgebraSpec) -> bool:
 
 def element_str(x: Vec) -> str:
     """Canonical human-readable form, terms sorted by (degree, family)."""
-    if x.is_zero():
+    if not x:
         return "0"
     bits = []
-    for g, coeff in x.sorted_items(key=Gen.sort_key):
+    for g, coeff in sorted(x, key=lambda term: term[0].sort_key()):
         if coeff == 1:
             bits.append(str(g))
         elif coeff == -1:

@@ -157,15 +157,15 @@ def act_basis(spec: ModuleSpec, g: Gen, label) -> Vec:
             f"{g} does not act on {spec_text(spec)} "
             f"(acting algebra {acting_algebra(spec).name})")
     if g.family == "C":
-        return Vec.zero()
+        return Vec()
     m = g.degree
     if isinstance(spec, LoopMod):
         k, i = label
         if g.family == "d":
             coeff = spec.a + spec.b * m + i
-            return Vec({(k, m + i): coeff}) if coeff else Vec.zero()
+            return Vec({(k, m + i): coeff}) if coeff else Vec()
         kk, coeff = _sl2_image(spec, g.family, k)
-        return Vec({(kk, m + i): coeff}) if coeff else Vec.zero()
+        return Vec({(kk, m + i): coeff}) if coeff else Vec()
     i = label
     if g.family == "d":
         if isinstance(spec, IntA):
@@ -178,19 +178,19 @@ def act_basis(spec: ModuleSpec, g: Gen, label) -> Vec:
                 coeff, target = -Fraction(m) * (m + spec.a), 0
         else:  # IntAB, HVirABC, T2Mod, T2Corrupt share the (a + i + b m) rule
             coeff, target = spec.a + i + spec.b * m, m + i
-        return Vec({target: coeff}) if coeff else Vec.zero()
+        return Vec({target: coeff}) if coeff else Vec()
     if g.family == "h":
-        return Vec({m + i: spec.c}) if spec.c else Vec.zero()
+        return Vec({m + i: spec.c}) if spec.c else Vec()
     if g.family == "e":
         if isinstance(spec, T2Corrupt):
             return Vec({m + i: Fraction(1)})
-        return Vec.zero()
+        return Vec()
     raise GeneratorOutsideAlgebra(f"{g} does not act on {spec_text(spec)}")
 
 
 def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:
     """Linear extension of the generator action to module vectors."""
-    out = Vec.zero()
+    out = Vec()
     for label, coeff in v:
         out = out + act_basis(spec, g, label).scaled(coeff)
     return out

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import catalog as cat
 from . import verma as vm
 from . import windows as win
-from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, degree, element_str, in_subalgebra, jacobi_defect
+from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, element_str, in_subalgebra, jacobi_defect
 from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec_keys, spec_text
 from .errors import (AvwError, InternalError, InvalidArgument, MissingParameter, SpecParseError,
                      UnknownKind, UnwritablePath)
@@ -83,7 +83,9 @@ def parse_spec(text: str) -> ModuleSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run depends on; equal configs give identical bytes."""
+    """Everything one run depends on; equal configs give identical bytes.
+    Its defaults are the CLI's: ``build_parser`` leaves an omitted option
+    None, and ``config_from_args`` drops it."""
 
     command: str
     module: Optional[str] = None
@@ -109,10 +111,7 @@ def _range_arg(text: str) -> Tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+    return int(m.group(1)), int(m.group(2))
 
 
 # each command's --window when none is given; -3..3 for the others
@@ -122,6 +121,14 @@ _DEFAULT_WINDOWS = {"loop-dims": "-4..4", "injectivity": "-4..4"}
 def _window(config: RunConfig) -> Tuple[int, int]:
     """The --window of the run, or its command's default."""
     return config.window or _range_arg(_DEFAULT_WINDOWS.get(config.command, "-3..3"))
+
+
+def _nonempty(bounds: Tuple[int, int], flag: str) -> Tuple[int, int]:
+    """The bounds of a sweep range, which must hold at least one value."""
+    lo, hi = bounds
+    if hi < lo:
+        raise InvalidArgument(f"empty {flag} {lo}..{hi}")
+    return bounds
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -154,7 +161,7 @@ def _write_report(config: RunConfig, payload: dict) -> None:
 
 def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     alg = algebra_by_name(config.algebra)
-    lo, hi = config.deg_range
+    lo, hi = _nonempty(config.deg_range, "--range")
     win.bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
     gens = list(alg.generators(lo, hi))
     defects: List[dict] = []
@@ -162,10 +169,10 @@ def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     for x in gens:
         for y in gens:
             br = bracket_gens(x, y)
-            if not (bracket_gens(y, x) + br).is_zero():
+            if bracket_gens(y, x) + br:
                 anti += 1
             for g, _ in br:
-                if degree(g) != degree(x) + degree(y):
+                if g.degree != x.degree + y.degree:
                     grading += 1
             if not in_subalgebra(br, alg):
                 closure += 1
@@ -209,8 +216,8 @@ def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
 def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     alg = acting_algebra(spec)
-    lo, hi = config.deg_range
-    lab_lo, lab_hi = config.label_range
+    lo, hi = _nonempty(config.deg_range, "--deg-range")
+    lab_lo, lab_hi = _nonempty(config.label_range, "--label-range")
     n_labels = (lab_hi - lab_lo + 1) * cat.offset_dim(spec)
     win.bound_sweep(alg.generator_count(lo, hi) ** 2 * n_labels, "checks")
     gens = list(alg.generators(lo, hi))
@@ -516,8 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=_rational_arg, help="h0-eigenvalue of the highest weight")
         p.add_argument("--c", type=_rational_arg, help="central eigenvalue")
         p.add_argument("--depth", type=int, help="depth bound N (default 4)")
-        p.add_argument("--charge", type=int, default=None,
-                       help="charge bound S (default N+4)")
+        p.add_argument("--charge", type=int, help="charge bound S (default N+4)")
 
     def add_analysis(p, command):
         """The inputs of a window analysis: a catalog module or a highest weight."""
@@ -526,16 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
         add_window(p, command)
 
     p = sub.add_parser("jacobi", help="sweep Jacobi/antisymmetry/grading/closure")
-    p.add_argument("--algebra", default="L", choices=sorted(ALGEBRAS))
-    p.add_argument("--range", dest="deg_range", type=_range_arg,
-                   default=_range_arg("-3..3"), help="degree range lo..hi")
+    p.add_argument("--algebra", choices=sorted(ALGEBRAS))
+    p.add_argument("--range", dest="deg_range", type=_range_arg, help="degree range lo..hi")
 
     p = sub.add_parser("module-check", help="exhaustive module-axiom defect sweep")
     add_module(p)
-    p.add_argument("--deg-range", dest="deg_range", type=_range_arg,
-                   default=_range_arg("-3..3"))
-    p.add_argument("--label-range", dest="label_range", type=_range_arg,
-                   default=_range_arg("-3..3"))
+    p.add_argument("--deg-range", dest="deg_range", type=_range_arg)
+    p.add_argument("--label-range", dest="label_range", type=_range_arg)
 
     p = sub.add_parser("catalog", help="materialize a module window as matrices")
     add_module(p)
@@ -555,23 +558,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verma", help="build a truncated highest-weight module")
     add_hw(p)
     p.add_argument("--emit", help="write the depth,charge,dim CSV to this path")
-    p.add_argument("--singular-depth", dest="singular_depth", type=int, default=None)
+    p.add_argument("--singular-depth", dest="singular_depth", type=int)
 
     p = sub.add_parser("singular", help="singular vectors of a truncation")
     add_hw(p)
-    p.add_argument("--max-depth", dest="singular_depth", type=int, default=None)
+    p.add_argument("--max-depth", dest="singular_depth", type=int)
 
     p = sub.add_parser("injectivity", help="kernel of the stacked degree-shift map")
     add_analysis(p, "injectivity")
-    p.add_argument("--k", type=int, default=0, help="source offset")
-    p.add_argument("--i", type=int, default=1, help="nonzero shift")
+    p.add_argument("--k", type=int, help="source offset")
+    p.add_argument("--i", type=int, help="nonzero shift")
 
     p = sub.add_parser("witness", help="search for finitely-supported submodules")
     add_analysis(p, "witness")
 
     p = sub.add_parser("match", help="identify a window as a loop module")
     add_analysis(p, "match")
-    p.add_argument("--scramble-seed", dest="scramble_seed", type=int, default=None,
+    p.add_argument("--scramble-seed", dest="scramble_seed", type=int,
                    help="disguise the basis with this seed before matching")
 
     p = sub.add_parser("support", help="weight labels of the nonzero slices")

@@ -27,13 +27,16 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InternalError
 
 
-def frac(x, y=None) -> Fraction:
+def frac(x) -> Fraction:
     """Coerce ints, strings like '7/6', and Fractions to an exact Fraction."""
-    if y is not None:
-        return Fraction(x, y)
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _exact(x):
+    """An exact value in its compact form: an ``int`` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 PRIME = 2 ** 61 - 1  # the modulus of full_rank_mod_p
@@ -218,8 +221,9 @@ def nullspace(rows: Sequence, ncols: int | None = None) -> List[List[Fraction]]:
 class Vec:
     """Finite formal linear combination with exact rational coefficients.
 
-    Keys may be any hashable label; zero coefficients are never stored.
-    Instances are treated as immutable by convention.
+    Built from a dict ``{key: coeff}``.  Keys may be any hashable label;
+    zero coefficients are never stored.  Instances are treated as immutable
+    by convention; they compare by their terms and are unhashable.
     """
 
     __slots__ = ("terms",)
@@ -227,30 +231,15 @@ class Vec:
     def __init__(self, terms=None):
         d = {}
         if terms:
-            for k, v in (terms.items() if isinstance(terms, dict) else terms):
+            for k, v in terms.items():
                 v = frac(v)
                 if v:
-                    w = d.get(k)
-                    if w is None:
-                        d[k] = v
-                    else:
-                        w += v
-                        if w:
-                            d[k] = w
-                        else:
-                            del d[k]
+                    d[k] = v
         self.terms = d
 
     @classmethod
     def basis(cls, key, coeff=1) -> "Vec":
         return cls({key: frac(coeff)})
-
-    @classmethod
-    def zero(cls) -> "Vec":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -268,7 +257,7 @@ class Vec:
         products of ints are far cheaper: memoized sweeps keep their
         structure constants in this form and turn their sums back into a Vec.
         """
-        return tuple((k, v.numerator if v.denominator == 1 else v) for k, v in self.terms.items())
+        return tuple((k, _exact(v)) for k, v in self.terms.items())
 
     def __getitem__(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))
@@ -292,9 +281,6 @@ class Vec:
     def __sub__(self, other: "Vec") -> "Vec":
         return self + other.scaled(-1)
 
-    def __neg__(self) -> "Vec":
-        return self.scaled(-1)
-
     def scaled(self, s) -> "Vec":
         s = frac(s)
         out = Vec.__new__(Vec)
@@ -303,12 +289,6 @@ class Vec:
 
     def __eq__(self, other):
         return isinstance(other, Vec) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_items(self, key=None):
-        return sorted(self.terms.items(), key=(lambda kv: key(kv[0])) if key else None)
 
     def __repr__(self):
         if not self.terms:

@@ -32,8 +32,8 @@ bracket once and no cache outlives the module.  The memo is insert-only and
 every entry is a pure function of its key, so concurrent readers agree.
 
 Memo coefficients are exact and never zero: an ``int`` when the value is
-integral and a ``Fraction`` with denominator > 1 otherwise (``_exact``), so
-most of the recursion runs on int arithmetic.  Readers that need
+integral and a ``Fraction`` with denominator > 1 otherwise
+(``linalg._exact``), so most of the recursion runs on int arithmetic.  Readers that need
 ``Fraction`` entries convert at their own boundary.
 """
 
@@ -50,7 +50,7 @@ from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
 # the name in every module that imports it
 from .algebra import bracket_gens  # noqa: F401
 from .errors import InternalError, InvalidBound, OutOfWindow, ResourceBound
-from .linalg import Vec, frac, full_rank_mod_p, nullspace, stack_columns
+from .linalg import Vec, _exact, frac, full_rank_mod_p, nullspace, stack_columns
 
 Mono = Tuple[Gen, ...]
 
@@ -69,11 +69,6 @@ KILL_LOWEST = (f(0), d(-1), e(-1), d(-2))
 Coeff = Union[int, Fraction]
 # a matrix column: its nonzero (row, coeff) pairs in ascending row order
 Pairs = Tuple[Tuple[int, Coeff], ...]
-
-
-def _exact(x: Coeff) -> Coeff:
-    """The memo form of an exact value: an ``int`` when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def cap_from_env(name: str, default: int) -> int:
@@ -433,7 +428,7 @@ class TruncatedModule:
         kernel on a cell is the cell's singular vectors.
         Searches cells with depth <= max_depth <= N and charge <= S-1 (the
         top charge slice is excluded because the f_1 image would leave the
-        kept cells).  Every kill-set operator has degree 0, 1 or 2, so its
+        kept cells); none is empty, since cell (n, s) holds e_-1^n f_0^(s+n).  Every kill-set operator has degree 0, 1 or 2, so its
         image from cell (n, s) has depth n, n - 1 or n - 2 and charge at
         most s + 1: kept for every searched cell, so any max_depth up to
         the depth bound is answered.  The cells, one weight space each, are
@@ -453,8 +448,6 @@ class TruncatedModule:
         for n in range(max_depth + 1):
             for s in range(-n, self.charge_bound):
                 basis = self.cells[(n, s)]
-                if not basis:
-                    continue
                 stacked: List[dict] = []
                 for g in RAISING_KILL_SET:
                     rows = stack_columns([self.cell_matrix(g, (n, s))])

@@ -106,9 +106,6 @@ class WindowedModule:
     def labels(self, k: int) -> Tuple[BasisLabel, ...]:
         return self.basis.get(k, ())
 
-    def has_block(self, family: str, m: int, k: int) -> bool:
-        return (family, m, k) in self.blocks
-
     def block(self, family: str, m: int, k: int) -> Sequence[Column]:
         try:
             return self.blocks[(family, m, k)]
@@ -438,7 +435,7 @@ def submodule_witness(wm: WindowedModule) -> WitnessReport:
             for m in range(p - k, q - k + 1):
                 if m == 0 and fam in ("d", "h"):
                     continue  # diagonal: preserves every span
-                if wm.has_block(fam, m, k):
+                if (fam, m, k) in wm.blocks:
                     ops.append((fam, m))
         if not ops:
             continue
@@ -650,7 +647,7 @@ class _KnownColumns(dict):
         m, wm, col = g.degree, self.wm, None
         if g.family == "C":
             col = ((j, wm.central),)
-        elif wm.has_block(g.family, m, k):
+        elif (g.family, m, k) in wm.blocks:
             col = wm.block(g.family, m, k)[j]
         out = self[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
         return out

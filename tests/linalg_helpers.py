@@ -27,4 +27,4 @@ def mat_sub(a, b) -> List[List[Fraction]]:
 
 def map_keys(v: Vec, fn) -> Vec:
     """v with every key k relabelled as fn(k)."""
-    return Vec([(fn(k), c) for k, c in v])
+    return Vec({fn(k): c for k, c in v})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from avw.algebra import (ALGEBRAS, C, FULL, HVIR, SL2, SL2LOOP, T2, VIR,
-                         as_element, bracket, bracket_gens, d, degree, e,
+                         as_element, bracket, bracket_gens, d, e,
                          element_str, f, h, in_subalgebra, jacobi_defect)
 from avw.linalg import Vec
 
@@ -13,7 +13,7 @@ from avw.linalg import Vec
 # kept as they were before the memoized, dict-summing versions.
 
 def oracle_bracket(x, y):
-    out = Vec.zero()
+    out = Vec()
     for gx, cx in as_element(x):
         for gy, cy in as_element(y):
             out = out + bracket_gens(gx, gy).scaled(cx * cy)
@@ -31,7 +31,7 @@ def test_bracket_examples():
     assert bracket_gens(d(2), d(-2)) == Vec({d(0): -4, C: Fraction(-1, 2)})
     assert bracket_gens(e(0), f(0)) == Vec({h(0): 1})
     assert bracket_gens(h(1), h(-1)) == Vec({C: 2})
-    assert bracket_gens(C, e(5)).is_zero()
+    assert not bracket_gens(C, e(5))
 
 
 def test_bracket_bilinear():
@@ -43,15 +43,15 @@ def test_bracket_bilinear():
 
 
 def test_degree_examples():
-    assert degree(e(5)) == 5
-    assert degree(C) == 0
-    assert degree(d(-3)) == -3
+    assert e(5).degree == 5
+    assert C.degree == 0
+    assert d(-3).degree == -3
 
 
 def test_jacobi_examples():
-    assert jacobi_defect(d(1), d(2), d(3)).is_zero()
-    assert jacobi_defect(e(1), f(-1), h(2)).is_zero()
-    assert jacobi_defect(d(0), e(3), f(-3)).is_zero()
+    assert not jacobi_defect(d(1), d(2), d(3))
+    assert not jacobi_defect(e(1), f(-1), h(2))
+    assert not jacobi_defect(d(0), e(3), f(-3))
 
 
 def test_in_subalgebra_examples():
@@ -73,7 +73,7 @@ def test_antisymmetry_exhaustive():
     gens = _basis(-6, 6)
     for x in gens:
         for y in gens:
-            assert (bracket_gens(x, y) + bracket_gens(y, x)).is_zero(), (x, y)
+            assert not (bracket_gens(x, y) + bracket_gens(y, x)), (x, y)
 
 
 def test_grading_exhaustive():
@@ -81,7 +81,7 @@ def test_grading_exhaustive():
     for x in gens:
         for y in gens:
             for g, _ in bracket_gens(x, y):
-                assert degree(g) == degree(x) + degree(y), (x, y, g)
+                assert g.degree == x.degree + y.degree, (x, y, g)
 
 
 def test_jacobi_small_range_exhaustive():
@@ -90,7 +90,7 @@ def test_jacobi_small_range_exhaustive():
     for x in gens:
         for y in gens:
             for z in gens:
-                assert jacobi_defect(x, y, z).is_zero(), (x, y, z)
+                assert not jacobi_defect(x, y, z), (x, y, z)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -111,14 +111,14 @@ def test_generator_count_is_the_length_of_the_listing(name):
 
 def test_centrality():
     for g in _basis(-6, 6):
-        assert bracket_gens(C, g).is_zero()
-        assert bracket_gens(g, C).is_zero()
+        assert not bracket_gens(C, g)
+        assert not bracket_gens(g, C)
 
 
 def test_element_str():
     x = Vec({d(0): -2, C: Fraction(-1, 2)})
     assert element_str(x) == "-2*d_0 - 1/2*C"
-    assert element_str(Vec.zero()) == "0"
+    assert element_str(Vec()) == "0"
     assert element_str(Vec({e(3): 1})) == "e_3"
 
 

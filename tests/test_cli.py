@@ -19,8 +19,8 @@ import avw.verma
 import avw.windows
 from avw.algebra import C, bracket, e, element_str, h
 from avw.catalog import KINDS, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod, spec_keys
-from avw.cli import (RunConfig, _merge_dash_values, build_parser, config_from_args, execute,
-                     main, parse_spec)
+from avw.cli import (_COMMANDS, RunConfig, _merge_dash_values, build_parser, config_from_args,
+                     execute, main, parse_spec)
 from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
                         UnwritablePath)
 from avw.linalg import Vec
@@ -699,6 +699,39 @@ def test_unknown_command_usage_error():
     assert exc.value.code == 2
 
 
+def test_execute_refuses_an_unknown_command(capsys):
+    assert execute(RunConfig("no-such-command")) == 2
+    assert capsys.readouterr().err == "unknown command 'no-such-command'\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["jacobi", "--range=2..0"], "empty --range 2..0"),
+    (["module-check", "--module=B:a=0", "--deg-range=1..0"], "empty --deg-range 1..0"),
+    (["module-check", "--module=B:a=0", "--label-range=0..-1"], "empty --label-range 0..-1"),
+    (["support", "--module=A:a=0,b=0", "--window=1..0"], "empty window (1, 0)"),
+])
+def test_an_empty_range_exits_2_with_an_error_line(capsys, args, message):
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_empty_range_from_the_library_entry_exits_2(capsys):
+    assert execute(RunConfig("jacobi", deg_range=(2, 0))) == 2
+    assert capsys.readouterr() == ("", "error: empty --range 2..0\n")
+
+
+# the options each command's parser requires; every other one is left out
+_REQUIRED = {command: {"module": "B:a=0"}
+             for command in ("module-check", "catalog", "simple", "structure", "loop-dims")}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_an_omitted_option_takes_its_run_config_default(command):
+    required = _REQUIRED.get(command, {})
+    args = build_parser().parse_args([command] + [f"--{k}={v}" for k, v in required.items()])
+    assert config_from_args(args) == RunConfig(command, **required)
+
+
 def test_determinism_byte_identical_files(tmp_path):
     out, csv = tmp_path / "report.json", tmp_path / "dims.csv"
     args = ["verma", "--lamd", "1/2", "--mu", "2", "--c", "0", "--depth", "3",
@@ -961,8 +994,8 @@ def test_catalog_windows_are_pinned(capsys):
 
 
 def _fuzz_command(rng):
-    """A random command line of one catalog-window command, and its window's
-    width (q - p + 1, from -1 to 8)."""
+    """A random command line of one catalog-window command; its window's
+    width q - p + 1 runs from -1 to 8, so some windows are empty."""
     tag = rng.choice(sorted(KINDS))
     values = ",".join(
         f"{key}={rng.randint(-1, 3) if key == 'lambda' else F(rng.randint(-4, 4), rng.randint(1, 3))}"
@@ -976,26 +1009,21 @@ def _fuzz_command(rng):
         args += [f"--k={rng.randint(-5, 5)}", f"--i={rng.randint(-3, 3)}"]
     if cmd == "catalog" and rng.random() < 0.5:
         args.append("--matrices")
-    return args, width
+    return args
 
 
 def test_catalog_window_commands_survive_a_seeded_fuzz(capsys):
     # random specs of every kind, windows, scramble seeds and (k, i): each
     # command exits 0, 1 or 2 with no exception, and exit 2 says why on
-    # stderr; the parser refuses an empty window as a usage error
+    # stderr in an error line, an empty window too
     rng = random.Random(0)
     for _ in range(300):
-        args, width = _fuzz_command(rng)
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            assert width < 1, args
-            code = exc.code
+        args = _fuzz_command(rng)
+        code = main(args)
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (args, err)
         if code == 2:
-            assert err.startswith("error: ") or (
-                width < 1 and "error: argument --window: empty range" in err), (args, err)
+            assert err.startswith("error: "), (args, err)
 
 
 def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, capsys):

@@ -1,12 +1,14 @@
 """The README's library snippet runs as printed and gives the values its
-comments state."""
+comments state, and its CLI examples exit as it says."""
 
 import ast
 import re
+import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
 from avw.algebra import element_str
+from avw.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +30,17 @@ def test_readme_library_snippet_gives_its_commented_values():
     singular = values["[sv for sv in m.find_singular_vectors(0)]"]
     assert [(sv.depth, sv.charge) for sv in singular] == [(0, 0), (0, 3)]
     assert values["stacked_shift_injectivity(wm, k=0, i=1).kernel_dim"] == 0
+
+
+def test_readme_cli_examples_exit_as_stated(tmp_path, monkeypatch, capsys):
+    # every avw line of the CLI block exits 0, or 1 where its comment says
+    # so; the working directory takes the --emit dims.csv
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+             for line in block.splitlines() if line.startswith("avw ")]
+    assert len(lines) == 14
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == (1 if "exits 1" in comment else 0), line
+        assert capsys.readouterr().err == "", line
+    assert (tmp_path / "dims.csv").read_text().startswith("depth,charge,dim\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -44,7 +45,7 @@ def test_from_catalog_t2_e_matrices_zero():
     assert wm.families == frozenset("dhe")
     for m in (-2, -1, 0, 1, 2):
         for k in wm.offsets():
-            if wm.has_block("e", m, k):
+            if ("e", m, k) in wm.blocks:
                 assert all(col == () for col in wm.block("e", m, k))
 
 
@@ -379,6 +380,41 @@ def test_catalog_match_rejects_wrong_families_and_narrow_window():
         catalog_match(small)
 
 
+def _relabel(k, j, **weight):
+    """An edit that gives basis vector j of offset k another d0 or h0 label."""
+    def edit(parts):
+        labels = list(parts["basis"][k])
+        labels[j] = dataclasses.replace(labels[j], **weight)
+        parts["basis"][k] = tuple(labels)
+    return edit
+
+
+def _zero_h1_from_p(parts):
+    parts["blocks"][("h", 1, -2)] = [()] * 2
+
+
+# each case edits a loop window over -2..2 in one way, and the match refuses it
+@pytest.mark.parametrize("lam, edit, reason", [
+    (1, lambda parts: parts.update(central=F(1)), "central element acts nontrivially"),
+    (1, _relabel(0, 0, d0=F(7)), "offset 0 mixes d0-eigenvalues"),
+    (0, _relabel(1, 0, d0=F(7)), "d0-eigenvalues do not advance by one per offset"),
+    (1, _relabel(0, 0, h0=F(3)),
+     "h0-spectrum at offset 0 is not the 2-dimensional sl2 string"),
+    (1, _zero_h1_from_p, "h-action does not ladder on the highest line"),
+    (1, lambda parts: parts["blocks"].pop(("e", 2, 0)),
+     "no candidate parameters reproduce the matrices"),
+])
+def test_catalog_match_refuses_each_inconsistent_window(lam, edit, reason):
+    spec = LoopMod(lam, F(1, 2), F(1, 3))
+    wm = from_catalog(spec, (-2, 2))
+    parts = {"central": wm.central, "basis": dict(wm.basis), "blocks": dict(wm.blocks)}
+    assert catalog_match(WindowedModule(wm.window, wm.families, **parts)).spec == spec
+    edit(parts)
+    res = catalog_match(WindowedModule(wm.window, wm.families, **parts))
+    assert res.spec is None
+    assert res.evidence["reason"] == reason
+
+
 def test_scramble_is_deterministic_per_seed():
     wm = from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2))
     a = scramble_window(wm, seed=5)
@@ -632,7 +668,7 @@ def test_free_lowering_answers_what_elimination_answers(hw, depth):
     for k in wm.offsets():
         op_sets.append((k, [(fam, deg) for fam in sorted(wm.families)
                             for deg in range(p - k, q - k + 1)
-                            if not (deg == 0 and fam in "dh") and wm.has_block(fam, deg, k)]))
+                            if not (deg == 0 and fam in "dh") and (fam, deg, k) in wm.blocks]))
         if all(p <= k + deg <= q for _, deg in KILL_LOWEST):
             op_sets.append((k, KILL_LOWEST))
     assert [_joint_kernel(wm, ops, k) for k, ops in op_sets] == [[]] * len(op_sets)
@@ -870,7 +906,7 @@ def reference_witness(wm, record):
         if n == 0:
             continue
         ops = [(fam, m) for fam in sorted(wm.families) for m in range(p - k, q - k + 1)
-               if not (m == 0 and fam in ("d", "h")) and wm.has_block(fam, m, k)]
+               if not (m == 0 and fam in ("d", "h")) and (fam, m, k) in wm.blocks]
         if not ops:
             continue
         record.extend(nullspace_stacks(wm, ops, k, range(n)))
@@ -1200,10 +1236,10 @@ def reference_bracket_consistency_defects(wm, degree_limit=None):
                         if not (p <= k + m1 <= q and p <= k + m2 <= q
                                 and p <= k + m1 + m2 <= q):
                             continue
-                        if not (wm.has_block(f2, m2, k) and wm.has_block(f1, m1, k + m2)
-                                and wm.has_block(f1, m1, k) and wm.has_block(f2, m2, k + m1)):
+                        if not ((f2, m2, k) in wm.blocks and (f1, m1, k + m2) in wm.blocks
+                                and (f1, m1, k) in wm.blocks and (f2, m2, k + m1) in wm.blocks):
                             continue
-                        if any(g.family != "C" and not wm.has_block(g.family, m1 + m2, k)
+                        if any(g.family != "C" and (g.family, m1 + m2, k) not in wm.blocks
                                for g, _ in br):
                             continue
                         dim = wm.dim(k)
