@@ -503,8 +503,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and subparsers, that refuse a command line with
+    InvalidArgument, so ``main`` reports it as ``execute`` reports any
+    AvwError, rather than exiting with the usage text."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avw",
         description="Exact workbench for the affine-Virasoro algebra of type A1")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -629,8 +638,11 @@ def _merge_dash_values(argv: List[str]) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    try:
+        args = build_parser().parse_args(_merge_dash_values(list(argv)))
+    except InvalidArgument as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return execute(config_from_args(args))
 
 

@@ -35,6 +35,17 @@ Memo coefficients are exact and never zero: an ``int`` when the value is
 integral and a ``Fraction`` with denominator > 1 otherwise
 (``linalg._exact``), so most of the recursion runs on int arithmetic.  Readers that need
 ``Fraction`` entries convert at their own boundary.
+
+Most cells hold no singular vector, and for c != -2 that is known in closed
+form.  The Sugawara coset splits the module into a Virasoro Verma module of
+central charge c' = -c - 3c/(c+2) and weight h' = -lam_d - mu(mu+2)/(4(c+2))
+tensored with an affine sl2 Verma module of level c (Goddard-Kent-Olive,
+Commun. Math. Phys. 103, 1986).  A singular vector off the highest-weight
+line lies in the maximal submodule, so its cell is one where the Kac
+determinant of the first factor or the Kac-Kazhdan determinant of the
+second vanishes (Kac-Kazhdan, Adv. Math. 34, 1979).
+``TruncatedModule.may_be_singular`` is that test; at c = -2 it keeps every
+cell.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
@@ -312,9 +324,10 @@ class TruncatedModule:
 
     Construction is single-writer; after building, all queries are read-only
     apart from two insert-only memos: the action memo, keyed on (g, mono),
-    and the cell memo behind ``cells``/``index``, keyed on the cell.  Every
-    entry of either is a pure function of its key, so concurrent readers
-    agree with a sequential run.
+    and the cell memo behind ``cells``/``index``, keyed on the cell; and the
+    radical tops behind ``may_be_singular``, set on first use.  Each is a
+    pure function of its key or of the module, so concurrent readers agree
+    with a sequential run.
     """
 
     def __init__(self, hw: HighestWeight, depth_bound: int, charge_bound: int,
@@ -368,6 +381,50 @@ class TruncatedModule:
 
     def weight_of_cell(self, n: int, s: int) -> Tuple[Fraction, Fraction]:
         return self.hw.lam_d - n, self.hw.mu - 2 * s
+
+    @cached_property
+    def _tops(self) -> Tuple[Tuple[int, int], ...]:
+        """The cells (a, b) of depth a <= N at which a factor of the
+        Shapovalov determinant first vanishes; the maximal submodule meets
+        cell (n, s) only if a <= n and s >= b + a - n for one of them.
+
+        Affine factor: a real positive root beta with 2(lam + rho, beta) =
+        m(beta, beta) for an integer m >= 1 vanishes from m beta on; beta =
+        alpha + j delta (j >= 0) gives m = (mu + 1) + j(c + 2) at (mj, m),
+        and beta = -alpha + j delta (j >= 1) gives m = -(mu + 1) + j(c + 2)
+        at (mj, -m).  Coset factor: the Kac factors of (r, t) and (t, r)
+        vanish at level rt, from (rt, 0) on, iff their product
+        x^2 - (A + B)ux + AB(u^2 - 2) + A^2 + B^2 with x = h' + (rt - 1)/2,
+        A = (r^2 - 1)/4, B = (t^2 - 1)/4 and u = (13 - c')/6 is zero.  At
+        the critical level c = -2 there is no coset, and the single top
+        (0, 0) keeps every cell.
+        """
+        lam_d, mu, c = self.hw.lam_d, self.hw.mu, self.hw.c
+        depth_bound = self.depth_bound
+        if c == -2:
+            return ((0, 0),)
+        tops = set()
+        for j in range(depth_bound + 1):
+            for sign in (1, -1) if j else (1,):
+                m = sign * (mu + 1) + j * (c + 2)
+                if m.denominator == 1 and 0 < m and m * j <= depth_bound:
+                    tops.add((int(m) * j, sign * int(m)))
+        c_coset = -c - 3 * c / (c + 2)
+        h_coset = -lam_d - mu * (mu + 2) / (4 * (c + 2))
+        u = (13 - c_coset) / 6
+        for r in range(1, depth_bound + 1):
+            for t in range(r, depth_bound // r + 1):
+                x = h_coset + Fraction(r * t - 1, 2)
+                a, b = Fraction(r * r - 1, 4), Fraction(t * t - 1, 4)
+                if x * x - (a + b) * u * x + a * b * (u * u - 2) + a * a + b * b == 0:
+                    tops.add((r * t, 0))
+        return tuple(tops)
+
+    def may_be_singular(self, n: int, s: int) -> bool:
+        """False only when cell (n, s), n <= N, provably holds no singular
+        vector: it is not the highest-weight cell and lies below no top of
+        ``_tops``, which are found on the first call."""
+        return (n, s) == (0, 0) or any(a <= n and s >= b + a - n for a, b in self._tops)
 
     def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Coeff]:
         """Image of a canonical monomial: the memo entry itself, which the
@@ -438,6 +495,8 @@ class TruncatedModule:
         kernel is {0} and the rest of the kill set is never built.  A cell
         that no single operator certifies gets its whole ``stack_columns``
         stack to ``nullspace``.  The highest-weight line is always at (0, 0).
+        A cell that ``may_be_singular`` rules out is skipped before it is
+        enumerated or any of its matrices built.
         """
         if max_depth < 0:
             raise InvalidBound("max_depth must be >= 0")
@@ -447,6 +506,8 @@ class TruncatedModule:
         results: List[SingularVector] = []
         for n in range(max_depth + 1):
             for s in range(-n, self.charge_bound):
+                if not self.may_be_singular(n, s):
+                    continue
                 basis = self.cells[(n, s)]
                 stacked: List[dict] = []
                 for g in RAISING_KILL_SET:

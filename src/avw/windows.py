@@ -26,7 +26,10 @@ killed by x and y is killed by [x, y], so a kill set names only generators
 of the positive (negative) part.  And a highest-weight module is free over
 the lowering subalgebra, which has no zero divisors, so each lowering
 operator is injective on it: ``_joint_kernel`` answers {0} for any op set
-that lowers on a window that ``from_verma`` marks ``free_lowering``.
+that lowers on a window that ``from_verma`` marks ``free_lowering``.  A third
+fact is the closed form of the Shapovalov determinant: ``from_verma`` also
+marks its export with the module's ``may_be_singular``, and the raising
+kill set skips every weight block that it rules out (see ``avw.verma``).
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
@@ -45,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VIR, Gen, bracket_gens
 from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis, axiom_defect,
@@ -86,7 +89,8 @@ class WindowedModule:
                  central: Fraction,
                  basis: Dict[int, Tuple[BasisLabel, ...]],
                  blocks: Mapping[Tuple[str, int, int], Sequence[Column]],
-                 description: str = "", *, free_lowering: bool = False):
+                 description: str = "", *, free_lowering: bool = False,
+                 may_be_singular: Optional[Callable[[int, Fraction], bool]] = None):
         self.window = window
         self.families = families
         self.central = central
@@ -95,6 +99,9 @@ class WindowedModule:
         self.description = description
         # set by an exporter whose lowering operators are all injective
         self.free_lowering = free_lowering
+        # set by an exporter that can rule out singular vectors in the weight
+        # block (offset k, h0): False only where the block provably has none
+        self.may_be_singular = may_be_singular
 
     def offsets(self):
         p, q = self.window
@@ -199,6 +206,9 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     On a ``free_lowering`` window, without ``whole``, an op set with a
     lowering op (degree < 0, or f_0) has kernel {0}, since that op is
     injective on every span of its asserted vectors: [] with no block read.
+    For exactly ``RAISING_KILL_SET``, without ``whole``, a window marked
+    ``may_be_singular`` skips each weight block the mark rules out: its kernel
+    would be singular vectors, and the block provably has none.
 
     Otherwise the h0 weight blocks (see the module docstring) are walked in
     ascending order.  Each reads the ops one at a time on its vectors that
@@ -216,6 +226,7 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     if wm.free_lowering and not whole and any(
             m < 0 or (fam == "f" and not m) for fam, m in ops):
         return []
+    gate = wm.may_be_singular if not whole and tuple(ops) == RAISING_KILL_SET else None
     n, labels = wm.dim(k), wm.labels(k)
     op_blocks: List[Optional[Sequence[Column]]] = [None] * len(ops)  # looked up on first need
     if whole:
@@ -232,6 +243,8 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     owners: List[Dict[int, int]] = [{} for _ in ops]  # per op, row -> the weight block taking it
     kernel = []
     for b, h0 in enumerate(sorted(by_h0)):
+        if gate is not None and not gate(k, h0):
+            continue
         js, read, certified = by_h0[h0], [], False  # js: the vectors asserted so far
         for o, (fam, m) in enumerate(ops):
             if certified and not whole:
@@ -278,7 +291,10 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     integral), and kept.  So a query pays for what it reads, however high
     ``pad_top`` puts the window top.  The export is marked
     ``free_lowering``, so ``submodule_witness`` and the lowest extremal
-    search, whose op sets lower, read no column.
+    search, whose op sets lower, read no column.  It is also marked with the
+    module's ``may_be_singular``: the weight block (k, h0) is the cell
+    (-k, (mu - h0)/2), so the highest extremal search reads no column of a
+    block where the module has no singular vector.
     """
     n_max = module.depth_bound
     window = (-n_max, pad_top)
@@ -303,7 +319,9 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
                           _LazyMap(_block_keys(families, degrees, window), block),
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"
                                       f"N={module.depth_bound},S={module.charge_bound}",
-                          free_lowering=True)
+                          free_lowering=True,
+                          may_be_singular=lambda k, h0: module.may_be_singular(
+                              -k, int((hw.mu - h0) / 2)))
 
 
 def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:

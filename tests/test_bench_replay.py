@@ -5,13 +5,15 @@ runs through ``avw.cli.execute`` and must pass ``perfbench/checks.check``:
 its exit code and the sha256 of its report as in ``perfbench/expected.json``,
 and the workload's invariants.  So a change to a report byte of these
 passes fails here, not only in the benchmark.  The seed 1 and 2 passes are
-pinned by one digest over their exit codes, stdout and stderr.  Nothing
-under ``perfbench/`` is written.
+pinned by one digest over their exit codes, stdout and stderr.  The
+benchmark's own smoke test runs too, so a renamed or reshaped function that
+its tracer wraps fails here.  Nothing under ``perfbench/`` is written.
 """
 
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,8 @@ import pytest
 
 from avw.cli import build_parser, config_from_args, execute
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(BENCH_DIR))
 # import the bench modules without writing their bytecode under perfbench/
 dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 from checks import check, load_expected  # noqa: E402
@@ -77,3 +80,10 @@ def test_seed_1_and_2_passes_are_pinned():
     assert count == 70
     assert digest.hexdigest() == (
         "ef8133724488a559f9c850532217ab09b39e98a7335a8ab8e6c585e990d543c2")
+
+
+def test_bench_smoke_test_passes():
+    # -B: the smoke test's imports write no bytecode under perfbench/
+    done = subprocess.run([sys.executable, "-B", str(BENCH_DIR / "smoke.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -537,11 +537,12 @@ def test_bad_rational_is_a_typed_spec_error(value, message, capsys):
     assert run(["simple", "--module", f"A:a={value},b=0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {err.value}\n" and captured.out == ""
-    # the same value as a highest-weight flag is an argparse usage error
-    with pytest.raises(SystemExit) as exc:
-        run(["singular", f"--lamd={value}", "--mu=1", "--c=0", "--depth=2"])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    # the same value as a highest-weight flag is refused by the parser with
+    # the same message, in one error line
+    assert run(["singular", f"--lamd={value}", "--mu=1", "--c=0", "--depth=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: argument --lamd: {message} (at position 0)\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -693,10 +694,38 @@ def test_bad_sweep_cap_env_exits_2(monkeypatch, capsys, raw, args):
         in capsys.readouterr().err
 
 
-def test_unknown_command_usage_error():
+def test_unknown_command_usage_error(capsys):
+    assert run(["no-such-command"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument command: invalid choice: 'no-such-command'")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["jacobi", "--range=2.0"], "argument --range: expected lo..hi, got '2.0'"),
+    (["jacobi", "--algebra=Q"], "argument --algebra: invalid choice: 'Q' (choose from "
+                                "'D', 'L', 'Sl2', 'Sl2Loop', 'T2', 'Vir')"),
+    (["singular", "--lamd=1/0", "--mu=1", "--c=0"],
+     "argument --lamd: zero denominator (at position 0)"),
+    (["injectivity", "--k=x", "--lamd=0", "--mu=0", "--c=0"],
+     "argument --k: invalid int value: 'x'"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from "
+                          "'jacobi', 'module-check', 'catalog', 'simple', 'structure', "
+                          "'loop-dims', 'verma', 'singular', 'injectivity', 'witness', "
+                          "'match', 'support')"),
+], ids=["range", "algebra", "rational", "int", "command"])
+def test_parser_refusals_are_error_lines(args, message, capsys):
+    # a value the parser refuses exits 2 with one error line, as every
+    # AvwError does, not with the usage text
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
+        run(["singular", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: avw singular")
 
 
 def test_execute_refuses_an_unknown_command(capsys):
@@ -938,9 +967,24 @@ def test_huge_depth_or_charge_meets_the_factor_cap_at_once(args):
      "b7d2148bce1df5b482956b426e00cb3a327b31f5715ed634868e697a04f56d10"),
     (["match", "--module=B:a=3", "--window=-4..4"],
      "b9dd31eb3be2eb72ad96a70ae5e3125137f96d313410416de34d9602930a8086"),
+    # the highest-weight searches eliminated on every cell before they
+    # skipped the cells where neither Shapovalov determinant vanishes: a
+    # generic weight, a coset weight h' = 0, one at h' = h_{1,2} and the
+    # critical level c = -2, which keeps every cell
+    (["singular", "--lamd=-2/3", "--mu=3/5", "--c=-4/7", "--depth=6"],
+     "2d38529d8137d0aa1cfc6c667fa71a9a2a27ee82d0170e63c1ba83fbe5c92098"),
+    (["witness", "--lamd=-2/3", "--mu=3/5", "--c=-4/7", "--depth=5"],
+     "460bbb11d8b239f31f2bccf19a8ce8857276c126e05b0625396e98561644cb4d"),
+    (["singular", "--lamd=0", "--mu=0", "--c=3", "--depth=5"],
+     "698930349c35af7b79ed57786e0ad7e99fb4db4fe5f6cc8f71c5c8991eb9759b"),
+    (["singular", "--lamd=1/8", "--mu=0", "--c=-4", "--depth=5"],
+     "323fb74710793219b1ccbb24d77701002c34256cbfc0d4ba5a8b231eb6cd48aa"),
+    (["singular", "--lamd=1/2", "--mu=1", "--c=-2", "--depth=5"],
+     "8a61325af9c66acc518934180eec9861a50f11242e59905ae804b92f806369dc"),
 ], ids=["singular-depth-6", "catalog-matrices", "match-lambda-0-wide", "match-lambda-2-wide",
         "match-b-0", "match-b-1", "match-several-verify", "match-several-verify-scrambled",
-        "match-vir-only", "match-no-match"])
+        "match-vir-only", "match-no-match", "singular-generic", "witness-generic",
+        "singular-coset-h-0", "singular-coset-h-1-2", "singular-critical"])
 def test_reports_across_the_column_shape_change_are_pinned(tmp_path, args, digest):
     out = tmp_path / "report.json"
     assert main(args + ["--out", str(out)]) == 0

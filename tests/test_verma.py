@@ -19,7 +19,7 @@ from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
                        _enumerate_cell, build_verma,
                        charge_of, charge_shift, depth_of, dims_rows, mono_str,
                        pbw_straighten)
-from avw.windows import find_extremal_vectors, from_verma
+from avw.windows import WindowedModule, find_extremal_vectors, from_verma
 
 GENERIC = HighestWeight.of(F(1, 2), F(1, 3), F(7, 5))
 
@@ -318,8 +318,8 @@ def test_singular_vectors_killed_by_all_raising_generators():
 
 
 def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
-    # e_0 f_0 v = mu v != 0, so e_0 alone is injective on the cell (0, 1):
-    # none of the other kill-set matrices is built there
+    # e_0 f_0^4 v = 4(mu - 3) f_0^3 v != 0, so e_0 alone is injective on the
+    # cell (0, 4): none of the other kill-set matrices is built there
     built = []
     real = TruncatedModule.cell_matrix
 
@@ -327,13 +327,28 @@ def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
         built.append((cell, g))
         return real(module, g, cell)
 
+    def search():
+        built.clear()
+        m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 4)
+        svs = m.find_singular_vectors(2)
+        by_cell = {}
+        for cell, g in built:
+            by_cell.setdefault(cell, []).append(g)
+        return m, svs, by_cell
+
     monkeypatch.setattr(TruncatedModule, "cell_matrix", spy)
-    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 4)
-    svs = m.find_singular_vectors(2)
-    by_cell = {}
-    for cell, g in built:
-        by_cell.setdefault(cell, []).append(g)
-    assert by_cell[(0, 1)] == [e(0)]
+    with monkeypatch.context() as ungated:
+        ungated.setattr(TruncatedModule, "may_be_singular", lambda module, n, s: True)
+        _, all_svs, all_cells = search()
+    m, svs, by_cell = search()
+    # the gate builds the ungated walk's matrices minus those of the cells it
+    # rules out, and the ungated walk finds no singular vector in those
+    ruled_out = {cell for cell in all_cells if not m.may_be_singular(*cell)}
+    assert (0, 1) in ruled_out and (0, 4) not in ruled_out
+    assert by_cell == {cell: gens for cell, gens in all_cells.items() if cell not in ruled_out}
+    assert svs == all_svs
+    assert not {(sv.depth, sv.charge) for sv in all_svs} & ruled_out
+    assert by_cell[(0, 4)] == [e(0)]
     # every cell builds a prefix of the kill set, each matrix once; the cells
     # with singular vectors build all of it
     for cell, gens in by_cell.items():
@@ -974,6 +989,75 @@ def test_window_and_cell_kill_set_searches_agree(hw, N):
             compared.append((n, s))
             start = stop
     assert (0, 0) in compared and len(compared) > 1
+
+
+# -- the closed-form gate: a soundness grid ---------------------------------------
+
+def _kac_h(r, s, t):
+    """h_{r,s} of the Virasoro Kac table at central charge 13 - 6(t + 1/t)."""
+    t = F(t)
+    return ((r * r - 1) * t + (s * s - 1) / t) / 4 - F(r * s - 1, 2)
+
+
+def _coset_weight(c, mu, h_coset):
+    """The highest weight of level c and h0-weight mu whose coset Virasoro
+    factor has weight h_coset."""
+    return HighestWeight.of(-h_coset - F(mu) * (mu + 2) / (4 * (c + 2)), mu, c)
+
+
+def _gate_grid():
+    """(weight, a cell where a singular vector must be found, or None)."""
+    for hw in [(F(1, 2), 2, 0), (F(1, 3), 1, 3), (0, 0, 1), (0, 3, 1), (2, 1, 1),
+               (F(-1, 2), 2, 3),  # integral
+               (F(-2, 3), F(3, 5), F(-4, 7)), (F(3, 4), F(-1, 3), F(2, 5)),  # generic
+               (0, F(1, 2), F(1, 3)), (-1, F(-3, 2), F(-7, 3)),
+               (F(1, 2), 1, -2), (0, 0, -2), (F(1, 3), F(2, 5), -2), (-1, 3, -2),  # critical
+               (F(1, 2), 1, -3), (F(1, 3), 0, -4), (0, 2, -5), (F(1, 4), -3, -1)]:  # c < 0
+        yield HighestWeight.of(*hw), None
+    # beta = alpha + j delta: (mu + 1) + j(c + 2) = m puts one at (mj, m)
+    for j, m, c in [(0, 2, F(1, 3)), (1, 1, F(1, 3)), (1, 2, F(-1, 2)), (2, 1, F(1, 5)),
+                    (1, 3, F(2, 3)), (2, 2, F(-3, 2)), (4, 1, F(-7, 4))]:
+        yield HighestWeight.of(F(1, 3), m - 1 - j * (c + 2), c), (m * j, m)
+    # beta = -alpha + j delta: -(mu + 1) + j(c + 2) = m puts one at (mj, -m)
+    for j, m, c in [(1, 1, F(1, 3)), (2, 1, F(1, 5)), (1, 2, F(-1, 2)), (2, 2, F(-5, 4)),
+                    (3, 1, F(-1, 3)), (4, 1, F(2, 7))]:
+        yield HighestWeight.of(F(1, 3), j * (c + 2) - m - 1, c), (m * j, -m)
+    # coset weight h_{r,s} (h_{1,1} = 0) puts one at (rs, 0), and the first
+    # of them moved by 1/11 is off the Kac table.  Each c has coset central
+    # charge 13 - 6(t + 1/t)
+    for c, t, mu, kac in [(0, F(3, 2), F(1, 3), [(1, 1), (2, 1), (1, 3)]),
+                          (1, 2, F(2, 7), [(1, 2), (2, 1), (2, 2)]),
+                          (-4, 2, 0, [(1, 2), (3, 1)]),
+                          (-5, F(3, 2), F(1, 3), [(1, 1), (1, 4)]),
+                          (F(-5, 2), 4, F(1, 5), [(1, 2), (2, 1)]),
+                          (F(-1, 3), F(10, 9), F(1, 3), [(1, 2), (2, 1)]),
+                          (10, 4, F(2, 3), [(1, 1), (4, 1)])]:
+        assert -c - F(3 * c) / (c + 2) == 13 - 6 * (t + 1 / F(t))
+        for r, s in kac:
+            yield _coset_weight(c, mu, _kac_h(r, s, t)), (r * s, 0)
+        yield _coset_weight(c, mu, _kac_h(*kac[0], t) + F(1, 11)), None
+
+
+GATE_GRID = list(_gate_grid())
+
+
+@pytest.mark.parametrize("hw, expect", GATE_GRID,
+                         ids=[_hw_id(hw) for hw, _ in GATE_GRID])
+def test_the_gate_never_skips_a_singular_vector(hw, expect, monkeypatch):
+    # the ungated searches eliminate on every cell; the gate must keep each
+    # cell where they find a singular vector and change no result
+    m = build_verma(hw, 4, 5)
+    wm = from_verma(build_verma(hw, 3, 4))
+    unmarked = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks,
+                              free_lowering=True)
+    with monkeypatch.context() as ungated:
+        ungated.setattr(TruncatedModule, "may_be_singular", lambda module, n, s: True)
+        svs = m.find_singular_vectors(4)
+    found = {(sv.depth, sv.charge) for sv in svs}
+    assert all(m.may_be_singular(n, s) for n, s in found), found
+    assert m.find_singular_vectors(4) == svs
+    assert expect is None or expect in found
+    assert find_extremal_vectors(wm, "highest") == find_extremal_vectors(unmarked, "highest")
 
 
 # -- lazy cells: counts at construction, a cell enumerated on first read ------

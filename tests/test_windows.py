@@ -679,16 +679,43 @@ def test_free_lowering_answers_what_elimination_answers(hw, depth):
 
 def test_only_the_highest_weight_export_is_marked_free():
     wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 2))
-    assert wm.free_lowering
-    # a scrambled copy is rebuilt without the mark, as is any window built
+    assert wm.free_lowering and wm.may_be_singular is not None
+    # a scrambled copy is rebuilt without the marks, as is any window built
     # directly or from the catalog: they take the exact path
-    assert not scramble_window(wm, 3).free_lowering
-    assert not from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2)).free_lowering
-    assert not WindowedModule(wm.window, wm.families, wm.central, wm.basis,
-                              wm.blocks).free_lowering
+    for other in (scramble_window(wm, 3), from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2)),
+                  WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)):
+        assert not other.free_lowering and other.may_be_singular is None
     # whole=True still reads and checks every column
     with pytest.raises(OutOfWindow, match="partially represented"):
         _joint_kernel(wm, [("f", 0)], -1, whole=True)
+
+
+def test_only_the_raising_kill_set_consults_the_singular_mark():
+    # a mark that rules out every weight block: the highest search then finds
+    # nothing, while any other op set, the kill set in another order and
+    # whole mode answer as on the unmarked window
+    wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4))
+    plain, never = (WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks,
+                                   may_be_singular=mark) for mark in (None, lambda k, h0: False))
+    assert find_extremal_vectors(never, "highest") == []
+    assert find_extremal_vectors(plain, "highest")
+    p, q = wm.window
+    compared = 0
+    for ops in (RAISING_KILL_SET[:3], RAISING_KILL_SET[::-1], KILL_LOWEST,
+                (("d", 1), ("d", 2), ("e", 1), ("f", 1), ("h", 1))):
+        for k in wm.offsets():
+            if all(p <= k + m <= q for _, m in ops):
+                assert _joint_kernel(never, ops, k) == _joint_kernel(plain, ops, k)
+                compared += bool(_joint_kernel(plain, ops, k))
+    for k in wm.offsets():
+        if k + 2 <= q:
+            try:
+                expect = _joint_kernel(plain, RAISING_KILL_SET, k, whole=True)
+            except OutOfWindow:
+                continue
+            assert _joint_kernel(never, RAISING_KILL_SET, k, whole=True) == expect
+            compared += bool(expect)
+    assert compared > 3
 
 
 def test_export_keys_match_the_eager_loop_at_any_width():
@@ -888,8 +915,18 @@ def reference_extremal(wm, direction, record):
                    if all(wm.block(fam, m, k)[j] is not None for fam, m in six)]
         if not cols_ok:
             continue
-        # the search splits by weight; the kernel is the whole-offset one
-        record.extend(nullspace_stacks(wm, kill, k, range(wm.dim(k))))
+        # the search splits by weight; the kernel is the whole-offset one.  On
+        # a window marked may_be_singular, the highest search stacks nothing
+        # for a weight block the mark rules out, where the six operators
+        # have no common kernel
+        stacked = range(wm.dim(k))
+        if direction == "highest" and wm.may_be_singular is not None:
+            labels = wm.labels(k)
+            for h0 in {labels[j].h0 for j in stacked if not wm.may_be_singular(k, labels[j].h0)}:
+                js = [j for j in cols_ok if labels[j].h0 == h0]
+                assert not js or nullspace(dense_stack(wm, six, k, js), ncols=len(js)) == []
+            stacked = [j for j in stacked if wm.may_be_singular(k, labels[j].h0)]
+        record.extend(nullspace_stacks(wm, kill, k, stacked))
         for v in nullspace(dense_stack(wm, six, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
