@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .errors import AvwError
+from .errors import InvalidArgument
 from .linalg import Vec
 
 FAMILY_ORDER = {"d": 0, "h": 1, "f": 2, "e": 3, "C": 4}
@@ -199,7 +199,7 @@ def algebra_by_name(name: str) -> AlgebraSpec:
     try:
         return ALGEBRAS[name]
     except KeyError:
-        raise AvwError(f"unknown algebra {name!r}; choose from {sorted(ALGEBRAS)}") from None
+        raise InvalidArgument(f"unknown algebra {name!r}; choose from {sorted(ALGEBRAS)}") from None
 
 
 def in_subalgebra(x: Union[Gen, Vec], spec: AlgebraSpec) -> bool:

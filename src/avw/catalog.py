@@ -181,11 +181,10 @@ def act_basis(spec: ModuleSpec, g: Gen, label) -> Vec:
         return Vec({target: coeff}) if coeff else Vec()
     if g.family == "h":
         return Vec({m + i: spec.c}) if spec.c else Vec()
-    if g.family == "e":
-        if isinstance(spec, T2Corrupt):
-            return Vec({m + i: Fraction(1)})
-        return Vec()
-    raise GeneratorOutsideAlgebra(f"{g} does not act on {spec_text(spec)}")
+    # only e is left: no acting algebra of these kinds holds f
+    if isinstance(spec, T2Corrupt):
+        return Vec({m + i: Fraction(1)})
+    return Vec()
 
 
 def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:

@@ -343,7 +343,7 @@ def _support_json(wm: win.WindowedModule) -> List[List[str]]:
 
 def _build_module(config: RunConfig) -> vm.TruncatedModule:
     if config.lamd is None or config.mu is None or config.c is None:
-        raise SpecParseError("--lamd, --mu and --c are all required", 0)
+        raise InvalidArgument("--lamd, --mu and --c are all required")
     hw = vm.HighestWeight(config.lamd, config.mu, config.c)
     return vm.build_verma(hw, 4 if config.depth is None else config.depth, config.charge)
 
@@ -603,11 +603,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def execute(config: RunConfig) -> int:
     """Run one command; returns the exit code and writes its reports."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 2
     try:
+        handler = _COMMANDS.get(config.command)
+        if handler is None:
+            raise InvalidArgument(f"unknown command {config.command!r}")
         payload, code = handler(config)
         _write_report(config, {"command": config.command, **payload})
         return code

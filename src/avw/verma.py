@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import FAMILY_ORDER, C, Gen, _bracket_items, d, e, f, h
+from .algebra import FAMILY_ORDER, Gen, _bracket_items, d, e, f, h
 # unused here, but perfbench/tracer.py counts bracket_gens calls by wrapping
 # the name in every module that imports it
 from .algebra import bracket_gens  # noqa: F401
@@ -66,7 +66,7 @@ from .linalg import Vec, _exact, frac, full_rank_mod_p, nullspace, stack_columns
 
 Mono = Tuple[Gen, ...]
 
-DEFAULT_MAX_FACTORS = 24
+MAX_FACTORS = 24
 DEFAULT_MAX_BASIS = 100_000
 MAX_BASIS_ENV = "AVW_MAX_BASIS"
 
@@ -317,8 +317,9 @@ class _LazyMap(Mapping):
 class TruncatedModule:
     """Highest-weight module restricted to depth <= N, charge <= S.
 
-    Construction counts the kept cells (``_cell_dims``) and runs the
-    factor-cap and basis-size checks on the counts; it enumerates nothing.
+    Construction counts the kept cells (``_cell_dims``) and checks them, in
+    (depth, charge) order, against the factor cap ``MAX_FACTORS`` and the
+    basis cap ``AVW_MAX_BASIS``; it enumerates nothing.
     ``cells`` and ``index`` are read-only mappings over the kept cells in
     (depth, charge) order whose values are built on first read.
 
@@ -330,29 +331,25 @@ class TruncatedModule:
     with a sequential run.
     """
 
-    def __init__(self, hw: HighestWeight, depth_bound: int, charge_bound: int,
-                 max_factors: int = DEFAULT_MAX_FACTORS,
-                 max_basis: Optional[int] = None):
+    def __init__(self, hw: HighestWeight, depth_bound: int, charge_bound: int):
         if depth_bound < 0:
             raise InvalidBound("depth bound must be >= 0")
         if charge_bound < 0:
             raise InvalidBound("charge bound must be >= 0")
-        if max_basis is None:
-            max_basis = cap_from_env(MAX_BASIS_ENV, DEFAULT_MAX_BASIS)
+        max_basis = cap_from_env(MAX_BASIS_ENV, DEFAULT_MAX_BASIS)
         self.hw = hw
         self.depth_bound = depth_bound
         self.charge_bound = charge_bound
         # the checks stop at the first cell over the factor cap, whose depth
-        # and charge are at most max_factors + 1, so larger ones are not counted
-        cap = max(max_factors, 0) + 1
-        dims = _cell_dims(min(depth_bound, cap), min(charge_bound, cap))
+        # and charge are at most MAX_FACTORS + 1, so larger ones are not counted
+        dims = _cell_dims(min(depth_bound, MAX_FACTORS + 1), min(charge_bound, MAX_FACTORS + 1))
         total = 0
         for (n, s), dim in dims.items():
             # the longest monomial of cell (n, s) is e_-1^n f_0^(n+s)
-            if 2 * n + s > max_factors:
+            if 2 * n + s > MAX_FACTORS:
                 raise ResourceBound(
-                    f"monomial exceeds the factor cap {max_factors}; "
-                    f"raise max_factors to build this cell")
+                    f"cell ({n}, {s}) holds a monomial of {2 * n + s} factors, "
+                    f"over the factor cap {MAX_FACTORS}; shrink the bounds")
             total += dim
             if total > max_basis:
                 raise ResourceBound(
@@ -522,9 +519,7 @@ class TruncatedModule:
 
 
 def build_verma(hw: HighestWeight, depth_bound: int,
-                charge_bound: Optional[int] = None,
-                max_factors: int = DEFAULT_MAX_FACTORS,
-                max_basis: Optional[int] = None) -> TruncatedModule:
+                charge_bound: Optional[int] = None) -> TruncatedModule:
     """Build the truncation of the highest-weight module induced from hw.
 
     The default charge bound is depth_bound + 4: f_0 preserves depth, so a
@@ -532,8 +527,7 @@ def build_verma(hw: HighestWeight, depth_bound: int,
     """
     if charge_bound is None:
         charge_bound = depth_bound + 4
-    return TruncatedModule(hw, depth_bound, charge_bound,
-                           max_factors=max_factors, max_basis=max_basis)
+    return TruncatedModule(hw, depth_bound, charge_bound)
 
 
 def dims_rows(module: TruncatedModule) -> List[Tuple[int, int, int]]:

@@ -26,10 +26,10 @@ killed by x and y is killed by [x, y], so a kill set names only generators
 of the positive (negative) part.  And a highest-weight module is free over
 the lowering subalgebra, which has no zero divisors, so each lowering
 operator is injective on it: ``_joint_kernel`` answers {0} for any op set
-that lowers on a window that ``from_verma`` marks ``free_lowering``.  A third
-fact is the closed form of the Shapovalov determinant: ``from_verma`` also
-marks its export with the module's ``may_be_singular``, and the raising
-kill set skips every weight block that it rules out (see ``avw.verma``).
+that lowers on a window that ``from_verma`` exports, which carries its
+module as ``verma``.  A third fact is the closed form of the Shapovalov
+determinant: on such a window the raising kill set skips every weight block
+that the module's ``may_be_singular`` rules out (see ``avw.verma``).
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VIR, Gen, bracket_gens
 from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis, axiom_defect,
@@ -89,19 +89,15 @@ class WindowedModule:
                  central: Fraction,
                  basis: Dict[int, Tuple[BasisLabel, ...]],
                  blocks: Mapping[Tuple[str, int, int], Sequence[Column]],
-                 description: str = "", *, free_lowering: bool = False,
-                 may_be_singular: Optional[Callable[[int, Fraction], bool]] = None):
+                 description: str = "", *, verma: Optional[TruncatedModule] = None):
         self.window = window
         self.families = families
         self.central = central
         self.basis = basis
         self.blocks = blocks
         self.description = description
-        # set by an exporter whose lowering operators are all injective
-        self.free_lowering = free_lowering
-        # set by an exporter that can rule out singular vectors in the weight
-        # block (offset k, h0): False only where the block provably has none
-        self.may_be_singular = may_be_singular
+        # the highest-weight module a from_verma window exports, else None
+        self.verma = verma
 
     def offsets(self):
         p, q = self.window
@@ -203,12 +199,13 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     ``whole``, an op with an unasserted column raises OutOfWindow instead:
     every column is read first, op by op, whatever would certify.
 
-    On a ``free_lowering`` window, without ``whole``, an op set with a
-    lowering op (degree < 0, or f_0) has kernel {0}, since that op is
-    injective on every span of its asserted vectors: [] with no block read.
-    For exactly ``RAISING_KILL_SET``, without ``whole``, a window marked
-    ``may_be_singular`` skips each weight block the mark rules out: its kernel
-    would be singular vectors, and the block provably has none.
+    On a window that carries its highest-weight module (``wm.verma``),
+    without ``whole``, an op set with a lowering op (degree < 0, or f_0) has
+    kernel {0}, since that op is injective on every span of its asserted
+    vectors: [] with no block read.  For exactly ``RAISING_KILL_SET`` such a
+    window skips each weight block (k, h0), the module's cell
+    (-k, (mu - h0)/2), that the module's ``may_be_singular`` rules out: its
+    kernel would be singular vectors, and the block provably has none.
 
     Otherwise the h0 weight blocks (see the module docstring) are walked in
     ascending order.  Each reads the ops one at a time on its vectors that
@@ -223,10 +220,10 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     its whole stack to ``nullspace``.  The union of the blocks' kernels,
     ordered by each vector's free (last nonzero) coordinate, is the
     canonical basis of the whole-offset stack."""
-    if wm.free_lowering and not whole and any(
-            m < 0 or (fam == "f" and not m) for fam, m in ops):
+    module = None if whole else wm.verma
+    if module is not None and any(m < 0 or (fam == "f" and not m) for fam, m in ops):
         return []
-    gate = wm.may_be_singular if not whole and tuple(ops) == RAISING_KILL_SET else None
+    gate = module if tuple(ops) == RAISING_KILL_SET else None
     n, labels = wm.dim(k), wm.labels(k)
     op_blocks: List[Optional[Sequence[Column]]] = [None] * len(ops)  # looked up on first need
     if whole:
@@ -243,7 +240,7 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     owners: List[Dict[int, int]] = [{} for _ in ops]  # per op, row -> the weight block taking it
     kernel = []
     for b, h0 in enumerate(sorted(by_h0)):
-        if gate is not None and not gate(k, h0):
+        if gate is not None and not gate.may_be_singular(-k, (gate.hw.mu - h0) / 2):
             continue
         js, read, certified = by_h0[h0], [], False  # js: the vectors asserted so far
         for o, (fam, m) in enumerate(ops):
@@ -289,12 +286,11 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     computed the first time it is read, as the ``(row, coeff)`` pairs of
     ``verma.image_pairs`` with the memo's coefficients (``int`` when
     integral), and kept.  So a query pays for what it reads, however high
-    ``pad_top`` puts the window top.  The export is marked
-    ``free_lowering``, so ``submodule_witness`` and the lowest extremal
-    search, whose op sets lower, read no column.  It is also marked with the
-    module's ``may_be_singular``: the weight block (k, h0) is the cell
-    (-k, (mu - h0)/2), so the highest extremal search reads no column of a
-    block where the module has no singular vector.
+    ``pad_top`` puts the window top.  The export carries the module as
+    ``verma``, so ``submodule_witness`` and the lowest extremal search, whose
+    op sets lower, read no column, and the highest extremal search reads no
+    column of a weight block (k, h0) whose cell (-k, (mu - h0)/2) the
+    module's ``may_be_singular`` rules out.
     """
     n_max = module.depth_bound
     window = (-n_max, pad_top)
@@ -319,9 +315,7 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
                           _LazyMap(_block_keys(families, degrees, window), block),
                           description=f"verma:lamd={hw.lam_d},mu={hw.mu},c={hw.c},"
                                       f"N={module.depth_bound},S={module.charge_bound}",
-                          free_lowering=True,
-                          may_be_singular=lambda k, h0: module.may_be_singular(
-                              -k, int((hw.mu - h0) / 2)))
+                          verma=module)
 
 
 def scramble_window(wm: WindowedModule, seed: int) -> WindowedModule:

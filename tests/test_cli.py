@@ -21,8 +21,8 @@ from avw.algebra import C, bracket, e, element_str, h
 from avw.catalog import KINDS, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corrupt, T2Mod, spec_keys
 from avw.cli import (_COMMANDS, RunConfig, _merge_dash_values, build_parser, config_from_args,
                      execute, main, parse_spec)
-from avw.errors import (AvwError, InternalError, MissingParameter, SpecParseError, UnknownKind,
-                        UnwritablePath)
+from avw.errors import (AvwError, InternalError, InvalidArgument, MissingParameter, SpecParseError,
+                        UnknownKind, UnwritablePath)
 from avw.linalg import Vec
 from avw.windows import DEFAULT_MAX_SWEEP, MAX_SWEEP_ENV
 
@@ -730,7 +730,17 @@ def test_help_still_exits_0(capsys):
 
 def test_execute_refuses_an_unknown_command(capsys):
     assert execute(RunConfig("no-such-command")) == 2
-    assert capsys.readouterr().err == "unknown command 'no-such-command'\n"
+    assert capsys.readouterr().err == "error: unknown command 'no-such-command'\n"
+
+
+def test_execute_refuses_an_unknown_algebra(capsys):
+    # the parser's choices keep --algebra=Q from the library entry point, so
+    # this is the library's own refusal
+    with pytest.raises(InvalidArgument, match="unknown algebra 'Q'"):
+        avw.algebra.algebra_by_name("Q")
+    assert execute(RunConfig("jacobi", algebra="Q")) == 2
+    assert capsys.readouterr() == (
+        "", "error: unknown algebra 'Q'; choose from ['D', 'L', 'Sl2', 'Sl2Loop', 'T2', 'Vir']\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -936,8 +946,8 @@ def test_huge_depth_or_charge_meets_the_factor_cap_at_once(args):
         env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
         capture_output=True, text=True, timeout=30)
     assert done.returncode == 2, done.stderr
-    assert done.stderr == ("error: monomial exceeds the factor cap 24; "
-                           "raise max_factors to build this cell\n")
+    assert done.stderr == ("error: cell (0, 25) holds a monomial of 25 factors, "
+                           "over the factor cap 24; shrink the bounds\n")
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -1095,7 +1105,7 @@ def test_internal_defect_exits_3_and_usage_error_still_exits_2(monkeypatch, caps
     assert capsys.readouterr() == ("", "internal error: planted defect\n")
     assert main(["singular", "--lamd=1/2", "--mu=2", "--depth=2"]) == 2
     assert capsys.readouterr().err == (
-        "error: --lamd, --mu and --c are all required (at position 0)\n")
+        "error: --lamd, --mu and --c are all required\n")
 
 
 def test_sl2_sweep_lists_only_its_degrees():

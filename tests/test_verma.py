@@ -14,7 +14,7 @@ from avw.cli import main
 from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec, full_rank_mod_p, nullspace, rank
 import avw.verma
-from avw.verma import (DEFAULT_MAX_FACTORS, MAX_BASIS_ENV, RAISING_KILL_SET,
+from avw.verma import (MAX_BASIS_ENV, MAX_FACTORS, RAISING_KILL_SET,
                        HighestWeight, TruncatedModule, _cell_dims,
                        _enumerate_cell, build_verma,
                        charge_of, charge_shift, depth_of, dims_rows, mono_str,
@@ -275,11 +275,30 @@ def test_lowering_out_the_bottom_raises():
         m.act(d(-1), Vec.basis((d(-1),)))
 
 
-def test_resource_bounds():
+def test_resource_bounds(monkeypatch):
+    with monkeypatch.context() as capped:
+        capped.setenv(MAX_BASIS_ENV, "10")
+        with pytest.raises(ResourceBound):
+            build_verma(GENERIC, 3)
+    monkeypatch.setattr(avw.verma, "MAX_FACTORS", 5)
     with pytest.raises(ResourceBound):
-        build_verma(GENERIC, 3, max_basis=10)
-    with pytest.raises(ResourceBound):
-        build_verma(GENERIC, 0, 30, max_factors=5)
+        build_verma(GENERIC, 0, 30)
+
+
+
+def test_the_factor_cap_refusal_names_the_first_cell_over_it(monkeypatch):
+    # the first cell in (depth, charge) order that enumerates a monomial of
+    # more factors than the cap, and the longest such monomial
+    for N, S, cap in [(0, 30, 5), (3, 1, 5), (3, 6, 7), (4, 0, 4), (2, 9, 9)]:
+        monkeypatch.setattr(avw.verma, "MAX_FACTORS", cap)
+        cell, longest = next(((n, s), max(map(len, monos)))
+                             for n in range(N + 1) for s in range(-n, S + 1)
+                             for monos in [_enumerate_cell(n, s)]
+                             if max(map(len, monos), default=0) > cap)
+        with pytest.raises(ResourceBound) as exc:
+            build_verma(GENERIC, N, S)
+        assert str(exc.value) == (f"cell {cell} holds a monomial of {longest} factors, "
+                                  f"over the factor cap {cap}; shrink the bounds"), (N, S, cap)
 
 
 def test_singular_vectors_mu_2():
@@ -522,7 +541,7 @@ def test_straighten_matches_oracle_on_random_words(hw):
 def test_action_at_the_factor_cap_matches_oracle():
     # the memoized action recurses once per factor; monomials at the factor
     # cap must stay well inside the interpreter's recursion limit
-    k = DEFAULT_MAX_FACTORS
+    k = MAX_FACTORS
     monos = [(f(0),) * k, (e(-1),) * k, (e(-1),) * (k - 1) + (f(0),),
              (e(-1),) * (k // 2) + (f(0),) * (k // 2),
              (d(-1),) + (f(0),) * (k - 1), (h(-1),) + (f(0),) * (k - 1)]
@@ -548,10 +567,6 @@ def reference_enumerate_cell(n, s, max_factors):
             a0 = s - imbalance
             if a0 < 0:
                 return
-            if len(factors) + a0 > max_factors:
-                raise ResourceBound(
-                    f"monomial exceeds the factor cap {max_factors}; "
-                    f"raise max_factors to build this cell")
             found.append(tuple(factors) + (f(0),) * a0)
             return
         cap = depth_left // k
@@ -566,6 +581,11 @@ def reference_enumerate_cell(n, s, max_factors):
                         rec(k - 1, rest, factors + block, imbalance + nf - ne)
 
     rec(n, n, [], 0)
+    longest = max(map(len, found), default=0)
+    if longest > max_factors:
+        raise ResourceBound(
+            f"cell ({n}, {s}) holds a monomial of {longest} factors, "
+            f"over the factor cap {max_factors}; shrink the bounds")
     found.sort(key=lambda m: tuple(g.sort_key() for g in m))
     return found
 
@@ -581,17 +601,19 @@ def _oracle_cell(n, s, cap):
 
 def _enumerates_like_oracle(n, s, cap):
     """The truncation of depth n and charge max(s, 0) keeps cell (n, s).  Built
-    at factor cap ``cap``, it raises the oracle's ResourceBound exactly when
-    the oracle's enumeration of one of its cells raises, and otherwise holds
+    at factor cap ``cap``, it raises the oracle's ResourceBound of the first
+    cell, in (n, s) order, whose enumeration raises, and otherwise holds
     the oracle's monomials in cell (n, s) in the same order; returns whether
     it raised."""
     S = max(s, 0)
-    errors = {out for n2 in range(n + 1) for s2 in range(-n2, S + 1)
-              for out in [_oracle_cell(n2, s2, cap)] if isinstance(out, str)}
+    errors = [out for n2 in range(n + 1) for s2 in range(-n2, S + 1)
+              for out in [_oracle_cell(n2, s2, cap)] if isinstance(out, str)]
     try:
-        m = build_verma(GENERIC, n, S, max_factors=cap)
+        with pytest.MonkeyPatch.context() as capped:
+            capped.setattr(avw.verma, "MAX_FACTORS", cap)
+            m = build_verma(GENERIC, n, S)
     except ResourceBound as exc:
-        assert errors == {str(exc)}, (n, s, cap)
+        assert errors and str(exc) == errors[0], (n, s, cap)
         return True
     assert not errors, (n, s, cap)
     assert list(m.cells[(n, s)]) == _oracle_cell(n, s, cap), (n, s, cap)
@@ -601,7 +623,7 @@ def _enumerates_like_oracle(n, s, cap):
 def test_enumerate_cell_matches_oracle_to_depth_7():
     # every cell of a depth-7 truncation at the default charge bound N + 4;
     # the top charges of depth 7 pass the default factor cap
-    raised = [_enumerates_like_oracle(n, s, DEFAULT_MAX_FACTORS)
+    raised = [_enumerates_like_oracle(n, s, MAX_FACTORS)
               for n in range(8) for s in range(-n, 12)]
     assert 0 < sum(raised) < len(raised) // 10
 
@@ -1048,8 +1070,7 @@ def test_the_gate_never_skips_a_singular_vector(hw, expect, monkeypatch):
     # cell where they find a singular vector and change no result
     m = build_verma(hw, 4, 5)
     wm = from_verma(build_verma(hw, 3, 4))
-    unmarked = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks,
-                              free_lowering=True)
+    unmarked = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)
     with monkeypatch.context() as ungated:
         ungated.setattr(TruncatedModule, "may_be_singular", lambda module, n, s: True)
         svs = m.find_singular_vectors(4)
@@ -1089,10 +1110,11 @@ def eager_build(depth_bound, charge_bound, max_factors, max_basis):
     for n in range(depth_bound + 1):
         for s in range(-n, charge_bound + 1):
             monos = _enumerate_cell(n, s)
-            if any(len(mono) > max_factors for mono in monos):
+            longest = max(map(len, monos), default=0)
+            if longest > max_factors:
                 raise ResourceBound(
-                    f"monomial exceeds the factor cap {max_factors}; "
-                    f"raise max_factors to build this cell")
+                    f"cell ({n}, {s}) holds a monomial of {longest} factors, "
+                    f"over the factor cap {max_factors}; shrink the bounds")
             total += len(monos)
             if total > max_basis:
                 raise ResourceBound(
@@ -1114,18 +1136,20 @@ def _outcome(build, *args):
 
 
 @pytest.mark.parametrize("N,S", [(0, 12), (2, 7), (3, 4), (4, 2)])
-def test_construction_raises_exactly_like_the_eager_loop(N, S):
+def test_construction_raises_exactly_like_the_eager_loop(N, S, monkeypatch):
     _, _, totals = eager_build(N, S, 2 * N + S, 10 ** 9)
     basis_caps = sorted({t + dt for t in totals for dt in (-1, 0)}) + [10 ** 9]
     outcomes = set()
     for cap in range(12):
         for max_basis in basis_caps:
+            monkeypatch.setattr(avw.verma, "MAX_FACTORS", cap)
+            monkeypatch.setenv(MAX_BASIS_ENV, str(max_basis))
             expect = _outcome(eager_build, N, S, cap, max_basis)
-            got = _outcome(TruncatedModule, GENERIC, N, S, cap, max_basis)
+            got = _outcome(TruncatedModule, GENERIC, N, S)
             assert got == expect, (cap, max_basis)
             outcomes.add(expect[0] if expect[0] == "built" else expect[1].split()[0])
     # the factor cap and the basis cap each decide some of these builds
-    assert {"monomial", "basis"} <= outcomes
+    assert {"cell", "basis"} <= outcomes
     assert ("built" in outcomes) == (2 * N + S <= 11)
 
 
@@ -1155,7 +1179,7 @@ def test_construction_and_singular_search_enumerate_only_what_they_read(monkeypa
 
 def test_fully_read_cells_equal_an_eager_build():
     m = build_verma(GENERIC, 4, 5)
-    cells, index, totals = eager_build(4, 5, DEFAULT_MAX_FACTORS, 10 ** 9)
+    cells, index, totals = eager_build(4, 5, MAX_FACTORS, 10 ** 9)
     assert list(m.index.items()) == list(index.items())
     assert list(m.cells.items()) == list(cells.items())
     assert list(m.index) == list(m.cells) == list(cells)

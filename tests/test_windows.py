@@ -655,14 +655,15 @@ def test_kill_sets_generate_the_raising_and_lowering_parts():
 @pytest.mark.parametrize("hw", [(F(1, 3), F(2), F(3)), (F(-2, 3), F(3, 5), F(-4, 7))],
                          ids=["integral", "generic"])
 def test_free_lowering_answers_what_elimination_answers(hw, depth):
-    # on every offset the marked export answers the witness and lowest
-    # searches' op sets with [] and no column read, and an unmarked window
-    # over the same basis and blocks finds the same [] by elimination
+    # on every offset the export, which carries its module, answers the
+    # witness and lowest searches' op sets with [] and no column read, and a
+    # window over the same basis and blocks with no module finds the same []
+    # by elimination
     m = build_verma(HighestWeight.of(*hw), depth)
     calls = _count_apply_gen(m)
     wm = from_verma(m)
     plain = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)
-    assert wm.free_lowering and not plain.free_lowering
+    assert wm.verma is m and plain.verma is None
     p, q = wm.window
     op_sets = []
     for k in wm.offsets():
@@ -678,25 +679,68 @@ def test_free_lowering_answers_what_elimination_answers(hw, depth):
 
 
 def test_only_the_highest_weight_export_is_marked_free():
-    wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 2))
-    assert wm.free_lowering and wm.may_be_singular is not None
-    # a scrambled copy is rebuilt without the marks, as is any window built
+    m = build_verma(HighestWeight.of(F(1, 2), 2, 0), 2)
+    wm = from_verma(m)
+    assert wm.verma is m
+    # a scrambled copy is rebuilt without the module, as is any window built
     # directly or from the catalog: they take the exact path
     for other in (scramble_window(wm, 3), from_catalog(LoopMod(1, F(1, 2), F(1, 3)), (-2, 2)),
                   WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)):
-        assert not other.free_lowering and other.may_be_singular is None
+        assert other.verma is None
     # whole=True still reads and checks every column
     with pytest.raises(OutOfWindow, match="partially represented"):
         _joint_kernel(wm, [("f", 0)], -1, whole=True)
 
 
-def test_only_the_raising_kill_set_consults_the_singular_mark():
-    # a mark that rules out every weight block: the highest search then finds
-    # nothing, while any other op set, the kill set in another order and
-    # whole mode answer as on the unmarked window
-    wm = from_verma(build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4))
-    plain, never = (WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks,
-                                   may_be_singular=mark) for mark in (None, lambda k, h0: False))
+
+def _seam_answers(wm):
+    """Every answer the kernel searches give on a window: both extremal
+    searches, the witnesses, and each whole-mode kernel (or OutOfWindow)."""
+    whole = []
+    for ops in (RAISING_KILL_SET, KILL_LOWEST, *(
+            (("d", i), ("d", i + 1), ("e", i), ("f", i), ("h", i)) for i in (-1, 1))):
+        for k in wm.offsets():
+            try:
+                whole.append(_joint_kernel(wm, ops, k, whole=True))
+            except OutOfWindow as exc:
+                whole.append(str(exc))
+    return (find_extremal_vectors(wm, "highest"), find_extremal_vectors(wm, "lowest"),
+            submodule_witness(wm), whole)
+
+
+@pytest.mark.parametrize("hw", [(F(1, 2), 2, 0), (F(-2, 3), F(3, 5), F(-4, 7))],
+                         ids=["integral", "generic"])
+def test_a_window_carrying_its_module_answers_as_the_export(hw):
+    # three fresh modules, so each window's column reads start from nothing:
+    # the export, the same basis and blocks with verma=m built by hand, and
+    # with no module, which must reach the same answers by elimination
+    hw = HighestWeight.of(*hw)
+    runs = []
+    for carried in ("export", "by hand", None):
+        m = build_verma(hw, 3, 4)
+        calls = _count_apply_gen(m)
+        wm = from_verma(m)
+        if carried != "export":
+            wm = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks,
+                                verma=m if carried else None)
+        answers = _seam_answers(wm)
+        runs.append((answers, calls))
+    (export, export_calls), (by_hand, by_hand_calls), (plain, plain_calls) = runs
+    assert by_hand == export and by_hand_calls == export_calls
+    assert plain == export
+    # the shortcuts only ever skip reads: whole mode reads every column
+    assert set(export_calls) < set(plain_calls)
+    assert any(v for v in export[3] if not isinstance(v, str))
+
+
+def test_only_the_raising_kill_set_consults_the_singular_mark(monkeypatch):
+    # a module that rules out every weight block: the highest search then
+    # finds nothing, while any other op set, the kill set in another order
+    # and whole mode answer as on a window that carries no module
+    m = build_verma(HighestWeight.of(F(1, 2), 2, 0), 3, 4)
+    wm = never = from_verma(m)
+    monkeypatch.setattr(m, "may_be_singular", lambda n, s: False)
+    plain = WindowedModule(wm.window, wm.families, wm.central, wm.basis, wm.blocks)
     assert find_extremal_vectors(never, "highest") == []
     assert find_extremal_vectors(plain, "highest")
     p, q = wm.window
@@ -916,16 +960,18 @@ def reference_extremal(wm, direction, record):
         if not cols_ok:
             continue
         # the search splits by weight; the kernel is the whole-offset one.  On
-        # a window marked may_be_singular, the highest search stacks nothing
-        # for a weight block the mark rules out, where the six operators
-        # have no common kernel
+        # a window that carries its module, the highest search stacks nothing
+        # for a weight block (k, h0) whose cell (-k, (mu - h0)/2) the module
+        # rules out, where the six operators have no common kernel
         stacked = range(wm.dim(k))
-        if direction == "highest" and wm.may_be_singular is not None:
-            labels = wm.labels(k)
-            for h0 in {labels[j].h0 for j in stacked if not wm.may_be_singular(k, labels[j].h0)}:
+        if direction == "highest" and wm.verma is not None:
+            labels, module = wm.labels(k), wm.verma
+            kept = {h0 for h0 in {lab.h0 for lab in labels}
+                    if module.may_be_singular(-k, (module.hw.mu - h0) / 2)}
+            for h0 in {lab.h0 for lab in labels} - kept:
                 js = [j for j in cols_ok if labels[j].h0 == h0]
                 assert not js or nullspace(dense_stack(wm, six, k, js), ncols=len(js)) == []
-            stacked = [j for j in stacked if wm.may_be_singular(k, labels[j].h0)]
+            stacked = [j for j in stacked if labels[j].h0 in kept]
         record.extend(nullspace_stacks(wm, kill, k, stacked))
         for v in nullspace(dense_stack(wm, six, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
