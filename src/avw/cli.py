@@ -321,7 +321,7 @@ def _cmd_structure(config: RunConfig) -> Tuple[dict, int]:
 def _cmd_loop_dims(config: RunConfig) -> Tuple[dict, int]:
     spec = parse_spec(config.module)
     if not isinstance(spec, LoopMod):
-        raise SpecParseError("loop-dims needs a loop:... module spec", 0)
+        raise InvalidArgument("loop-dims needs a loop:... module spec")
     window = _window(config)
     wm = win.from_catalog(spec, window)
     expected = spec.lam + 1

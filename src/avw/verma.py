@@ -45,7 +45,10 @@ line lies in the maximal submodule, so its cell is one where the Kac
 determinant of the first factor or the Kac-Kazhdan determinant of the
 second vanishes (Kac-Kazhdan, Adv. Math. 34, 1979).
 ``TruncatedModule.may_be_singular`` is that test; at c = -2 it keeps every
-cell.
+cell.  Where the Kac determinant of the first factor has no zero up to
+depth N, each singular vector of depth <= N lies in U(g^)v, the span of the
+monomials with no d factor, and both kill-set searches read only those
+columns of a cell (``TruncatedModule.affine_columns``).
 """
 
 from __future__ import annotations
@@ -423,6 +426,19 @@ class TruncatedModule:
         ``_tops``, which are found on the first call."""
         return (n, s) == (0, 0) or any(a <= n and s >= b + a - n for a, b in self._tops)
 
+    def affine_columns(self, n: int, s: int) -> Optional[List[int]]:
+        """The positions of cell (n, s)'s monomials with no d factor; None at
+        c = -2 or when a coset Kac factor vanishes at a level rt <= N, i.e.
+        when ``_tops`` has a top (a, 0) (an affine one has b = +-m != 0).
+        Otherwise every singular vector of depth <= N lies in their span
+        U(g^)v, so a kill-set kernel read on these columns and padded with
+        zeros is the whole cell's, in the same canonical basis: each d column
+        is a pivot column."""
+        if any(not b for _, b in self._tops):
+            return None
+        return [j for j, mono in enumerate(self.cells[(n, s)])
+                if all(fam != "d" for fam, _ in mono)]
+
     def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Coeff]:
         """Image of a canonical monomial: the memo entry itself, which the
         caller must not mutate.  A miss goes through ``pbw_straighten``,
@@ -450,16 +466,20 @@ class TruncatedModule:
                 acc[m2] = acc.get(m2, Fraction(0)) + coeff * c2
         return Vec(acc)
 
-    def cell_matrix(self, g: Gen, cell: Tuple[int, int]) -> List[Pairs]:
+    def cell_matrix(self, g: Gen, cell: Tuple[int, int],
+                    columns: Optional[Sequence[int]] = None) -> List[Pairs]:
         """Matrix of g from the given cell to its shifted target cell, column
-        by column: the ``image_pairs`` of each source monomial's image.
+        by column: the ``image_pairs`` of each source monomial's image, or of
+        the monomials at the positions ``columns`` only.
 
         A mathematically empty target (negative depth, or charge below
-        -depth) yields empty columns after checking the images really vanish;
-        a nonzero image there is a defect of the action (InternalError).
+        -depth) yields empty columns after checking that the images of the
+        whole cell really vanish; a nonzero image there is a defect of the
+        action (InternalError).
         """
         n, s = cell
         source = self.cells.get(cell, ())
+        read = source if columns is None else [source[j] for j in columns]
         n2 = n - g.degree
         s2 = s + charge_shift(g)
         if n2 < 0 or s2 < -n2:
@@ -467,13 +487,13 @@ class TruncatedModule:
                 if self.apply_gen(g, mono):
                     raise InternalError(f"nonzero image of {g} from cell {cell} in "
                                         f"the weight-empty cell ({n2}, {s2})")
-            return [()] * len(source)
+            return [()] * len(read)
         if n2 > self.depth_bound or s2 > self.charge_bound:
             raise OutOfWindow(
                 f"matrix of {g} from cell {cell} targets ({n2}, {s2}) "
                 f"outside the truncation")
         target = self.index[(n2, s2)]  # holds every image: g moves weights by a fixed shift
-        return [image_pairs(self.apply_gen(g, mono), target) for mono in source]
+        return [image_pairs(self.apply_gen(g, mono), target) for mono in read]
 
     def find_singular_vectors(self, max_depth: int) -> List[SingularVector]:
         """Joint kernels of the raising kill set, cell by cell.
@@ -493,7 +513,9 @@ class TruncatedModule:
         that no single operator certifies gets its whole ``stack_columns``
         stack to ``nullspace``.  The highest-weight line is always at (0, 0).
         A cell that ``may_be_singular`` rules out is skipped before it is
-        enumerated or any of its matrices built.
+        enumerated or any of its matrices built, and on a cell with
+        ``affine_columns`` only those columns are built and searched; the
+        kernel vectors get zeros at the other positions.
         """
         if max_depth < 0:
             raise InvalidBound("max_depth must be >= 0")
@@ -506,15 +528,18 @@ class TruncatedModule:
                 if not self.may_be_singular(n, s):
                     continue
                 basis = self.cells[(n, s)]
+                cols = self.affine_columns(n, s) or range(len(basis))  # e_-1^n f_0^(s+n) is d-free
                 stacked: List[dict] = []
                 for g in RAISING_KILL_SET:
-                    rows = stack_columns([self.cell_matrix(g, (n, s))])
-                    if full_rank_mod_p(rows, len(basis)):
+                    rows = stack_columns([self.cell_matrix(g, (n, s), cols)])
+                    if full_rank_mod_p(rows, len(cols)):
                         break
                     stacked.extend(rows)
                 else:
-                    for coeffs in nullspace(stacked, ncols=len(basis)):
-                        results.append(SingularVector(n, s, basis, tuple(coeffs)))
+                    for v in nullspace(stacked, ncols=len(cols)):
+                        coeffs = dict(zip(cols, v))
+                        results.append(SingularVector(n, s, basis, tuple(
+                            coeffs.get(j, Fraction(0)) for j in range(len(basis)))))
         return results
 
 

@@ -29,7 +29,8 @@ operator is injective on it: ``_joint_kernel`` answers {0} for any op set
 that lowers on a window that ``from_verma`` exports, which carries its
 module as ``verma``.  A third fact is the closed form of the Shapovalov
 determinant: on such a window the raising kill set skips every weight block
-that the module's ``may_be_singular`` rules out (see ``avw.verma``).
+that the module's ``may_be_singular`` rules out and reads only the d-free
+columns (``affine_columns``) of the rest (see ``avw.verma``).
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
@@ -205,7 +206,9 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     vectors: [] with no block read.  For exactly ``RAISING_KILL_SET`` such a
     window skips each weight block (k, h0), the module's cell
     (-k, (mu - h0)/2), that the module's ``may_be_singular`` rules out: its
-    kernel would be singular vectors, and the block provably has none.
+    kernel would be singular vectors, and the block provably has none.  Of
+    a block it keeps, it reads only the cell's ``affine_columns`` when the
+    module has them, since the kernel lies in their span.
 
     Otherwise the h0 weight blocks (see the module docstring) are walked in
     ascending order.  Each reads the ops one at a time on its vectors that
@@ -240,9 +243,12 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     owners: List[Dict[int, int]] = [{} for _ in ops]  # per op, row -> the weight block taking it
     kernel = []
     for b, h0 in enumerate(sorted(by_h0)):
-        if gate is not None and not gate.may_be_singular(-k, (gate.hw.mu - h0) / 2):
-            continue
         js, read, certified = by_h0[h0], [], False  # js: the vectors asserted so far
+        if gate is not None:
+            cell = (-k, int((gate.hw.mu - h0) / 2))
+            if not gate.may_be_singular(*cell):
+                continue
+            js = [js[p] for p in gate.affine_columns(*cell) or range(len(js))]  # the cell's order
         for o, (fam, m) in enumerate(ops):
             if certified and not whole:
                 break
@@ -290,7 +296,8 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     ``verma``, so ``submodule_witness`` and the lowest extremal search, whose
     op sets lower, read no column, and the highest extremal search reads no
     column of a weight block (k, h0) whose cell (-k, (mu - h0)/2) the
-    module's ``may_be_singular`` rules out.
+    module's ``may_be_singular`` rules out, and only the d-free columns of
+    the others where the module's ``affine_columns`` lists them.
     """
     n_max = module.depth_bound
     window = (-n_max, pad_top)

@@ -11,7 +11,7 @@ import pytest
 
 from avw.algebra import C, Gen, bracket_gens, d, e, f, h
 from avw.cli import main
-from avw.errors import AvwError, InvalidBound, OutOfWindow, ResourceBound
+from avw.errors import AvwError, InternalError, InvalidBound, OutOfWindow, ResourceBound
 from avw.linalg import Vec, full_rank_mod_p, nullspace, rank
 import avw.verma
 from avw.verma import (MAX_BASIS_ENV, MAX_FACTORS, RAISING_KILL_SET,
@@ -342,24 +342,39 @@ def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
     built = []
     real = TruncatedModule.cell_matrix
 
-    def spy(module, g, cell):
-        built.append((cell, g))
-        return real(module, g, cell)
+    def spy(module, g, cell, columns=None):
+        built.append((cell, g, columns))
+        return real(module, g, cell, columns)
 
     def search():
         built.clear()
         m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 4)
         svs = m.find_singular_vectors(2)
         by_cell = {}
-        for cell, g in built:
+        for cell, g, columns in built:
+            # each matrix is built over the cell's d-free columns, or over
+            # all of them when the module has none
+            free = m.affine_columns(*cell)
+            assert list(columns) == (list(range(len(m.cells[cell]))) if free is None else free)
             by_cell.setdefault(cell, []).append(g)
         return m, svs, by_cell
 
     monkeypatch.setattr(TruncatedModule, "cell_matrix", spy)
+    with monkeypatch.context() as unrestricted:
+        unrestricted.setattr(TruncatedModule, "may_be_singular", lambda module, n, s: True)
+        unrestricted.setattr(TruncatedModule, "affine_columns", lambda module, n, s: None)
+        _, full_svs, full_cells = search()
     with monkeypatch.context() as ungated:
         ungated.setattr(TruncatedModule, "may_be_singular", lambda module, n, s: True)
         _, all_svs, all_cells = search()
     m, svs, by_cell = search()
+    # the d-free columns leave out d_-1 times each monomial of (n - 1, s)
+    # from every cell (n, s) with n >= 1 and s > -n, and reading only them
+    # changes no result
+    assert set(all_cells) == set(full_cells)
+    assert all(len(m.affine_columns(n, s)) < len(m.cells[(n, s)])
+               for n, s in all_cells if -n < s and n)
+    assert all_svs == full_svs
     # the gate builds the ungated walk's matrices minus those of the cells it
     # rules out, and the ungated walk finds no singular vector in those
     ruled_out = {cell for cell in all_cells if not m.may_be_singular(*cell)}
@@ -375,6 +390,24 @@ def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
     for sv in svs:
         assert by_cell[(sv.depth, sv.charge)] == list(RAISING_KILL_SET)
     assert sum(gens == [e(0)] for gens in by_cell.values()) > len(by_cell) // 3
+
+
+def test_weight_empty_targets_are_checked_on_the_whole_cell(monkeypatch):
+    # d_2 sends cell (2, -1) to the weight-empty (0, -1); a defect planted in
+    # the image of its d monomial is caught although the search reads only
+    # the cell's d-free columns there
+    real = TruncatedModule.apply_gen
+
+    def apply_gen(module, g, mono):
+        return {(): 1} if (g, mono) == (d(2), (d(-1), e(-1))) else real(module, g, mono)
+
+    monkeypatch.setattr(TruncatedModule, "apply_gen", apply_gen)
+    m = build_verma(HighestWeight.of(F(1, 2), F(2), F(0)), 4)
+    assert (d(-1), e(-1)) in m.cells[(2, -1)]
+    assert (d(-1), e(-1)) not in [m.cells[(2, -1)][j] for j in m.affine_columns(2, -1)]
+    with pytest.raises(InternalError, match=r"nonzero image of d_2 from cell \(2, -1\) in "
+                                            r"the weight-empty cell \(0, -1\)"):
+        m.find_singular_vectors(2)
 
 
 def test_depth2_singular_vector_at_zero_central_charge():
@@ -1045,22 +1078,27 @@ def _gate_grid():
                     (3, 1, F(-1, 3)), (4, 1, F(2, 7))]:
         yield HighestWeight.of(F(1, 3), j * (c + 2) - m - 1, c), (m * j, -m)
     # coset weight h_{r,s} (h_{1,1} = 0) puts one at (rs, 0), and the first
-    # of them moved by 1/11 is off the Kac table.  Each c has coset central
-    # charge 13 - 6(t + 1/t)
-    for c, t, mu, kac in [(0, F(3, 2), F(1, 3), [(1, 1), (2, 1), (1, 3)]),
-                          (1, 2, F(2, 7), [(1, 2), (2, 1), (2, 2)]),
-                          (-4, 2, 0, [(1, 2), (3, 1)]),
-                          (-5, F(3, 2), F(1, 3), [(1, 1), (1, 4)]),
-                          (F(-5, 2), 4, F(1, 5), [(1, 2), (2, 1)]),
-                          (F(-1, 3), F(10, 9), F(1, 3), [(1, 2), (2, 1)]),
-                          (10, 4, F(2, 3), [(1, 1), (4, 1)])]:
+    # of them moved by 1/11 is off the Kac table
+    for c, t, mu, kac in COSET_GRID:
         assert -c - F(3 * c) / (c + 2) == 13 - 6 * (t + 1 / F(t))
         for r, s in kac:
             yield _coset_weight(c, mu, _kac_h(r, s, t)), (r * s, 0)
         yield _coset_weight(c, mu, _kac_h(*kac[0], t) + F(1, 11)), None
 
 
+# (c, t, mu, Kac labels (r, s) with rs <= 4): each c has coset central charge
+# 13 - 6(t + 1/t)
+COSET_GRID = [(0, F(3, 2), F(1, 3), [(1, 1), (2, 1), (1, 3)]),
+              (1, 2, F(2, 7), [(1, 2), (2, 1), (2, 2)]),
+              (-4, 2, 0, [(1, 2), (3, 1)]),
+              (-5, F(3, 2), F(1, 3), [(1, 1), (1, 4)]),
+              (F(-5, 2), 4, F(1, 5), [(1, 2), (2, 1)]),
+              (F(-1, 3), F(10, 9), F(1, 3), [(1, 2), (2, 1)]),
+              (10, 4, F(2, 3), [(1, 1), (4, 1)])]
 GATE_GRID = list(_gate_grid())
+# the coset weights of the grid moved off the Kac table
+MOVED_COSET_WEIGHTS = {_coset_weight(c, mu, _kac_h(*kac[0], t) + F(1, 11))
+                       for c, t, mu, kac in COSET_GRID}
 
 
 @pytest.mark.parametrize("hw, expect", GATE_GRID,
@@ -1079,6 +1117,29 @@ def test_the_gate_never_skips_a_singular_vector(hw, expect, monkeypatch):
     assert m.find_singular_vectors(4) == svs
     assert expect is None or expect in found
     assert find_extremal_vectors(wm, "highest") == find_extremal_vectors(unmarked, "highest")
+
+
+@pytest.mark.parametrize("hw, expect", GATE_GRID,
+                         ids=[_hw_id(hw) for hw, _ in GATE_GRID])
+def test_the_d_free_columns_hold_every_singular_vector(hw, expect, monkeypatch):
+    # reading only a cell's d-free columns must change no search at any cell
+    # of depth <= 4.  The coset weights of the grid and c = -2 read whole
+    # cells; the coset weights moved off the Kac table read the d-free ones
+    m = build_verma(hw, 4, 5)
+    free = [[j for j, mono in enumerate(m.cells[(n, s)]) if "d_" not in mono_str(mono)]
+            for n in range(5) for s in range(-n, 6)]
+    got = [m.affine_columns(n, s) for n in range(5) for s in range(-n, 6)]
+    if hw.c == -2 or (expect is not None and expect[1] == 0):
+        assert got == [None] * len(got)
+    else:
+        assert hw not in MOVED_COSET_WEIGHTS or got[0] is not None
+        assert got in ([None] * len(got), free)
+    with monkeypatch.context() as whole:
+        whole.setattr(TruncatedModule, "affine_columns", lambda module, n, s: None)
+        svs = build_verma(hw, 4, 5).find_singular_vectors(4)
+        highest = find_extremal_vectors(from_verma(build_verma(hw, 4, 5)), "highest")
+    assert m.find_singular_vectors(4) == svs
+    assert find_extremal_vectors(from_verma(m), "highest") == highest
 
 
 # -- lazy cells: counts at construction, a cell enumerated on first read ------

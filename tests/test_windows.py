@@ -962,7 +962,9 @@ def reference_extremal(wm, direction, record):
         # the search splits by weight; the kernel is the whole-offset one.  On
         # a window that carries its module, the highest search stacks nothing
         # for a weight block (k, h0) whose cell (-k, (mu - h0)/2) the module
-        # rules out, where the six operators have no common kernel
+        # rules out, where the six operators have no common kernel, and when
+        # the module has d-free columns it stacks only the basis vectors whose
+        # label names no d factor
         stacked = range(wm.dim(k))
         if direction == "highest" and wm.verma is not None:
             labels, module = wm.labels(k), wm.verma
@@ -971,7 +973,9 @@ def reference_extremal(wm, direction, record):
             for h0 in {lab.h0 for lab in labels} - kept:
                 js = [j for j in cols_ok if labels[j].h0 == h0]
                 assert not js or nullspace(dense_stack(wm, six, k, js), ncols=len(js)) == []
-            stacked = [j for j in stacked if labels[j].h0 in kept]
+            restricted = module.affine_columns(0, 0) is not None
+            stacked = [j for j in stacked if labels[j].h0 in kept and not (
+                restricted and any(x.startswith("d_") for x in labels[j].name.split()))]
         record.extend(nullspace_stacks(wm, kill, k, stacked))
         for v in nullspace(dense_stack(wm, six, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
