@@ -12,19 +12,19 @@ element C, and bracket
 
 Everything is exact over the rationals.  Elements are immutable and all
 operations are pure functions, so concurrent use needs no locking.  The
-module holds no cache: ``jacobi_defect`` takes an optional ``memo`` dict
-that the caller creates for one sweep (``avw jacobi`` makes one per run)
-and drops.  It maps a generator pair (x, y) to the terms of [x, y] as
-``Vec.int_items``; a hit is one ``memo.get`` and a miss calls the live
-``bracket_gens``.  The Jacobi sum of a triple is the same three terms for
-each of its cyclic rotations, for any bracket, so a sweep over all triples
-computes it once per orbit.
+module holds no cache.  ``jacobi_orbits`` sweeps every triple of a list of
+generators (``avw jacobi`` calls it once per run) over tables it builds for
+that call and drops: the brackets of the listed pairs, and the brackets of
+each listed generator with every term of those, in one row per term,
+indexed by generator position.  The Jacobi sum of a triple is the same
+three terms for each of its cyclic rotations, for any bracket, so the sweep
+computes it once per orbit.  ``jacobi_defect`` is the sum of one triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidArgument
 from .linalg import Vec
@@ -124,20 +124,54 @@ def bracket(x: Union[Gen, Vec], y: Union[Gen, Vec]) -> Vec:
 def jacobi_defect(x: Gen, y: Gen, z: Gen, memo: Optional[dict] = None) -> Vec:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]], summed into one coefficient dict;
     zero exactly when Jacobi holds.  The sum is invariant under rotating
-    (x, y, z), so a sweep needs one call per cyclic orbit (``avw jacobi``
-    calls it on the least rotation of generator indices).  ``memo`` is as in
-    the module docstring."""
+    (x, y, z).  ``memo`` is an optional dict that the caller keeps across
+    calls (``avw jacobi`` keeps one for the samples it prints); it maps a
+    generator pair (x, y) to the terms of [x, y] as ``Vec.int_items``."""
     if memo is None:
         memo = {}
-    get = memo.get
     out: dict = {}
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        inner = get((b, c))
-        for g, cg in _bracket_items(memo, b, c) if inner is None else inner:
-            outer = get((a, g))
-            for k, ck in _bracket_items(memo, a, g) if outer is None else outer:
+        for g, cg in _bracket_items(memo, b, c):
+            for k, ck in _bracket_items(memo, a, g):
                 out[k] = out.get(k, 0) + cg * ck
-    return Vec(out) if any(out.values()) else Vec()
+    return Vec(out)
+
+
+def jacobi_orbits(gens: Sequence[Gen]) -> set:
+    """The cyclic orbits of index triples of ``gens`` whose Jacobi sum is
+    nonzero, each keyed by its least rotation: (i, i, k) with k >= i or
+    (i, j, k) with j, k > i.
+
+    Each generator that a sum reads gets a position: the listed ones first,
+    then the terms of their brackets, then the terms of the outer brackets.
+    For each g_t of the first two kinds, ``rows[t][a]`` holds [gens[a], g_t]
+    as (position, coeff) pairs with the coefficients of ``Vec.int_items``,
+    so a sum indexes lists and multiplies ints wherever they are integral.
+    ``bracket_gens`` runs once per pair read."""
+    n = len(gens)
+    position = {g: t for t, g in enumerate(gens)}
+
+    def row(g: Gen) -> list:
+        return [[(position.setdefault(k, len(position)), ck)
+                 for k, ck in bracket_gens(x, g).int_items()] for x in gens]
+
+    rows = [row(g) for g in gens]
+    rows += [row(g) for g in list(position)[n:]]  # the listed brackets' terms
+    # pairs[b][c]: the terms of [gens[b], gens[c]] as (outer row, coeff)
+    pairs = [[[(rows[t], cg) for t, cg in rows[c][b]] for c in range(n)] for b in range(n)]
+    found = set()
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i + (j > i), n):
+                out: dict = {}
+                get = out.get
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):  # [a, [b, c]]
+                    for outer, cg in pairs[b][c]:
+                        for u, cu in outer[a]:
+                            out[u] = get(u, 0) + cg * cu
+                if any(out.values()):
+                    found.add((i, j, k))
+    return found
 
 
 class AlgebraSpec(NamedTuple):

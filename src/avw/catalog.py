@@ -195,49 +195,77 @@ def act(spec: ModuleSpec, g: Gen, v: Vec) -> Vec:
     return out
 
 
-def axiom_defect(image, bracket, x: Gen, y: Gen, v) -> Optional[dict]:
-    """[x,y] v - x (y v) + y (x v) as one coefficient dict over the labels;
-    every value is 0 iff the module axiom holds on this triple.
+def axiom_defect(image, x: Gen, y: Gen, labels) -> list:
+    """[x,y] v - x (y v) + y (x v) for v each basis vector in ``labels``,
+    as one coefficient dict over the labels; every value is 0 iff the
+    module axiom holds on that triple.  Returns the (label, dict) pairs of
+    the vectors whose sum is not 0, in the order of ``labels``.
 
-    The one module-axiom sum: ``image[g, label]`` gives g applied to label
-    as ``(label, coeff)`` pairs, or None when that image is not known
-    (outside a window), so a per-run mapping whose ``__missing__`` computes
-    and keeps a miss (``DefectMemo``) answers a hit with no Python call.
-    ``bracket`` is [x, y] and ``v`` the vector, both as ``(key, coeff)``
-    pairs.  Returns None when the sum needs an unknown image.
+    The one module-axiom sum.  ``image[g][y]`` gives [g, y] as ``(generator,
+    coeff)`` pairs and ``image[g][label]`` gives g applied to label as
+    ``(label, coeff)`` pairs, or None when that image is not known (outside
+    a window); a vector whose sum needs an unknown image is skipped.  Rows
+    whose ``__missing__`` computes and keeps a miss (``DefectMemo``) answer
+    a hit with no Python call.
     """
-    out: dict = {}
-    get = out.get
-    for g, cg in bracket:
-        for label, c in v:
-            img = image[g, label]
+    row_x, row_y = image[x], image[y]
+    bracket = [(image[g], cg) for g, cg in row_x[y]]
+    found = []
+    # a None image breaks out of the label's sum, so the label is skipped; an
+    # else clause runs only when its loop met none
+    for label in labels:
+        out: dict = {}
+        get = out.get
+        for row, cg in bracket:
+            img = row[label]
             if img is None:
-                return None
-            s = cg * c
+                break
             for target, ct in img:
-                out[target] = get(target, 0) + s * ct
-    for label, c in v:
-        for inner, outer, s in ((y, x, -c), (x, y, c)):
-            mids = image[inner, label]
-            if mids is None:
-                return None
-            for mid, cm in mids:
-                img = image[outer, mid]
-                if img is None:
-                    return None
-                sc = s * cm
-                for target, ct in img:
-                    out[target] = get(target, 0) + sc * ct
-    return out
+                out[target] = get(target, 0) + cg * ct
+        else:
+            for inner, outer, s in ((row_y, row_x, -1), (row_x, row_y, 1)):
+                mids = inner[label]
+                if mids is None:
+                    break
+                for mid, cm in mids:
+                    img = outer[mid]
+                    if img is None:
+                        break
+                    sc = s * cm
+                    for target, ct in img:
+                        out[target] = get(target, 0) + sc * ct
+                else:
+                    continue
+                break
+            else:
+                if any(out.values()):
+                    found.append((label, out))
+    return found
+
+
+class _ImageRow(dict):
+    """One generator g's row of a ``DefectMemo``: a generator y maps to
+    D [g, y] and a label to D ``act_basis(spec, g, label)``, as
+    ``Vec.int_items``, computed on a miss and kept."""
+
+    def __init__(self, spec: ModuleSpec, g: Gen, scale: int):
+        super().__init__()
+        self.spec, self.g, self.scale = spec, g, scale
+
+    def __missing__(self, key) -> tuple:
+        g = self.g
+        vec = bracket_gens(g, key) if isinstance(key, Gen) else act_basis(self.spec, g, key)
+        items = self[key] = vec.int_items(self.scale)
+        return items
 
 
 class DefectMemo(dict):
-    """One spec's per-run memo, the ``image`` of ``axiom_defect``: ``(g, label)``
-    maps to D ``act_basis(spec, g, label)`` and a generator pair ``(x, y)`` to
-    D [x, y], as ``Vec.int_items`` (a label is never a ``Gen``), computed by
-    ``__missing__`` on a miss and kept.  D, the lcm of the denominators of the
-    spec's parameters, clears every ``act_basis`` denominator, so the sum runs
-    in integers and each of its terms is D^2 times its true value."""
+    """One spec's per-run memo, the ``image`` of ``axiom_defect``: a
+    generator maps to its row (``_ImageRow``), made on a miss and kept.  D,
+    the lcm of the denominators of the spec's parameters, clears every
+    ``act_basis`` denominator, so the sum runs in integers and each of its
+    terms is D^2 times its true value.  A row holds no reference back to
+    the memo, so the run's tables are freed when the memo is dropped."""
 
     def __init__(self, spec: ModuleSpec):
         super().__init__()
@@ -245,30 +273,30 @@ class DefectMemo(dict):
         self.scale = lcm(spec.a.denominator, getattr(spec, "b", 1).denominator,
                          getattr(spec, "c", 1).denominator)
 
-    def __missing__(self, key) -> tuple:
-        a, b = key
-        vec = bracket_gens(a, b) if isinstance(b, Gen) else act_basis(self.spec, a, b)
-        items = self[key] = vec.scaled(self.scale).int_items()
-        return items
+    def __missing__(self, g: Gen) -> _ImageRow:
+        row = self[g] = _ImageRow(self.spec, g, self.scale)
+        return row
 
-    def defect(self, bracket: tuple, x: Gen, y: Gen, v) -> Vec:
-        """``axiom_defect`` over this memo, divided by D^2; ``bracket`` is
-        ``self[x, y]`` and ``v`` the vector as ``(label, coeff)`` pairs."""
-        out = axiom_defect(self, bracket, x, y, v)
-        if not any(out.values()):
-            return Vec()
+    def unscaled(self, out: dict) -> Vec:
+        """A sum of ``axiom_defect`` over this memo divided by D^2."""
         return Vec({label: Fraction(c, self.scale ** 2) for label, c in out.items()})
 
 
 def module_defect(spec: ModuleSpec, x: Gen, y: Gen, v: Vec,
                   memo: Optional[DefectMemo] = None) -> Vec:
-    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)) by
-    ``axiom_defect``; 0 iff the module axiom holds on this triple.  ``memo``
-    is an optional ``DefectMemo(spec)`` that the caller keeps for one sweep
-    (``avw module-check`` makes one per run and calls its ``defect``)."""
+    """act([x,y], v) - act(x, act(y, v)) + act(y, act(x, v)), the sum over
+    v's basis vectors of their ``axiom_defect``; 0 iff the module axiom
+    holds on this triple.  ``memo`` is an optional ``DefectMemo(spec)`` that
+    the caller keeps for one sweep (``avw module-check`` makes one per run
+    and calls ``axiom_defect`` on it once per generator pair)."""
     if memo is None:
         memo = DefectMemo(spec)
-    return memo.defect(memo[x, y], x, y, v.int_items())
+    out: dict = {}
+    for label, dft in axiom_defect(memo, x, y, v.terms):
+        c = v.terms[label]
+        for target, ct in dft.items():
+            out[target] = out.get(target, 0) + c * ct
+    return memo.unscaled(out)
 
 
 def weight_of(spec: ModuleSpec, label) -> Tuple[Fraction, Fraction]:

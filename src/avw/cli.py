@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import catalog as cat
 from . import verma as vm
 from . import windows as win
-from .algebra import ALGEBRAS, Gen, algebra_by_name, bracket_gens, element_str, in_subalgebra, jacobi_defect
+from .algebra import (ALGEBRAS, Gen, algebra_by_name, bracket_gens, element_str, in_subalgebra,
+                      jacobi_defect, jacobi_orbits)
 from .catalog import KINDS, LoopMod, ModuleSpec, acting_algebra, label_str, spec_keys, spec_text
 from .errors import (AvwError, InternalError, InvalidArgument, MissingParameter, SpecParseError,
                      UnknownKind, UnwritablePath)
@@ -164,40 +165,36 @@ def _cmd_jacobi(config: RunConfig) -> Tuple[dict, int]:
     lo, hi = _nonempty(config.deg_range, "--range")
     win.bound_sweep(alg.generator_count(lo, hi) ** 3, "triples")
     gens = list(alg.generators(lo, hi))
-    defects: List[dict] = []
+    n, defects = len(gens), []
     anti = grading = closure = 0
-    for x in gens:
-        for y in gens:
-            br = bracket_gens(x, y)
-            if bracket_gens(y, x) + br:
-                anti += 1
-            for g, _ in br:
-                if g.degree != x.degree + y.degree:
-                    grading += 1
-            if not in_subalgebra(br, alg):
-                closure += 1
-    # jacobi_defect runs once per cyclic orbit of index triples, on its least
-    # rotation: (i, i, k) with k >= i, (i, j, k) with j, k > i.  The ordered
-    # walk over all triples, for the count and samples, runs only if some
-    # orbit sum is nonzero.  The memo keeps generator brackets for this run.
-    n, jac = len(gens), 0
-    memo: dict = {}
-    nonzero: dict = {}
+    # each unordered pair once, as [x, y] + [y, x] = 0 in both orders or in
+    # neither: the sum is 0 iff each bracket is the other's negative
     for i, x in enumerate(gens):
-        for j in range(i, n):
-            y = gens[j]
-            for k in range(i + (j > i), n):
-                dft = jacobi_defect(x, y, gens[k], memo)
-                if dft:
-                    nonzero[i, j, k] = dft
-    triples = product(enumerate(gens), repeat=3) if nonzero else ()
-    for (i, x), (j, y), (k, z) in triples:
-        dft = nonzero.get(min((i, j, k), (j, k, i), (k, i, j)))
-        if dft:
-            jac += 1
-            if len(defects) < 10:
-                defects.append({"triple": [str(x), str(y), str(z)],
-                                "defect": element_str(dft)})
+        for y in gens[i:]:
+            pair = ((x, y),) if y is x else ((x, y), (y, x))
+            brs = [bracket_gens(a, b) for a, b in pair]
+            if brs[0].terms != {g: -c for g, c in brs[-1]}:
+                anti += len(pair)
+            for (a, b), br in zip(pair, brs):
+                for g, _ in br:
+                    if g.degree != a.degree + b.degree:
+                        grading += 1
+                if not in_subalgebra(br, alg):
+                    closure += 1
+    # one sweep sums each cyclic orbit of index triples once; an orbit has
+    # three ordered triples unless i = j = k.  The ordered walk for the
+    # samples runs only if some sum is nonzero; jacobi_defect renders them.
+    nonzero = jacobi_orbits(gens)
+    jac = sum(1 if i == j == k else 3 for i, j, k in nonzero)
+    memo: dict = {}
+    triples = product(range(n), repeat=3) if nonzero else ()
+    for i, j, k in triples:
+        if min((i, j, k), (j, k, i), (k, i, j)) in nonzero:
+            x, y, z = gens[i], gens[j], gens[k]
+            defects.append({"triple": [str(x), str(y), str(z)],
+                            "defect": element_str(jacobi_defect(x, y, z, memo))})
+            if len(defects) == 10:
+                break
     payload = {
         "algebra": alg.name,
         "range": list(config.deg_range),
@@ -227,17 +224,11 @@ def _cmd_module_check(config: RunConfig) -> Tuple[dict, int]:
     memo = cat.DefectMemo(spec)  # this run's brackets and images; dropped on return
     for x in gens:
         for y in gens:
-            br = memo[x, y]
-            for lab in labels:
-                dft = memo.defect(br, x, y, ((lab, 1),))
-                if dft:
-                    n_defects += 1
-                    if len(samples) < 10:
-                        samples.append({
-                            "x": str(x), "y": str(y),
-                            "vector": label_str(spec, lab),
-                            "defect": _vec_json(spec, dft),
-                        })
+            found = cat.axiom_defect(memo, x, y, labels)
+            n_defects += len(found)
+            for lab, dft in found[:10 - len(samples)]:
+                samples.append({"x": str(x), "y": str(y), "vector": label_str(spec, lab),
+                                "defect": _vec_json(spec, memo.unscaled(dft))})
     payload = {
         "module": spec_text(spec),
         "deg_range": list(config.deg_range),

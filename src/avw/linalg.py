@@ -39,6 +39,12 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _exact_times(x, scale: int):
+    """``_exact(x * scale)`` for an ``int`` scale, with no Fraction product."""
+    num, den = x.numerator * scale, x.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 PRIME = 2 ** 61 - 1  # the modulus of full_rank_mod_p
 
 
@@ -250,14 +256,15 @@ class Vec:
     def __len__(self):
         return len(self.terms)
 
-    def int_items(self) -> tuple:
-        """The (key, coefficient) pairs as a tuple, integral coefficients as ``int``.
+    def int_items(self, scale: int = 1) -> tuple:
+        """The (key, coefficient) pairs as a tuple, each coefficient times
+        the ``int`` ``scale``, integral ones as ``int``.
 
         Exact like the Fractions they replace, smaller than a dict, and
         products of ints are far cheaper: memoized sweeps keep their
         structure constants in this form and turn their sums back into a Vec.
         """
-        return tuple((k, _exact(v)) for k, v in self.terms.items())
+        return tuple((k, _exact_times(v, scale)) for k, v in self.terms.items())
 
     def __getitem__(self, key) -> Fraction:
         return self.terms.get(key, Fraction(0))

@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VIR, Gen, bracket_gens
@@ -56,7 +56,7 @@ from .catalog import (LoopMod, ModuleSpec, T2Corrupt, acting_algebra, act_basis,
                       label_str, offset_dim, offset_labels, spec_text, weight_of)
 from .errors import (GeneratorOutsideAlgebra, InternalError, InvalidArgument, NotAModule,
                      OutOfWindow, ResourceBound, WindowTooNarrow, ZeroShift)
-from .linalg import full_rank_mod_p, nullspace, stack_columns
+from .linalg import _exact_times, full_rank_mod_p, nullspace, stack_columns
 from .verma import (KILL_LOWEST, RAISING_KILL_SET, Pairs, TruncatedModule, _LazyMap,
                     cap_from_env, image_pairs, mono_str)
 
@@ -653,22 +653,42 @@ def catalog_match(wm: WindowedModule) -> MatchResult:
 # --- bracket consistency ----------------------------------------------------
 
 class _KnownColumns(dict):
-    """``axiom_defect``'s ``image`` over a window for one run: ``(g, (k, j))``
-    maps to column j of g's block from offset k as ``((k + deg g, row), coeff)``
-    pairs (C to ``wm.central``), or None if unknown; computed on a miss, kept."""
+    """``axiom_defect``'s ``image`` over a window for one run: a generator
+    maps to its row (``_ColumnRow``), made on a miss and kept."""
 
-    def __init__(self, wm: WindowedModule):
+    def __init__(self, wm: WindowedModule, scale: int):
         super().__init__()
-        self.wm = wm
+        self.wm, self.scale = wm, scale
+
+    def __missing__(self, g: Gen) -> dict:
+        row = self[g] = _ColumnRow(self.wm, g, self.scale)
+        return row
+
+
+class _ColumnRow(dict):
+    """Row g of a ``_KnownColumns``: a generator y maps to [g, y], as
+    ``Vec.int_items``, and ``(k, j)`` to column j of g's block from offset
+    k as ``((k + deg g, row), coeff)`` pairs (C to ``wm.central``), or None
+    if unknown, each computed on a miss and kept.  Every value is times
+    ``scale``, so a sum adds integers where ``scale`` clears the
+    denominators and keeps a Fraction where it does not."""
+
+    def __init__(self, wm: WindowedModule, g: Gen, scale: int):
+        super().__init__()
+        self.wm, self.g, self.scale = wm, g, scale
 
     def __missing__(self, key) -> Optional[tuple]:
-        g, (k, j) = key
-        m, wm, col = g.degree, self.wm, None
+        g, wm, scale = self.g, self.wm, self.scale
+        if isinstance(key, Gen):
+            out = self[key] = bracket_gens(g, key).int_items(scale)
+            return out
+        (k, j), m, col = key, g.degree, None
         if g.family == "C":
             col = ((j, wm.central),)
         elif (g.family, m, k) in wm.blocks:
             col = wm.block(g.family, m, k)[j]
-        out = self[key] = None if col is None else tuple(((k + m, r), x) for r, x in col)
+        out = self[key] = None if col is None else tuple(
+            ((k + m, r), _exact_times(x, scale)) for r, x in col)
         return out
 
 
@@ -677,33 +697,33 @@ def bracket_consistency_defects(wm: WindowedModule,
     """Check matrix([x,y]) = [matrix(x), matrix(y)] on all fully-contained
     compositions; returns one record per failing (x, y, offset, column).
 
-    Each basis vector goes through ``catalog.axiom_defect``, the check that
-    ``catalog.module_defect`` makes, over the window's columns read once per
-    run (``_KnownColumns``); a vector whose sum needs an unknown one is
-    skipped.
+    Each generator pair goes through ``catalog.axiom_defect``, the check
+    that ``catalog.module_defect`` makes, over the window's columns read
+    once per run (``_KnownColumns``); a vector whose sum needs an unknown
+    one is skipped.  The columns are scaled by the lcm D of the
+    denominators of every column of degree up to twice ``degree_limit`` (a
+    bracket's degree) and of ``wm.central``, so each sum is D^2 times the
+    true one and adds integers.
     """
     p, q = wm.window
     fams = sorted(wm.families)
     degs = sorted({m for (_, m, _) in wm.blocks})
     if degree_limit is not None:
         degs = [m for m in degs if abs(m) <= degree_limit]
-    known = _KnownColumns(wm)
+    reach = max(map(abs, degs), default=0) * 2
+    scale = lcm(wm.central.denominator, *(
+        x.denominator for key in wm.blocks if abs(key[1]) <= reach
+        for col in wm.blocks[key] if col is not None for _, x in col))
+    known = _KnownColumns(wm, scale)
     defects: List[dict] = []
     for f1 in fams:
         for m1 in degs:
             for f2 in fams:
                 for m2 in degs:
                     x, y = Gen(f1, m1), Gen(f2, m2)
-                    br = bracket_gens(x, y).int_items()
-                    for k in range(p, q + 1):
-                        if not (p <= k + m1 <= q and p <= k + m2 <= q
-                                and p <= k + m1 + m2 <= q):
-                            continue
-                        for j in range(wm.dim(k)):
-                            dft = axiom_defect(known, br, x, y, (((k, j), 1),))
-                            if dft is not None and any(dft.values()):
-                                defects.append({
-                                    "x": f"{f1}_{m1}", "y": f"{f2}_{m2}",
-                                    "offset": k, "column": j,
-                                })
+                    vectors = [(k, j) for k in range(max(p, p - m1, p - m2, p - m1 - m2),
+                                                     min(q, q - m1, q - m2, q - m1 - m2) + 1)
+                               for j in range(wm.dim(k))]
+                    defects += [{"x": f"{f1}_{m1}", "y": f"{f2}_{m2}", "offset": k, "column": j}
+                                for (k, j), _ in axiom_defect(known, x, y, vectors)]
     return defects

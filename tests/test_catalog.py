@@ -10,6 +10,7 @@ from avw.catalog import (DefectMemo, HVirABC, IntA, IntAB, IntB, LoopMod, T2Corr
                          _sl2_image, act, act_basis, acting_algebra,
                          canonicalize, is_simple, label_str, module_defect, offset_dim,
                          offset_labels, sl2_irrep, spec_text, structure_report, weight_of)
+from avw.cli import RunConfig, _cmd_module_check
 from avw.errors import (GeneratorOutsideAlgebra, InternalError,
                         NegativeHighestWeight)
 from avw.linalg import Vec
@@ -305,16 +306,18 @@ def test_module_defect_matches_oracle(spec, deg):
 
 
 def test_module_defect_memo_keys():
-    # the memo holds [x, y] by generator pair and act_basis images by
-    # (generator, label), both scaled by D = lcm(2, 3), the lcm of the
-    # parameter denominators; labels never collide with generators
+    # the memo holds one row per generator: a row maps a generator y to
+    # [x, y] and a label to the act_basis image, both scaled by D = lcm(2, 3),
+    # the lcm of the parameter denominators; labels never collide with
+    # generators, and every coefficient is an int
     spec = LoopMod(1, F(1, 2), F(1, 3))
     memo = DefectMemo(spec)
     module_defect(spec, e(1), f(-1), Vec.basis((0, 2)), memo)
-    assert dict(memo[e(1), f(-1)]) == bracket_gens(e(1), f(-1)).scaled(6).terms
-    assert dict(memo[f(-1), (0, 2)]) == act_basis(spec, f(-1), (0, 2)).scaled(6).terms
-    assert all(type(c) is int for items in memo.values() for _, c in items)
-    assert all(isinstance(key[0], Gen) for key in memo)
+    assert dict(memo[e(1)][f(-1)]) == bracket_gens(e(1), f(-1)).scaled(6).terms
+    assert dict(memo[f(-1)][(0, 2)]) == act_basis(spec, f(-1), (0, 2)).scaled(6).terms
+    assert all(type(c) is int for row in memo.values() for items in row.values()
+               for _, c in items)
+    assert all(isinstance(g, Gen) for g in memo)
 
 
 _rational = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -347,3 +350,43 @@ def test_module_axiom_property(data):
     i = data.draw(st.integers(-6, 6))
     lab = (data.draw(st.integers(0, spec.lam)), i) if isinstance(spec, LoopMod) else i
     assert not module_defect(spec, x, y, Vec.basis(lab))
+
+
+def _oracle_module_check(spec, deg_lo, deg_hi, lab_lo, lab_hi):
+    """The defect count and first ten samples of ``avw module-check``, by a
+    per-triple walk of ``oracle_module_defect`` in report order."""
+    gens = list(acting_algebra(spec).generators(deg_lo, deg_hi))
+    count, samples = 0, []
+    for x in gens:
+        for y in gens:
+            for i in range(lab_lo, lab_hi + 1):
+                for lab in offset_labels(spec, i):
+                    dft = oracle_module_defect(spec, x, y, Vec.basis(lab))
+                    if dft:
+                        count += 1
+                        if len(samples) < 10:
+                            samples.append({"x": str(x), "y": str(y),
+                                            "vector": label_str(spec, lab),
+                                            "defect": {label_str(spec, k): str(c) for k, c in sorted(
+                                                dft.terms.items(),
+                                                key=lambda kv: label_str(spec, kv[0]))}})
+    return count, samples
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_module_check_matches_per_triple_oracle_property(data):
+    # the command sums each generator pair's basis vectors in one call over
+    # D-scaled integer rows; the oracle builds one Vec per action and triple
+    spec = data.draw(st.one_of(_catalog_spec(), st.builds(T2Corrupt, _rational, _rational,
+                                                          _rational)))
+    deg_lo = data.draw(st.integers(-2, 1))
+    deg_hi = data.draw(st.integers(deg_lo, deg_lo + 2))
+    lab_lo = data.draw(st.integers(-3, 2))
+    lab_hi = data.draw(st.integers(lab_lo, lab_lo + 2))
+    config = RunConfig("module-check", module=spec_text(spec), deg_range=(deg_lo, deg_hi),
+                       label_range=(lab_lo, lab_hi))
+    payload, code = _cmd_module_check(config)
+    count, samples = _oracle_module_check(spec, deg_lo, deg_hi, lab_lo, lab_hi)
+    assert (payload["defects"], payload["defect_samples"]) == (count, samples)
+    assert code == (count > 0)

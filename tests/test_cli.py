@@ -198,15 +198,30 @@ def test_jacobi_orbit_sweep_matches_all_triples_oracle(patch, lo, hi, monkeypatc
 
 
 def test_jacobi_defect_runs_once_per_cyclic_orbit(monkeypatch, capsys):
-    calls = []
-    real = avw.cli.jacobi_defect
-    monkeypatch.setattr(avw.cli, "jacobi_defect", lambda *a: calls.append(a[:3]) or real(*a))
-    assert run(["jacobi", "--range=-2..2"]) == 0
-    n = json.loads(capsys.readouterr().out)["generators"]
-    # n^3 triples: n fixed by rotation, the others in orbits of three
-    assert len(calls) == len(set(calls)) == (n ** 3 + 2 * n) // 3
-    orbits = {min((x, y, z), (y, z, x), (z, x, y)) for x, y, z in calls}
-    assert len(orbits) == len(calls)
+    # the command sweeps the orbits once per run; under a broken bracket the
+    # sweep keys each failing cyclic orbit once, by its least rotation, and
+    # jacobi_defect runs only on the printed samples, ten at most
+    real = avw.algebra.bracket_gens
+    gens = list(avw.algebra.FULL.generators(-2, 2))
+    n = len(gens)
+    for patch in (_drop_central, _break_antisymmetry):
+        monkeypatch.setattr(avw.algebra, "bracket_gens", patch(real))
+        failing = {(i, j, k) for i, j, k in product(range(n), repeat=3)
+                   if bracket(gens[i], bracket(gens[j], gens[k]))
+                   + bracket(gens[j], bracket(gens[k], gens[i]))
+                   + bracket(gens[k], bracket(gens[i], gens[j]))}
+        orbits = {min((i, j, k), (j, k, i), (k, i, j)) for i, j, k in failing}
+        # an orbit fails whole: its three rotations, or its one triple i = j = k
+        assert sum(1 if i == j == k else 3 for i, j, k in orbits) == len(failing) > 0
+        sweeps, calls = [], []
+        sweep, defect = avw.algebra.jacobi_orbits, avw.algebra.jacobi_defect
+        monkeypatch.setattr(avw.cli, "jacobi_orbits", lambda g: sweeps.append(sweep(g)) or sweeps[-1])
+        monkeypatch.setattr(avw.cli, "jacobi_defect", lambda *a: calls.append(a[:3]) or defect(*a))
+        assert run(["jacobi", "--range=-2..2"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert sweeps == [orbits]
+        assert payload["jacobi_defects"] == len(failing)
+        assert len(calls) == len(payload["defects"]) == min(len(failing), 10)
 
 
 def _off_degree(real):
@@ -357,8 +372,8 @@ def _assert_memo_scoped_to_one_run(runs):
 
 def test_jacobi_memo_lives_for_one_execute(monkeypatch, capsys):
     # the pair checks read avw.cli.bracket_gens, and only on the window's
-    # generators; a pair with a degree outside -2..2 comes from the memo of
-    # jacobi_defect
+    # generators; a pair with a degree outside -2..2 comes from the rows of
+    # jacobi_orbits
     runs = _calls_per_run(monkeypatch, avw.algebra, "bracket_gens", ["jacobi", "--range=-2..2"],
                           keep=lambda pair: max(abs(g.degree) for g in pair) > 2)
     capsys.readouterr()

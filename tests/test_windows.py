@@ -1432,6 +1432,54 @@ def test_bracket_consistency_skips_vectors_that_need_an_unknown_image():
     assert expect and bracket_consistency_defects(wm) == expect
 
 
+def test_integer_consistency_sums_take_in_a_coprime_bump():
+    # D, the lcm of the denominators the check can read, grows by the 11 of
+    # a bump whose denominator no entry of the window shares
+    for spec, key, j, r in [(LoopMod(1, F(1, 3), F(2, 5)), ("h", -1, 1), 0, 1),
+                            (T2Mod(F(1, 3), F(2, 5), F(1, 7)), ("e", 1, -1), 0, 0)]:
+        lazy = from_catalog(spec, (-2, 2))
+        wm = WindowedModule(lazy.window, lazy.families, lazy.central, lazy.basis,
+                            {key: list(cols) for key, cols in lazy.blocks.items()})
+        bump(wm, key, j, r, F(1, 11))
+        expect = reference_bracket_consistency_defects(wm)
+        assert expect and bracket_consistency_defects(wm) == expect, spec
+
+
+def test_integer_consistency_sums_read_a_bracket_term_block():
+    # with degree_limit 1 the h block of degree 2 is read only as the term
+    # h_2 of [e_1, f_1] and [d_1, h_1]; its bump must still count
+    lazy = from_catalog(LoopMod(1, F(1, 3), F(2, 5)), (-2, 2))
+    wm = WindowedModule(lazy.window, lazy.families, lazy.central, lazy.basis,
+                        {key: list(cols) for key, cols in lazy.blocks.items()})
+    bump(wm, ("h", 2, -1), 0, 0, F(1, 11))
+    expect = reference_bracket_consistency_defects(wm, 1)
+    degree = lambda name: int(name.split("_")[1])  # noqa: E731
+    assert expect and all(rec["offset"] == -1 and degree(rec["x"]) + degree(rec["y"]) == 2
+                          for rec in expect)
+    assert bracket_consistency_defects(wm, 1) == expect
+
+
+def test_integer_consistency_sums_keep_an_uncleared_central_half():
+    # one vector per offset, d-actions only, central charge 2/3: D = 3 leaves
+    # the 1/2 of the central term of [d_2, d_-2] = -4 d_0 - 1/2 C, so its
+    # scaled coefficient stays the Fraction -3/2.  The entries balance that
+    # term on v_0, so the pairs (d_2, d_-2) and (d_-2, d_2) at offset 0 hold;
+    # the numerator -3 in its place would report both
+    window = (-2, 2)
+    basis = {k: (BasisLabel(f"v_{k}", F(k), F(0)),) for k in range(-2, 3)}
+    blocks = {key: [()] for key in avw.windows._block_keys(frozenset("d"), range(-4, 5), window)}
+    blocks[("d", -2, 0)] = [((0, F(-1, 3)),)]
+    blocks[("d", 2, -2)] = [((0, F(1)),)]
+    wm = WindowedModule(window, frozenset("d"), F(2, 3), basis, blocks)
+    expect = reference_bracket_consistency_defects(wm)
+    assert expect and bracket_consistency_defects(wm) == expect
+    held = [{"x": x, "y": y, "offset": 0, "column": 0} for x, y in (("d_2", "d_-2"), ("d_-2", "d_2"))]
+    assert not any(rec in expect for rec in held)
+    terms = dict(avw.windows._KnownColumns(wm, 3)[Gen("d", 2)][Gen("d", -2)])
+    assert terms == {Gen("d", 0): -12, Gen("C", 0): F(-3, 2)}
+    assert type(terms[Gen("C", 0)]) is F
+
+
 def test_exported_columns_are_ascending_nonzero_pairs():
     windows = [from_verma(build_verma(hw, 2, 3)) for hw in STACKING_WEIGHTS]
     windows += [from_catalog(spec, (-2, 2)) for spec in CONSISTENCY_SPECS]
