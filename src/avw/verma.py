@@ -48,7 +48,13 @@ second vanishes (Kac-Kazhdan, Adv. Math. 34, 1979).
 cell.  Where the Kac determinant of the first factor has no zero up to
 depth N, each singular vector of depth <= N lies in U(g^)v, the span of the
 monomials with no d factor, and both kill-set searches read only those
-columns of a cell (``TruncatedModule.affine_columns``).
+columns of a cell (``TruncatedModule.affine_columns``).  There e_0 and f_1
+alone decide the kernel.  They generate the positive part of affine sl2,
+so a vector w = u.v, u in U(g^), that they kill is g^-singular.  Each
+normally ordered term of a Sugawara operator L^S_n, n > 0, ends in a
+positive mode, so L^S_n w = 0; the coset operator L'_n = d_n - L^S_n
+commutes with g^, so L'_n w = u.L'_n v = 0; hence d_1 w = d_2 w = 0
+(``TruncatedModule.kill_set``).
 """
 
 from __future__ import annotations
@@ -75,7 +81,8 @@ MAX_BASIS_ENV = "AVW_MAX_BASIS"
 
 # the raising kill set: generates everything of positive degree as a Lie
 # algebra ([e_0, f_1] = h_1, [h_1, e_0] = 2e_1; no bracket of degree-1
-# generators reaches d_2), and a vector killed by x and y is killed by [x, y]
+# generators reaches d_2), and a vector killed by x and y is killed by [x, y].
+# On U(g^)v, for c != -2, e_0 and f_1 alone suffice (TruncatedModule.kill_set)
 RAISING_KILL_SET = (e(0), d(1), f(1), d(2))
 # the lowering kill set generates the negative part the same way:
 # [f_0, e_-1] = -h_-1, [h_-1, f_0] = -2f_-1
@@ -433,11 +440,25 @@ class TruncatedModule:
         Otherwise every singular vector of depth <= N lies in their span
         U(g^)v, so a kill-set kernel read on these columns and padded with
         zeros is the whole cell's, in the same canonical basis: each d column
-        is a pivot column."""
+        is a pivot column.  ``kill_set`` pairs them with their operators."""
         if any(not b for _, b in self._tops):
             return None
         return [j for j, mono in enumerate(self.cells[(n, s)])
                 if all(fam != "d" for fam, _ in mono)]
+
+    def kill_set(self, n: int, s: int) -> Tuple[Tuple[Gen, ...], Sequence[int]]:
+        """The operators, in ``RAISING_KILL_SET`` order, and the columns a
+        kill-set search of cell (n, s) reads.  With ``affine_columns``: those
+        columns, and e_0 and f_1, whose joint kernel on U(g^)v is that of the
+        whole kill set (module docstring).  d_1 or d_2 stays where its target
+        cell is weight-empty: its matrix is empty there, and ``cell_matrix``
+        checks that the images of the whole cell vanish.  Without them (c =
+        -2, or a coset Kac zero): every column, and the whole kill set."""
+        cols = self.affine_columns(n, s)
+        if cols is None:
+            return RAISING_KILL_SET, range(len(self.cells[(n, s)]))
+        return tuple(g for g in RAISING_KILL_SET if g.family != "d"
+                     or n < g.degree or s < g.degree - n), cols
 
     def apply_gen(self, g: Gen, mono: Mono) -> Dict[Mono, Coeff]:
         """Image of a canonical monomial: the memo entry itself, which the
@@ -513,8 +534,9 @@ class TruncatedModule:
         that no single operator certifies gets its whole ``stack_columns``
         stack to ``nullspace``.  The highest-weight line is always at (0, 0).
         A cell that ``may_be_singular`` rules out is skipped before it is
-        enumerated or any of its matrices built, and on a cell with
-        ``affine_columns`` only those columns are built and searched; the
+        enumerated or any of its matrices built.  Each other cell builds
+        only the operators and columns of its ``kill_set``: with
+        ``affine_columns``, the d-free columns and e_0 and f_1, and the
         kernel vectors get zeros at the other positions.
         """
         if max_depth < 0:
@@ -528,9 +550,9 @@ class TruncatedModule:
                 if not self.may_be_singular(n, s):
                     continue
                 basis = self.cells[(n, s)]
-                cols = self.affine_columns(n, s) or range(len(basis))  # e_-1^n f_0^(s+n) is d-free
+                ops, cols = self.kill_set(n, s)  # e_-1^n f_0^(s+n) is d-free: cols is never empty
                 stacked: List[dict] = []
-                for g in RAISING_KILL_SET:
+                for g in ops:
                     rows = stack_columns([self.cell_matrix(g, (n, s), cols)])
                     if full_rank_mod_p(rows, len(cols)):
                         break

@@ -29,8 +29,9 @@ operator is injective on it: ``_joint_kernel`` answers {0} for any op set
 that lowers on a window that ``from_verma`` exports, which carries its
 module as ``verma``.  A third fact is the closed form of the Shapovalov
 determinant: on such a window the raising kill set skips every weight block
-that the module's ``may_be_singular`` rules out and reads only the d-free
-columns (``affine_columns``) of the rest (see ``avw.verma``).
+that the module's ``may_be_singular`` rules out and reads the rest as the
+module's ``kill_set`` says: where the cell has d-free columns
+(``affine_columns``), only those, under e_0 and f_1 (see ``avw.verma``).
 The bracket check feeds the columns to ``catalog.axiom_defect``, the
 module-axiom check of ``catalog.module_defect``.
 
@@ -206,9 +207,11 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     vectors: [] with no block read.  For exactly ``RAISING_KILL_SET`` such a
     window skips each weight block (k, h0), the module's cell
     (-k, (mu - h0)/2), that the module's ``may_be_singular`` rules out: its
-    kernel would be singular vectors, and the block provably has none.  Of
-    a block it keeps, it reads only the cell's ``affine_columns`` when the
-    module has them, since the kernel lies in their span.
+    kernel would be singular vectors, and the block provably has none.  A
+    block it keeps reads only the ops and columns of the cell's
+    ``kill_set``: where the module has ``affine_columns``, those columns
+    under e_0 and f_1, since the kernel lies in their span and the two
+    ops kill exactly what the whole kill set kills there.
 
     Otherwise the h0 weight blocks (see the module docstring) are walked in
     ascending order.  Each reads the ops one at a time on its vectors that
@@ -243,15 +246,18 @@ def _joint_kernel(wm: WindowedModule, ops: Sequence[Tuple[str, int]], k: int,
     owners: List[Dict[int, int]] = [{} for _ in ops]  # per op, row -> the weight block taking it
     kernel = []
     for b, h0 in enumerate(sorted(by_h0)):
-        js, read, certified = by_h0[h0], [], False  # js: the vectors asserted so far
+        js, read, certified, here = by_h0[h0], [], False, ops  # js: the vectors asserted so far
         if gate is not None:
             cell = (-k, int((gate.hw.mu - h0) / 2))
             if not gate.may_be_singular(*cell):
                 continue
-            js = [js[p] for p in gate.affine_columns(*cell) or range(len(js))]  # the cell's order
+            here, cols = gate.kill_set(*cell)
+            js = [js[p] for p in cols]  # the cell's order
         for o, (fam, m) in enumerate(ops):
             if certified and not whole:
                 break
+            if (fam, m) not in here:
+                continue
             block, owner, taken = op_blocks[o], owners[o], len(owners[o])
             if block is None:
                 block = op_blocks[o] = wm.block(fam, m, k)
@@ -296,16 +302,18 @@ def from_verma(module: TruncatedModule, pad_top: int = 3,
     ``verma``, so ``submodule_witness`` and the lowest extremal search, whose
     op sets lower, read no column, and the highest extremal search reads no
     column of a weight block (k, h0) whose cell (-k, (mu - h0)/2) the
-    module's ``may_be_singular`` rules out, and only the d-free columns of
-    the others where the module's ``affine_columns`` lists them.
+    module's ``may_be_singular`` rules out, and of the others only the
+    columns and ops of the module's ``kill_set``.  A label's weight is
+    computed once per cell.
     """
     n_max = module.depth_bound
     window = (-n_max, pad_top)
     kept = range(-n_max, 1)  # the offsets with basis vectors; those above are empty
 
     def labels(k: int) -> Tuple[BasisLabel, ...]:
-        return tuple(BasisLabel(mono_str(mono), *module.weight_of_cell(-k, s))
-                     for s in range(k, module.charge_bound) for mono in module.cells[(-k, s)])
+        return tuple(BasisLabel(mono_str(mono), *weight) for s in range(k, module.charge_bound)
+                     for weight in [module.weight_of_cell(-k, s)]
+                     for mono in module.cells[(-k, s)])
 
     # offset -> its monomials in the order of its labels, and their positions
     monos = _LazyMap(kept, lambda k: tuple(

@@ -616,6 +616,27 @@ def test_verma_emit_is_pinned(tmp_path, monkeypatch, capsys, depth, digest):
     assert hashlib.sha256(f"{code}\n{out}\n{err}\n".encode() + csv).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["singular", "--lamd=1/2", "--mu=2", "--c=0", "--depth=6"],
+     "31f2ee0aea4806a6c1675468c55726d8b6aa10fd81797e2331d0376280e1a634"),
+    (["singular", "--lamd=-1/3", "--mu=2", "--c=4", "--depth=6"],
+     "fada7f350cb982d44c959f3520c41eda2f9717d2631bfc622ec93cbf68fae14e"),
+    (["singular", "--lamd=1/2", "--mu=1", "--c=4", "--depth=6"],
+     "8fbcb194a9b1e8d1a60f63984536bd9582b25e6e259b8f9319b38030562147f7"),
+    (["witness", "--lamd=1/2", "--mu=2", "--c=0", "--depth=5"],
+     "17ad2ebaaa1f3d154b6c159d348e767531a0adde03fb6239bda73297f901dfc6"),
+    (["witness", "--lamd=-1/3", "--mu=2", "--c=4", "--depth=4"],
+     "f45667e72ede4c64971a879cfbbc86dbb8f769e26240c63b4b375cbe1dd65c27"),
+], ids=["singular-6:1/2,2,0", "singular-6:-1/3,2,4", "singular-6:1/2,1,4",
+        "witness-5:1/2,2,0", "witness-4:-1/3,2,4"])
+def test_deep_highest_weight_reports_are_pinned(args, digest, capsys):
+    # the sha256 of each report, computed while both kill-set searches still
+    # built d_1 and d_2 on every cell; deeper than the benchmark's jobs
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_negative_depth_exits_2(capsys):
     assert run(["verma", "--lamd", "1/2", "--mu", "1", "--c", "0",
                 "--depth", "-1"]) == 2

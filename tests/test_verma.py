@@ -383,12 +383,24 @@ def test_singular_search_stops_building_at_a_certifying_operator(monkeypatch):
     assert svs == all_svs
     assert not {(sv.depth, sv.charge) for sv in all_svs} & ruled_out
     assert by_cell[(0, 4)] == [e(0)]
-    # every cell builds a prefix of the kill set, each matrix once; the cells
-    # with singular vectors build all of it
+    # every cell builds a prefix of its kill_set's operators, each matrix
+    # once, and the cells with singular vectors build all of them.  On the
+    # d-free columns those are e_0 and f_1, and d_1 or d_2 only where its
+    # target cell is weight-empty; on whole cells they are the whole kill set
     for cell, gens in by_cell.items():
-        assert gens == list(RAISING_KILL_SET[:len(gens)]), cell
+        n, s = cell
+        ops = [g for g in RAISING_KILL_SET if g.family != "d"
+               or n < g.degree or not m.weight_space_dim(n - g.degree, s)]
+        assert list(m.kill_set(*cell)[0]) == ops, cell
+        assert gens == ops[:len(gens)], cell
     for sv in svs:
-        assert by_cell[(sv.depth, sv.charge)] == list(RAISING_KILL_SET)
+        cell = (sv.depth, sv.charge)
+        assert by_cell[cell] == list(m.kill_set(*cell)[0])
+    assert by_cell[(2, 0)] == [e(0), f(1)] and by_cell[(2, -1)] == [e(0), f(1), d(2)]
+    for cell, gens in full_cells.items():
+        assert gens == list(RAISING_KILL_SET[:len(gens)]), cell
+    for sv in full_svs:
+        assert full_cells[(sv.depth, sv.charge)] == list(RAISING_KILL_SET)
     assert sum(gens == [e(0)] for gens in by_cell.values()) > len(by_cell) // 3
 
 
@@ -1142,6 +1154,37 @@ def test_the_d_free_columns_hold_every_singular_vector(hw, expect, monkeypatch):
     assert find_extremal_vectors(from_verma(m), "highest") == highest
 
 
+@pytest.mark.parametrize("hw, expect", GATE_GRID,
+                         ids=[_hw_id(hw) for hw, _ in GATE_GRID])
+def test_e0_and_f1_kill_what_the_whole_kill_set_kills_on_the_d_free_columns(hw, expect,
+                                                                             monkeypatch):
+    # on the d-free columns, the kernel of e_0 and f_1 is that of all four
+    # kill-set operators, in both searches; where there are none (c = -2, a
+    # coset Kac zero) every cell keeps all four, and a cell with a singular
+    # vector builds each of them
+    m = build_verma(hw, 5, 4)
+    if m.affine_columns(0, 0) is None:
+        for n, s in m.cells:
+            assert m.kill_set(n, s) == (RAISING_KILL_SET, range(m.weight_space_dim(n, s)))
+        built = []
+        real = TruncatedModule.cell_matrix
+        monkeypatch.setattr(TruncatedModule, "cell_matrix", lambda module, g, cell, columns=None:
+                            built.append((cell, g)) or real(module, g, cell, columns))
+        for sv in build_verma(hw, 3, 3).find_singular_vectors(3):
+            assert [g for cell, g in built if cell == (sv.depth, sv.charge)] == list(
+                RAISING_KILL_SET)
+        return
+    wm = from_verma(build_verma(hw, 4, 4))
+    svs, highest = m.find_singular_vectors(5), find_extremal_vectors(wm, "highest")
+    assert all(m.kill_set(n, s)[0] == (e(0), f(1)) for n, s in m.cells
+               if n >= 2 and s >= 2 - n)
+    with monkeypatch.context() as four:
+        four.setattr(TruncatedModule, "kill_set", lambda module, n, s: (
+            RAISING_KILL_SET, module.affine_columns(n, s)))
+        assert m.find_singular_vectors(5) == svs
+        assert find_extremal_vectors(wm, "highest") == highest
+
+
 # -- lazy cells: counts at construction, a cell enumerated on first read ------
 
 def test_cell_counts_match_enumeration_to_depth_8():
@@ -1232,10 +1275,13 @@ def test_construction_and_singular_search_enumerate_only_what_they_read(monkeypa
     # sources have depth <= 3 and charge <= S - 1 = 8.  f_1 would lift the
     # charge of its target to 9, at one depth less, but at charge 8 an
     # earlier kill-set operator always certifies the cell first, so f_1 is
-    # never built there and no cell of the top charge slice is enumerated
-    read = {(n, s) for n in range(4) for s in range(-n, 9)}
+    # never built there and no cell of the top charge slice is enumerated.
+    # On d-free columns d_1 and d_2 are built only into weight-empty cells,
+    # so (1, -1), the target of d_1 from (2, -1) and of d_2 from (3, -1),
+    # and (0, 1), the target of d_2 from (2, 1), are not read
+    read = {(n, s) for n in range(4) for s in range(-n, 9)} - {(1, -1), (0, 1)}
     assert sorted(seen) == sorted(read)  # each cell enumerated once
-    assert sum(m.weight_space_dim(n, s) for n, s in seen) == 531
+    assert sum(m.weight_space_dim(n, s) for n, s in seen) == 529
 
 
 def test_fully_read_cells_equal_an_eager_build():

@@ -964,10 +964,11 @@ def reference_extremal(wm, direction, record):
         # for a weight block (k, h0) whose cell (-k, (mu - h0)/2) the module
         # rules out, where the six operators have no common kernel, and when
         # the module has d-free columns it stacks only the basis vectors whose
-        # label names no d factor
-        stacked = range(wm.dim(k))
+        # label names no d factor, under e_0 and f_1 and under d_1 or d_2 only
+        # where no basis vector of its target offset has the block's h0
+        labels, stacked, ops = wm.labels(k), range(wm.dim(k)), {}
         if direction == "highest" and wm.verma is not None:
-            labels, module = wm.labels(k), wm.verma
+            module = wm.verma
             kept = {h0 for h0 in {lab.h0 for lab in labels}
                     if module.may_be_singular(-k, (module.hw.mu - h0) / 2)}
             for h0 in {lab.h0 for lab in labels} - kept:
@@ -976,7 +977,12 @@ def reference_extremal(wm, direction, record):
             restricted = module.affine_columns(0, 0) is not None
             stacked = [j for j in stacked if labels[j].h0 in kept and not (
                 restricted and any(x.startswith("d_") for x in labels[j].name.split()))]
-        record.extend(nullspace_stacks(wm, kill, k, stacked))
+            if restricted:
+                ops = {h0: [(fam, m) for fam, m in kill if fam != "d" or h0 not in
+                            {lab.h0 for lab in wm.labels(k + m)}] for h0 in kept}
+        for h0 in sorted({labels[j].h0 for j in stacked}):
+            record.extend(nullspace_stacks(wm, ops.get(h0, kill), k,
+                                           [j for j in stacked if labels[j].h0 == h0]))
         for v in nullspace(dense_stack(wm, six, k, cols_ok), ncols=len(cols_ok)):
             full = [F(0)] * wm.dim(k)
             for idx, j in enumerate(cols_ok):
